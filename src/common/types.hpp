@@ -39,16 +39,23 @@ inline constexpr int kNumStrands = 2;
 /// Forward (+) or reverse (-) strand of the reference a read aligned to.
 enum class Strand : u8 { kForward = 0, kReverse = 1 };
 
+/// Byte -> 2-bit base code table behind base_from_char.
+inline constexpr std::array<u8, 256> kBaseCodes = [] {
+  std::array<u8, 256> codes{};
+  codes.fill(kInvalidBase);
+  const char upper[] = "ACGT";
+  const char lower[] = "acgt";
+  for (u8 b = 0; b < kNumBases; ++b) {
+    codes[static_cast<unsigned char>(upper[b])] = b;
+    codes[static_cast<unsigned char>(lower[b])] = b;
+  }
+  return codes;
+}();
+
 /// Convert an ASCII nucleotide character to its 2-bit code (A=0,C=1,G=2,T=3).
 /// Returns kInvalidBase for anything else (including 'N').
 constexpr u8 base_from_char(char c) noexcept {
-  switch (c) {
-    case 'A': case 'a': return 0;
-    case 'C': case 'c': return 1;
-    case 'G': case 'g': return 2;
-    case 'T': case 't': return 3;
-    default: return kInvalidBase;
-  }
+  return kBaseCodes[static_cast<unsigned char>(c)];
 }
 
 /// Convert a 2-bit base code back to its (uppercase) ASCII character.

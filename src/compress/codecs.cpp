@@ -23,13 +23,14 @@ void check_count(u64 n, const char* what) {
 
 void pack_bases(std::span<const u8> bases, std::vector<u8>& out) {
   varint_append(out, bases.size());
-  BitWriter bw;
-  for (const u8 b : bases) {
+  const std::size_t base = out.size();
+  out.resize(base + (bases.size() * 2 + 7) / 8);
+  u8* p = out.data() + base;
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const u8 b = bases[i];
     GSNP_CHECK_MSG(b < kNumBases, "pack_bases: base out of range " << int(b));
-    bw.write(b, 2);
+    p[i >> 2] |= static_cast<u8>(b << ((i & 3) * 2));
   }
-  const auto bits = bw.finish();
-  out.insert(out.end(), bits.begin(), bits.end());
 }
 
 std::vector<u8> unpack_bases(std::span<const u8> data, std::size_t& pos) {
@@ -37,10 +38,11 @@ std::vector<u8> unpack_bases(std::span<const u8> data, std::size_t& pos) {
   check_count(n, "unpack_bases");
   const std::size_t bytes = (n * 2 + 7) / 8;
   GSNP_CHECK_MSG(pos + bytes <= data.size(), "unpack_bases: truncated frame");
-  BitReader br(data.subspan(pos, bytes));
+  const u8* src = data.data() + pos;
   pos += bytes;
   std::vector<u8> out(n);
-  for (auto& b : out) b = static_cast<u8>(br.read(2));
+  for (u64 i = 0; i < n; ++i)
+    out[i] = static_cast<u8>((src[i >> 2] >> ((i & 3) * 2)) & 3);
   return out;
 }
 
@@ -100,8 +102,8 @@ std::vector<u32> build_dictionary(std::span<const u32> column) {
   return dict;
 }
 
-void encode_dict(std::span<const u32> column, std::vector<u8>& out) {
-  const std::vector<u32> dict = build_dictionary(column);
+void append_dict_frame(std::span<const u32> dict, std::span<const u32> indices,
+                       std::vector<u8>& out) {
   varint_append(out, dict.size());
   // Delta-code the sorted dictionary entries.
   u32 prev = 0;
@@ -109,16 +111,51 @@ void encode_dict(std::span<const u32> column, std::vector<u8>& out) {
     varint_append(out, v - prev);
     prev = v;
   }
-  varint_append(out, column.size());
-  if (column.empty()) return;
+  varint_append(out, indices.size());
+  if (indices.empty()) return;
+  // Fixed-width LSB-first packing, byte-identical to BitWriter (every index
+  // is below dict.size(), so it fits `width` bits unmasked).
   const int width = bits_for(dict.size());
-  BitWriter bw;
-  for (const u32 v : column) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), v);
-    bw.write(static_cast<u64>(it - dict.begin()), width);
+  const std::size_t base = out.size();
+  out.resize(base + (indices.size() * static_cast<u64>(width) + 7) / 8);
+  u8* p = out.data() + base;
+  u64 acc = 0;
+  int fill = 0;
+  for (const u32 idx : indices) {
+    acc |= static_cast<u64>(idx) << fill;
+    fill += width;
+    for (; fill >= 8; fill -= 8, acc >>= 8) *p++ = static_cast<u8>(acc);
   }
-  const auto bits = bw.finish();
-  out.insert(out.end(), bits.begin(), bits.end());
+  if (fill > 0) *p = static_cast<u8>(acc);
+}
+
+void encode_dict(std::span<const u32> column, std::vector<u8>& out) {
+  std::vector<u32> dict;
+  std::vector<u32> indices(column.size());
+  if (!column.empty()) {
+    const auto [lo_it, hi_it] = std::minmax_element(column.begin(), column.end());
+    const u32 lo = *lo_it;
+    const u64 range = static_cast<u64>(*hi_it) - lo + 1;
+    if (dict_single_scan(column.size(), range)) {
+      // Mark present values, then one ascending scan assigns each its index.
+      std::vector<u32> slot(range, 0);
+      for (const u32 v : column) slot[v - lo] = 1;
+      for (u64 r = 0; r < range; ++r) {
+        if (slot[r] == 0) continue;
+        slot[r] = static_cast<u32>(dict.size());
+        dict.push_back(lo + static_cast<u32>(r));
+      }
+      for (std::size_t i = 0; i < column.size(); ++i)
+        indices[i] = slot[column[i] - lo];
+    } else {
+      dict = build_dictionary(column);
+      for (std::size_t i = 0; i < column.size(); ++i)
+        indices[i] = static_cast<u32>(
+            std::lower_bound(dict.begin(), dict.end(), column[i]) -
+            dict.begin());
+    }
+  }
+  append_dict_frame(dict, indices, out);
 }
 
 std::vector<u32> decode_dict(std::span<const u8> data, std::size_t& pos) {

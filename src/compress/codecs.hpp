@@ -22,6 +22,15 @@
 // Every encoder is self-describing (varint-framed) and appends to a byte
 // vector; decoders consume from a (data, pos) cursor so frames can be
 // concatenated freely.  All codecs are exact (lossless) and single-scan.
+//
+// The dictionary codec's value-range rule: encode_dict marks the column's
+// values in a presence table spanning [min, max], then one scan of that
+// table yields the sorted dictionary and the value-to-index map.  The table
+// holds one u32 per value in the range, so it is used only while the range
+// is at most kDictScanSpan times the column length, as it is for the value
+// columns of a full output window.  A wider range, such as a few values
+// scattered up to 2^32-1, sorts a copy of the column instead; both paths
+// emit the same bytes.
 
 #include <span>
 #include <vector>
@@ -60,6 +69,19 @@ std::vector<u32> decode_dict(std::span<const u8> data, std::size_t& pos);
 /// The dictionary a column would use (sorted unique values) — exposed so the
 /// device implementation and tests can validate against the host.
 std::vector<u32> build_dictionary(std::span<const u32> column);
+
+/// encode_dict's value-range rule (see the header comment): a column of
+/// `n` values spanning `range` = max - min + 1 takes the single-scan path
+/// iff range <= kDictScanSpan * n.
+inline constexpr u64 kDictScanSpan = 4;
+constexpr bool dict_single_scan(u64 n, u64 range) {
+  return range <= kDictScanSpan * n;
+}
+
+/// The dictionary frame for a column given its sorted dictionary and each
+/// value's index into it (shared by encode_dict and the device encoder).
+void append_dict_frame(std::span<const u32> dict, std::span<const u32> indices,
+                       std::vector<u8>& out);
 
 // ---- RLE-DICT (the paper's scheme for quality columns) ----------------------
 

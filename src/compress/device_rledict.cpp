@@ -1,6 +1,5 @@
 #include "src/compress/device_rledict.hpp"
 
-#include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
 #include "src/sortnet/batch_sort.hpp"
 
@@ -172,29 +171,6 @@ DictMapping device_build_dict(Device& dev, std::span<const u32> column) {
   return m;
 }
 
-namespace {
-
-/// Emit a dictionary frame identical to the host encode_dict, given the
-/// device-computed dictionary and indices.
-void emit_dict_frame(const std::vector<u32>& dict,
-                     const std::vector<u32>& indices, std::vector<u8>& out) {
-  varint_append(out, dict.size());
-  u32 prev = 0;
-  for (const u32 v : dict) {
-    varint_append(out, v - prev);
-    prev = v;
-  }
-  varint_append(out, indices.size());
-  if (indices.empty()) return;
-  const int width = bits_for(dict.size());
-  BitWriter bw;
-  for (const u32 idx : indices) bw.write(idx, width);
-  const auto bits = bw.finish();
-  out.insert(out.end(), bits.begin(), bits.end());
-}
-
-}  // namespace
-
 void device_encode_rle_dict(Device& dev, std::span<const u32> column,
                             std::vector<u8>& out) {
   const RunDecomposition runs = device_run_decompose(dev, column);
@@ -202,8 +178,9 @@ void device_encode_rle_dict(Device& dev, std::span<const u32> column,
       device_build_dict(dev, std::span<const u32>(runs.values));
   const DictMapping lengths_map =
       device_build_dict(dev, std::span<const u32>(runs.lengths));
-  emit_dict_frame(values_map.dict, values_map.indices, out);
-  emit_dict_frame(lengths_map.dict, lengths_map.indices, out);
+  // The frames are byte-identical to the host encode_dict's.
+  append_dict_frame(values_map.dict, values_map.indices, out);
+  append_dict_frame(lengths_map.dict, lengths_map.indices, out);
 }
 
 }  // namespace gsnp::compress

@@ -1,5 +1,6 @@
 #include "src/compress/temp_input.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/bitio.hpp"
@@ -11,63 +12,87 @@
 
 namespace gsnp::compress {
 
-std::vector<u8> encode_alignment_chunk(
-    std::span<const reads::AlignmentRecord> records) {
-  std::vector<u8> out;
-  varint_append(out, records.size());
-  if (records.empty()) return out;
-
+void ChunkColumns::add(const reads::AlignmentRecord& rec) {
   // Positions: sorted input -> non-negative deltas.
-  varint_append(out, records.front().pos);
-  for (std::size_t i = 1; i + 0 < records.size(); ++i) {
-    GSNP_CHECK_MSG(records[i].pos >= records[i - 1].pos,
+  if (lengths_.empty()) {
+    varint_append(positions_, rec.pos);
+  } else {
+    GSNP_CHECK_MSG(rec.pos >= last_pos_,
                    "temp input requires position-sorted records");
-    varint_append(out, records[i].pos - records[i - 1].pos);
+    varint_append(positions_, rec.pos - last_pos_);
+  }
+  last_pos_ = rec.pos;
+  lengths_.push_back(rec.length);
+  strands_.push_back(rec.strand == Strand::kReverse ? 1 : 0);
+  pair_tags_.push_back(rec.pair_tag == 'b' ? 1 : 0);
+  hits_.push_back(rec.hit_count);
+
+  // Bases: concatenated 2-bit codes, 'N' (any non-ACGT letter) packed as 0
+  // and listed separately.
+  for (const char c : rec.seq) {
+    u8 b = base_from_char(c);
+    if (b >= kNumBases) {
+      n_positions_.push_back(n_bases_);
+      b = 0;
+    }
+    if ((n_bases_ & 3) == 0) packed_bases_.push_back(0);
+    packed_bases_.back() |= static_cast<u8>(b << ((n_bases_ & 3) * 2));
+    ++n_bases_;
   }
 
-  // Lengths: dictionary (usually a single value).
-  std::vector<u32> lengths(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) lengths[i] = records[i].length;
-  encode_dict(lengths, out);
-
-  // Strand and pair-tag bit arrays.
-  {
-    BitWriter bw;
-    for (const auto& rec : records)
-      bw.write(rec.strand == Strand::kReverse ? 1 : 0, 1);
-    for (const auto& rec : records) bw.write(rec.pair_tag == 'b' ? 1 : 0, 1);
-    const auto bits = bw.finish();
-    out.insert(out.end(), bits.begin(), bits.end());
-  }
-
-  // Hit counts: mostly 1 -> RLE-DICT.
-  std::vector<u32> hits(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) hits[i] = records[i].hit_count;
-  encode_rle_dict(hits, out);
-
-  // Bases: concatenated 2-bit codes with sparse 'N' exceptions.
-  std::vector<u8> bases;
-  std::vector<u32> n_flags;
-  for (const auto& rec : records) {
-    for (const char c : rec.seq) {
-      const u8 b = base_from_char(c);
-      bases.push_back(b < kNumBases ? b : 0);
-      n_flags.push_back(b < kNumBases ? 0 : 1);
+  // Qualities: runs over the concatenated values (auto-correlated within
+  // reads -> long runs).
+  for (const char c : rec.qual) {
+    const u32 q = static_cast<u32>(quality_from_char(c));
+    if (!qual_runs_.values.empty() && qual_runs_.values.back() == q) {
+      ++qual_runs_.lengths.back();
+    } else {
+      qual_runs_.values.push_back(q);
+      qual_runs_.lengths.push_back(1);
     }
   }
-  pack_bases(bases, out);
-  encode_sparse(n_flags, out);
+}
 
-  // Qualities: concatenated integer values, RLE-DICT (auto-correlated within
-  // reads -> long runs).
-  std::vector<u32> quals;
-  quals.reserve(bases.size());
-  for (const auto& rec : records)
-    for (const char c : rec.qual) quals.push_back(
-        static_cast<u32>(quality_from_char(c)));
-  encode_rle_dict(quals, out);
-
+std::vector<u8> ChunkColumns::encode() {
+  std::vector<u8> out;
+  varint_append(out, records());
+  if (records() > 0) {
+    out.insert(out.end(), positions_.begin(), positions_.end());
+    // Lengths: dictionary (usually a single value).
+    encode_dict(lengths_, out);
+    // Strand and pair-tag bit arrays.
+    BitWriter bw;
+    for (const u8 bit : strands_) bw.write(bit, 1);
+    for (const u8 bit : pair_tags_) bw.write(bit, 1);
+    const auto bits = bw.finish();
+    out.insert(out.end(), bits.begin(), bits.end());
+    // Hit counts: mostly 1 -> RLE-DICT.
+    encode_rle_dict(hits_, out);
+    // Bases: the pack_bases frame, then the 'N' flags as an encode_sparse
+    // frame (value 1 at each N).
+    varint_append(out, n_bases_);
+    out.insert(out.end(), packed_bases_.begin(), packed_bases_.end());
+    varint_append(out, n_bases_);
+    varint_append(out, n_positions_.size());
+    u64 prev = 0;
+    for (const u64 index : n_positions_) {
+      varint_append(out, index - prev);
+      varint_append(out, 1);
+      prev = index;
+    }
+    // Qualities: the encode_rle_dict frame of the concatenated values.
+    encode_dict(qual_runs_.values, out);
+    encode_dict(qual_runs_.lengths, out);
+  }
+  *this = ChunkColumns();
   return out;
+}
+
+std::vector<u8> encode_alignment_chunk(
+    std::span<const reads::AlignmentRecord> records) {
+  ChunkColumns columns;
+  for (const auto& rec : records) columns.add(rec);
+  return columns.encode();
 }
 
 std::vector<reads::AlignmentRecord> decode_alignment_chunk(
@@ -107,22 +132,50 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
   GSNP_CHECK(hits.size() == n);
   for (u64 i = 0; i < n; ++i) records[i].hit_count = hits[i];
 
-  const std::vector<u8> bases = unpack_bases(data, pos);
-  const std::vector<u32> n_flags = decode_sparse(data, pos);
-  const std::vector<u32> quals = decode_rle_dict(data, pos);
-  GSNP_CHECK(bases.size() == total_bases && n_flags.size() == total_bases &&
-             quals.size() == total_bases);
+  // Bases and qualities decode straight into two concatenated character
+  // buffers that the records' strings are cut from.
+  std::string seq(total_bases, '\0');
+  {
+    const std::vector<u8> codes = unpack_bases(data, pos);
+    GSNP_CHECK(codes.size() == total_bases);
+    for (u64 k = 0; k < total_bases; ++k) seq[k] = char_from_base(codes[k]);
+    // The encode_sparse frame of the 'N' flags.
+    GSNP_CHECK(varint_read(data, pos) == total_bases);
+    const u64 nnz = varint_read(data, pos);
+    GSNP_CHECK_MSG(nnz <= total_bases,
+                   "decode_sparse: nnz " << nnz << " > n " << total_bases);
+    u64 index = 0;
+    for (u64 k = 0; k < nnz; ++k) {
+      index += varint_read(data, pos);
+      GSNP_CHECK_MSG(index < total_bases, "decode_sparse: index out of range");
+      seq[index] =
+          varint_read(data, pos) != 0 ? 'N' : char_from_base(codes[index]);
+    }
+  }
+  std::string qual(total_bases, '\0');
+  {
+    // The encode_rle_dict frame of the concatenated qualities.
+    const std::vector<u32> values = decode_dict(data, pos);
+    const std::vector<u32> run_lengths = decode_dict(data, pos);
+    GSNP_CHECK(values.size() == run_lengths.size());
+    u64 filled = 0;
+    for (std::size_t r = 0; r < values.size(); ++r) {
+      GSNP_CHECK(run_lengths[r] <= total_bases - filled);
+      std::fill_n(qual.begin() + static_cast<std::ptrdiff_t>(filled),
+                  run_lengths[r],
+                  quality_to_char(static_cast<int>(values[r])));
+      filled += run_lengths[r];
+    }
+    GSNP_CHECK(filled == total_bases);
+  }
 
   u64 cursor = 0;
   for (u64 i = 0; i < n; ++i) {
     auto& rec = records[i];
     rec.chr_name = chr_name;
-    rec.seq.resize(rec.length);
-    rec.qual.resize(rec.length);
-    for (u16 j = 0; j < rec.length; ++j, ++cursor) {
-      rec.seq[j] = n_flags[cursor] ? 'N' : char_from_base(bases[cursor]);
-      rec.qual[j] = quality_to_char(static_cast<int>(quals[cursor]));
-    }
+    rec.seq.assign(seq, cursor, rec.length);
+    rec.qual.assign(qual, cursor, rec.length);
+    cursor += rec.length;
   }
   GSNP_CHECK_MSG(pos == data.size(), "trailing bytes in alignment chunk");
   return records;
@@ -146,13 +199,13 @@ TempInputWriter::TempInputWriter(const std::filesystem::path& path,
 }
 
 void TempInputWriter::add(const reads::AlignmentRecord& rec) {
-  buffer_.push_back(rec);
-  if (buffer_.size() >= chunk_records_) flush_chunk();
+  buffer_.add(rec);
+  if (buffer_.records() >= chunk_records_) flush_chunk();
 }
 
 void TempInputWriter::flush_chunk() {
-  if (buffer_.empty()) return;
-  const std::vector<u8> chunk = encode_alignment_chunk(buffer_);
+  if (buffer_.records() == 0) return;
+  const std::vector<u8> chunk = buffer_.encode();
   std::vector<u8> prefix;
   varint_append(prefix, chunk.size());
   const u32 crc = crc32(chunk.data(), chunk.size());
@@ -165,7 +218,6 @@ void TempInputWriter::flush_chunk() {
   record.append(reinterpret_cast<const char*>(crc_le), sizeof(crc_le));
   fsfault::write(out_, path_, record);
   bytes_ += record.size();
-  buffer_.clear();
 }
 
 u64 TempInputWriter::finish() {
@@ -231,7 +283,7 @@ std::optional<reads::AlignmentRecord> TempInputReader::next() {
   while (cursor_ >= chunk_.size()) {
     if (!load_chunk()) return std::nullopt;
   }
-  return chunk_[cursor_++];
+  return std::move(chunk_[cursor_++]);
 }
 
 }  // namespace gsnp::compress

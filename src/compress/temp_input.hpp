@@ -28,9 +28,33 @@
 #include <vector>
 
 #include "src/common/types.hpp"
+#include "src/compress/codecs.hpp"
 #include "src/reads/alignment.hpp"
 
 namespace gsnp::compress {
+
+/// One chunk's columns, staged record by record without copying records:
+/// varint positions, lengths, strand/pair flags, hit counts, 2-bit packed
+/// bases with the 'N' positions, and the quality runs.
+class ChunkColumns {
+ public:
+  void add(const reads::AlignmentRecord& rec);
+  u64 records() const { return lengths_.size(); }
+  /// The chunk payload (format above); leaves the columns empty.
+  std::vector<u8> encode();
+
+ private:
+  std::vector<u8> positions_;  ///< varint first position, then deltas
+  u64 last_pos_ = 0;
+  std::vector<u32> lengths_;
+  std::vector<u8> strands_;    ///< 1 = reverse
+  std::vector<u8> pair_tags_;  ///< 1 = 'b'
+  std::vector<u32> hits_;
+  std::vector<u8> packed_bases_;  ///< pack_bases payload ('N' packed as 0)
+  u64 n_bases_ = 0;
+  std::vector<u64> n_positions_;  ///< base indices of the 'N's
+  RunDecomposition qual_runs_;
+};
 
 /// Encode one chunk of records (exposed for tests and the Fig 10b bench).
 std::vector<u8> encode_alignment_chunk(
@@ -57,7 +81,7 @@ class TempInputWriter {
   std::filesystem::path path_;  ///< for fault routing + error messages
   std::string chr_name_;
   u32 chunk_records_;
-  std::vector<reads::AlignmentRecord> buffer_;
+  ChunkColumns buffer_;
   u64 bytes_ = 0;
 };
 

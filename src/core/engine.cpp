@@ -76,15 +76,11 @@ CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
     if ((++result.records & 0xFFF) == 0) check_cancel(config.cancel, "cal_p");
     if (temp) temp->add(*rec);
     if (reuse_matrix || rec->hit_count != 1) continue;
-    const u64 lo = rec->pos;
-    const u64 hi = std::min<u64>(rec->pos + rec->length, ref.size());
-    for (u64 p = lo; p < hi; ++p) {
-      const u8 r = ref.base(p);
-      if (r >= kNumBases) continue;
-      reads::SiteObservation so;
-      if (!reads::observe_site(*rec, p, so)) continue;
-      counter.add(so.quality, so.coord, r, so.base);
-    }
+    reads::for_each_observation(
+        *rec, 0, ref.size(), [&](u64 p, const reads::SiteObservation& so) {
+          const u8 r = ref.base(p);
+          if (r < kNumBases) counter.add(so.quality, so.coord, r, so.base);
+        });
   }
   result.ingest = reader.stats();
   if (temp) result.temp_bytes = temp->finish();

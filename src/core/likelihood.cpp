@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "src/core/adjust.hpp"
@@ -74,8 +75,10 @@ TypeLikely likelihood_dense_site(std::span<const u8> base_occ,
 TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
                                   const NewPMatrix& npm) {
   TypeLikely type_likely{};
-  std::array<u16, kNumStrands * kMaxReadLen> dep_count{};
-  const double* logs = log_table().data();
+  thread_local detail::DepthCounts dep_count;
+  dep_count.clear();
+  const int* penalties = quality_penalties().data();
+  const double* flat = npm.flat().data();
 
   int last_base = 0;
   u32 prev_word = 0;
@@ -89,28 +92,68 @@ TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
     ++index;
     const AlignedBase ab = base_word_unpack(word);
     if (ab.base > last_base) {  // Alg. 4 lines 8-10
-      dep_count.fill(0);
+      dep_count.clear();
       last_base = ab.base;
     }
-    const int dep = ++dep_count[static_cast<std::size_t>(
-        static_cast<int>(ab.strand) * kMaxReadLen + ab.coord)];
-    const int q_adj = adjust_quality(ab.quality, dep, logs);
+    const int dep = dep_count.next(ab);
+    const int q_adj = adjust_quality(ab.quality, dep, penalties);
     // opt_likely_update (Algorithm 3): one table row, ten reads, no log10.
-    const u64 row = NewPMatrix::index(q_adj, ab.coord, ab.base, 0);
+    const double* row = flat + NewPMatrix::index(q_adj, ab.coord, ab.base, 0);
     for (int combo = 0; combo < kNumGenotypes; ++combo)
-      type_likely[static_cast<std::size_t>(combo)] +=
-          npm.flat()[row + static_cast<u64>(combo)];
+      type_likely[static_cast<std::size_t>(combo)] += row[combo];
   }
   return type_likely;
 }
 
-void likelihood_sort_cpu(BaseWordWindow& window) {
-  const i64 n = static_cast<i64>(window.window_size());
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (i64 s = 0; s < n; ++s) {
-    auto site = window.site(static_cast<u32>(s));
-    std::sort(site.begin(), site.end());
+namespace {
+
+/// Sorts up to kLanes of one site's words by rank: a site's words arrive in
+/// random order, where an insertion sort mispredicts a branch on nearly
+/// every step, so each word's final index is instead counted without
+/// branches as the number of keys below its own.  Keys (word << 4 | index)
+/// are distinct, and for words below 2^27 (every base_word) they are
+/// non-negative i32s, so the count runs over fixed lanes padded with the
+/// largest key.
+template <std::size_t kLanes>
+void rank_sort(u32* first, std::size_t n) {
+  i32 keys[kLanes];
+  u32 high = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    high |= first[i];
+    keys[i] = static_cast<i32>((first[i] << 4) | i);
   }
+  if (high >> 27) {
+    std::sort(first, first + n);
+    return;
+  }
+  std::fill(keys + n, keys + kLanes, std::numeric_limits<i32>::max());
+  i32 rank[kLanes] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    const i32 key = keys[j];
+    for (std::size_t i = 0; i < kLanes; ++i) rank[i] += key < keys[i];
+  }
+  u32 sorted[kLanes];
+  for (std::size_t i = 0; i < n; ++i) sorted[rank[i]] = first[i];
+  std::copy_n(sorted, n, first);
+}
+
+void sort_site(u32* first, u32* last) {
+  const std::size_t n = static_cast<std::size_t>(last - first);
+  if (n <= 8) {
+    rank_sort<8>(first, n);
+  } else if (n <= 16) {
+    rank_sort<16>(first, n);
+  } else {
+    std::sort(first, last);
+  }
+}
+
+}  // namespace
+
+void likelihood_sort_cpu(BaseWordWindow& window) {
+  u32* const words = window.words.data();
+  for (u32 s = 0; s < window.window_size(); ++s)
+    sort_site(words + window.offsets[s], words + window.offsets[s + 1]);
 }
 
 }  // namespace gsnp::core

@@ -45,6 +45,39 @@ namespace detail {
 /// in debug builds, then throws UnsortedWindowError.
 [[noreturn]] void throw_unsorted_window(std::size_t index, u32 previous,
                                         u32 word);
+
+/// Algorithm 4's dep_count, shared by the scalar and SIMD sparse kernels:
+/// per-(strand, coord) occurrence counts of the current base.  clear()
+/// zeroes only the cells counted since the last clear, so a kernel keeps one
+/// instance per thread and clears it per site and per base change instead
+/// of zeroing all 512 cells.
+class DepthCounts {
+ public:
+  /// Count one occurrence; returns the cell's new count.
+  int next(const AlignedBase& ab) {
+    const u32 cell = static_cast<u32>(ab.strand) * kMaxReadLen + ab.coord;
+    if (counts_[cell] == 0) {
+      if (n_touched_ < kCells) touched_[n_touched_] = static_cast<u16>(cell);
+      ++n_touched_;  // past kCells (u16 wrap-around) clear() zeroes all
+    }
+    return ++counts_[cell];
+  }
+
+  void clear() {
+    if (n_touched_ > kCells) {
+      counts_.fill(0);
+    } else {
+      for (u32 i = 0; i < n_touched_; ++i) counts_[touched_[i]] = 0;
+    }
+    n_touched_ = 0;
+  }
+
+ private:
+  static constexpr u32 kCells = kNumStrands * kMaxReadLen;
+  std::array<u16, kCells> counts_{};
+  std::array<u16, kCells> touched_{};
+  u32 n_touched_ = 0;
+};
 }  // namespace detail
 
 /// Algorithm 1 over one site's dense matrix (131,072 entries).
@@ -56,8 +89,9 @@ TypeLikely likelihood_dense_site(std::span<const u8> base_occ,
 TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
                                   const NewPMatrix& npm);
 
-/// The likelihood_sort step of Algorithm 4 on the CPU (per-array quicksort);
-/// the device equivalent is sortnet::sort_device_multipass.
+/// The likelihood_sort step of Algorithm 4 on the CPU: each site's words
+/// sorted in turn on the calling thread; the device equivalent is
+/// sortnet::sort_device_multipass.
 void likelihood_sort_cpu(BaseWordWindow& window);
 
 }  // namespace gsnp::core

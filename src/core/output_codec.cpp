@@ -19,18 +19,12 @@ RleDictFn host_rle_dict() {
 namespace {
 
 /// Base column with possible 'N's: 2-bit codes (N packed as 0) plus a sparse
-/// exception column flagging the N positions.
-void encode_base_column(std::span<const SnpRow> rows, u8 SnpRow::*field,
-                        std::vector<u8>& out) {
-  std::vector<u8> codes(rows.size());
-  std::vector<u32> n_flags(rows.size(), 0);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const u8 b = rows[i].*field;
-    codes[i] = b < kNumBases ? b : 0;
-    n_flags[i] = b < kNumBases ? 0 : 1;
-  }
-  compress::pack_bases(codes, out);
-  compress::encode_sparse(n_flags, out);
+/// exception column flagging the N positions.  Gathers row `i`'s base `b`;
+/// the column is encoded with pack_bases(codes) then encode_sparse(n_flags).
+void gather_base(u8 b, std::size_t i, std::vector<u8>& codes,
+                 std::vector<u32>& n_flags) {
+  codes[i] = b < kNumBases ? b : 0;
+  n_flags[i] = b < kNumBases ? 0 : 1;
 }
 
 void decode_base_column(std::vector<SnpRow>& rows, u8 SnpRow::*field,
@@ -42,27 +36,18 @@ void decode_base_column(std::vector<SnpRow>& rows, u8 SnpRow::*field,
     rows[i].*field = n_flags[i] ? kInvalidBase : codes[i];
 }
 
-template <typename Field>
-std::vector<u32> gather(std::span<const SnpRow> rows, Field&& get) {
-  std::vector<u32> column(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) column[i] = get(rows[i]);
-  return column;
-}
-
 /// Predicted genotype column: homozygous-reference (encoded rank+1; 0 = 'N').
-std::vector<u32> predicted_genotypes(std::span<const SnpRow> rows) {
-  std::vector<u32> predicted(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const u8 r = rows[i].ref_base;
-    predicted[i] =
-        r < kNumBases ? static_cast<u32>(genotype_rank(r, r)) + 1 : 0;
-  }
-  return predicted;
+u32 predicted_genotype(u8 ref_base) {
+  return ref_base < kNumBases
+             ? static_cast<u32>(genotype_rank(ref_base, ref_base)) + 1
+             : 0;
 }
 
 std::vector<u32> predicted_genotypes(const std::vector<SnpRow>& rows) {
-  return predicted_genotypes(
-      std::span<const SnpRow>(rows.data(), rows.size()));
+  std::vector<u32> predicted(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    predicted[i] = predicted_genotype(rows[i].ref_base);
+  return predicted;
 }
 
 }  // namespace
@@ -72,74 +57,78 @@ std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
   std::vector<u8> out;
   varint_append(out, rows.size());
   if (rows.empty()) return out;
+  const std::size_t n = rows.size();
 
   // Cols 1-2: positions are consecutive — store the start only.
   varint_append(out, rows.front().pos);
 
-  // Col 3: reference base.
-  encode_base_column(rows, &SnpRow::ref_base, out);
+  // The columns are gathered a few at a time, each group in one pass over
+  // the rows (a pass per column would stream the row array once for every
+  // column), and encoded in column order.
+  std::vector<u32> a(n), b(n), c(n), d(n);
+  std::vector<u8> codes(n);
+  std::vector<double> x(n);
 
-  // Col 4: genotype vs predicted hom-ref.
-  compress::encode_exceptions(
-      gather(rows,
-             [](const SnpRow& r) {
-               return r.genotype_rank < 0
-                          ? 0u
-                          : static_cast<u32>(r.genotype_rank) + 1;
-             }),
-      predicted_genotypes(rows), out);
+  // Col 3: reference base.  Col 4: genotype vs predicted hom-ref.  Col 5:
+  // consensus quality (quality-related -> RLE-DICT).
+  for (std::size_t i = 0; i < n; ++i) {
+    const SnpRow& r = rows[i];
+    gather_base(r.ref_base, i, codes, a);
+    b[i] = r.genotype_rank < 0 ? 0u : static_cast<u32>(r.genotype_rank) + 1;
+    c[i] = predicted_genotype(r.ref_base);
+    d[i] = r.quality;
+  }
+  compress::pack_bases(codes, out);
+  compress::encode_sparse(a, out);
+  compress::encode_exceptions(b, c, out);
+  rle_dict(d, out);
 
-  // Col 5: consensus quality (quality-related -> RLE-DICT).
-  rle_dict(gather(rows, [](const SnpRow& r) { return r.quality; }), out);
-
-  // Col 6: best base.
-  encode_base_column(rows, &SnpRow::best_base, out);
-
-  // Cols 7-9: best-allele stats (quality-related -> RLE-DICT).
-  rle_dict(gather(rows, [](const SnpRow& r) { return r.best_avg_quality; }),
-           out);
-  rle_dict(gather(rows, [](const SnpRow& r) { return r.best_uniq_count; }),
-           out);
-  rle_dict(gather(rows, [](const SnpRow& r) { return r.best_all_count; }),
-           out);
+  // Col 6: best base.  Cols 7-9: best-allele stats (quality-related ->
+  // RLE-DICT).
+  for (std::size_t i = 0; i < n; ++i) {
+    const SnpRow& r = rows[i];
+    gather_base(r.best_base, i, codes, a);
+    b[i] = r.best_avg_quality;
+    c[i] = r.best_uniq_count;
+    d[i] = r.best_all_count;
+  }
+  compress::pack_bases(codes, out);
+  compress::encode_sparse(a, out);
+  rle_dict(b, out);
+  rle_dict(c, out);
+  rle_dict(d, out);
 
   // Cols 10-13: second-allele columns, sparse (base stored as code+1).
-  compress::encode_sparse(
-      gather(rows,
-             [](const SnpRow& r) {
-               return r.second_base < kNumBases
-                          ? static_cast<u32>(r.second_base) + 1
-                          : 0u;
-             }),
-      out);
-  compress::encode_sparse(
-      gather(rows, [](const SnpRow& r) { return r.second_avg_quality; }), out);
-  compress::encode_sparse(
-      gather(rows, [](const SnpRow& r) { return r.second_uniq_count; }), out);
-  compress::encode_sparse(
-      gather(rows, [](const SnpRow& r) { return r.second_all_count; }), out);
-
-  // Col 14: depth (quality-related -> RLE-DICT).
-  rle_dict(gather(rows, [](const SnpRow& r) { return r.depth; }), out);
-
-  // Col 15: rank-sum p (1e-4 grid).
-  {
-    std::vector<double> p(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) p[i] = rows[i].rank_sum_p;
-    compress::encode_quantized(p, 1e4, out);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SnpRow& r = rows[i];
+    a[i] = r.second_base < kNumBases ? static_cast<u32>(r.second_base) + 1
+                                     : 0u;
+    b[i] = r.second_avg_quality;
+    c[i] = r.second_uniq_count;
+    d[i] = r.second_all_count;
   }
+  compress::encode_sparse(a, out);
+  compress::encode_sparse(b, out);
+  compress::encode_sparse(c, out);
+  compress::encode_sparse(d, out);
+
+  // Col 14: depth (quality-related -> RLE-DICT).  Col 15: rank-sum p (1e-4
+  // grid).
+  for (std::size_t i = 0; i < n; ++i) {
+    const SnpRow& r = rows[i];
+    a[i] = r.depth;
+    b[i] = r.in_dbsnp ? 1u : 0u;
+    x[i] = r.rank_sum_p;
+  }
+  rle_dict(a, out);
+  compress::encode_quantized(x, 1e4, out);
 
   // Col 16: average copy number (1e-2 grid; quality-related family).
-  {
-    std::vector<double> cn(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) cn[i] = rows[i].copy_number;
-    compress::encode_quantized(cn, 1e2, out);
-  }
+  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].copy_number;
+  compress::encode_quantized(x, 1e2, out);
 
   // Col 17: dbSNP membership, sparse.
-  compress::encode_sparse(
-      gather(rows, [](const SnpRow& r) { return r.in_dbsnp ? 1u : 0u; }), out);
-
+  compress::encode_sparse(b, out);
   return out;
 }
 

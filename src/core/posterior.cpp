@@ -1,9 +1,10 @@
 #include "src/core/posterior.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
+#include "src/common/error.hpp"
 #include "src/core/ranksum.hpp"
 
 namespace gsnp::core {
@@ -94,11 +95,21 @@ SnpRow assemble_row(u64 pos, u8 ref_base, bool in_dbsnp,
   row.quality = n_uniq == 0 ? u16{0} : call.quality;
 
   // ---- best / second-best base columns ---------------------------------------
+  // The two best bases under `better` (a strict total order, so this is the
+  // head of the fully sorted ranking).
   std::array<BaseRank, kNumBases> ranks;
   for (u8 b = 0; b < kNumBases; ++b)
     ranks[b] = {stats.count_uniq[b], stats.count_all[b], stats.qual_sum_all[b],
                 b};
-  std::sort(ranks.begin(), ranks.end(), better);
+  if (better(ranks[1], ranks[0])) std::swap(ranks[0], ranks[1]);
+  for (int b = 2; b < kNumBases; ++b) {
+    if (better(ranks[b], ranks[0])) {
+      ranks[1] = ranks[0];
+      ranks[0] = ranks[b];
+    } else if (better(ranks[b], ranks[1])) {
+      ranks[1] = ranks[b];
+    }
+  }
 
   const auto fill = [&](const BaseRank& r, u8& base, u16& avg_q, u32& uniq,
                         u32& all) {
@@ -121,15 +132,25 @@ SnpRow assemble_row(u64 pos, u8 ref_base, bool in_dbsnp,
 
   // ---- rank-sum test on unique-read qualities (best vs second base) ----------
   if (row.best_base != kInvalidBase && row.second_base != kInvalidBase) {
-    std::vector<u8> q_best, q_second;
+    // Quality histograms over [q_lo, q_hi]: the empty bins outside it hold
+    // no tie group, so the test sees only the occupied span.
+    std::array<u32, kQualityLevels> q_best{}, q_second{};
+    u8 q_lo = kQualityLevels - 1, q_hi = 0;
     for (std::size_t k = 0; k < site_obs.size(); ++k) {
       if (site_hits[k] != 1) continue;
-      if (site_obs[k].base == row.best_base)
-        q_best.push_back(site_obs[k].quality);
-      else if (site_obs[k].base == row.second_base)
-        q_second.push_back(site_obs[k].quality);
+      const AlignedBase& ab = site_obs[k];
+      if (ab.base != row.best_base && ab.base != row.second_base) continue;
+      GSNP_CHECK_MSG(ab.quality < kQualityLevels,
+                     "assemble_row: quality " << int(ab.quality)
+                                              << " out of range");
+      ++(ab.base == row.best_base ? q_best : q_second)[ab.quality];
+      q_lo = std::min(q_lo, ab.quality);
+      q_hi = std::max(q_hi, ab.quality);
     }
-    row.rank_sum_p = round_p(rank_sum_p(q_best, q_second));
+    const std::size_t bins = q_lo <= q_hi ? q_hi - q_lo + 1u : 0u;
+    row.rank_sum_p = round_p(
+        rank_sum_p_counts(std::span<const u32>(q_best).subspan(q_lo, bins),
+                          std::span<const u32>(q_second).subspan(q_lo, bins)));
   } else {
     row.rank_sum_p = 1.0;
   }

@@ -18,6 +18,13 @@ namespace gsnp::core {
 /// approximation to mean anything (n1*n2 == 0).
 double rank_sum_p(std::span<const u8> a, std::span<const u8> b);
 
+/// The same test on samples given as value histograms: `a_counts[v]` and
+/// `b_counts[v]` count the occurrences of value v in each sample (spans of
+/// equal length).  Each tie group is one bin, so no pooled sort is needed;
+/// the result is the very double rank_sum_p returns on the expanded samples.
+double rank_sum_p_counts(std::span<const u32> a_counts,
+                         std::span<const u32> b_counts);
+
 /// Round a p-value to the 1e-4 grid used by the output table (column 15),
 /// ensuring it is exactly representable for the quantized codec.
 double round_p(double p);

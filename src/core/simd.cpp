@@ -39,8 +39,9 @@ std::optional<Level>& forced_level() {
 TypeLikely sparse_site_sse2(std::span<const u32> sorted_words,
                             const NewPMatrix& npm) {
   TypeLikely type_likely{};
-  std::array<u16, kNumStrands * kMaxReadLen> dep_count{};
-  const double* logs = log_table().data();
+  thread_local detail::DepthCounts dep_count;
+  dep_count.clear();
+  const int* penalties = quality_penalties().data();
   const double* flat = npm.flat().data();
 
   __m128d acc0 = _mm_setzero_pd();
@@ -58,12 +59,11 @@ TypeLikely sparse_site_sse2(std::span<const u32> sorted_words,
     ++index;
     const AlignedBase ab = base_word_unpack(word);
     if (ab.base > last_base) {  // Alg. 4 lines 8-10
-      dep_count.fill(0);
+      dep_count.clear();
       last_base = ab.base;
     }
-    const int dep = ++dep_count[static_cast<std::size_t>(
-        static_cast<int>(ab.strand) * kMaxReadLen + ab.coord)];
-    const int q_adj = adjust_quality(ab.quality, dep, logs);
+    const int dep = dep_count.next(ab);
+    const int q_adj = adjust_quality(ab.quality, dep, penalties);
     const double* row =
         flat + NewPMatrix::index(q_adj, ab.coord, ab.base, 0);
     acc0 = _mm_add_pd(acc0, _mm_loadu_pd(row));
@@ -83,8 +83,9 @@ TypeLikely sparse_site_sse2(std::span<const u32> sorted_words,
 __attribute__((target("avx2"))) TypeLikely sparse_site_avx2(
     std::span<const u32> sorted_words, const NewPMatrix& npm) {
   TypeLikely type_likely{};
-  std::array<u16, kNumStrands * kMaxReadLen> dep_count{};
-  const double* logs = log_table().data();
+  thread_local detail::DepthCounts dep_count;
+  dep_count.clear();
+  const int* penalties = quality_penalties().data();
   const double* flat = npm.flat().data();
 
   __m256d acc0 = _mm256_setzero_pd();
@@ -100,12 +101,11 @@ __attribute__((target("avx2"))) TypeLikely sparse_site_avx2(
     ++index;
     const AlignedBase ab = base_word_unpack(word);
     if (ab.base > last_base) {  // Alg. 4 lines 8-10
-      dep_count.fill(0);
+      dep_count.clear();
       last_base = ab.base;
     }
-    const int dep = ++dep_count[static_cast<std::size_t>(
-        static_cast<int>(ab.strand) * kMaxReadLen + ab.coord)];
-    const int q_adj = adjust_quality(ab.quality, dep, logs);
+    const int dep = dep_count.next(ab);
+    const int q_adj = adjust_quality(ab.quality, dep, penalties);
     const double* row =
         flat + NewPMatrix::index(q_adj, ab.coord, ab.base, 0);
     acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(row));
@@ -263,8 +263,9 @@ __attribute__((target("avx2"))) PosteriorCall select_avx2(
 TypeLikely sparse_site_neon(std::span<const u32> sorted_words,
                             const NewPMatrix& npm) {
   TypeLikely type_likely{};
-  std::array<u16, kNumStrands * kMaxReadLen> dep_count{};
-  const double* logs = log_table().data();
+  thread_local detail::DepthCounts dep_count;
+  dep_count.clear();
+  const int* penalties = quality_penalties().data();
   const double* flat = npm.flat().data();
 
   float64x2_t acc[5] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
@@ -279,12 +280,11 @@ TypeLikely sparse_site_neon(std::span<const u32> sorted_words,
     ++index;
     const AlignedBase ab = base_word_unpack(word);
     if (ab.base > last_base) {
-      dep_count.fill(0);
+      dep_count.clear();
       last_base = ab.base;
     }
-    const int dep = ++dep_count[static_cast<std::size_t>(
-        static_cast<int>(ab.strand) * kMaxReadLen + ab.coord)];
-    const int q_adj = adjust_quality(ab.quality, dep, logs);
+    const int dep = dep_count.next(ab);
+    const int q_adj = adjust_quality(ab.quality, dep, penalties);
     const double* row =
         flat + NewPMatrix::index(q_adj, ab.coord, ab.base, 0);
     for (int v = 0; v < 5; ++v)

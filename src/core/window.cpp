@@ -47,8 +47,14 @@ bool WindowLoader::next(WindowRecords& out) {
       }
       rec = std::move(*r);
     }
-    if (rec.pos + rec.length > start) out.records.push_back(rec);
-    if (rec.pos + rec.length > end) carry_.push_back(std::move(rec));
+    // Only a record reaching past the window end is needed twice; every
+    // other record moves into the window.
+    if (rec.pos + rec.length > end) {
+      out.records.push_back(rec);
+      carry_.push_back(std::move(rec));
+    } else if (rec.pos + rec.length > start) {
+      out.records.push_back(std::move(rec));
+    }
   }
 
   // Carried records that end within this window are never needed again.
@@ -60,88 +66,128 @@ bool WindowLoader::next(WindowRecords& out) {
   return true;
 }
 
+namespace {
+
+/// Turn a difference array of per-site counts (diff[0..w), diff[w] ignored)
+/// into CSR offsets in place: offsets[s] = sum of the counts of sites < s.
+void diff_to_offsets(std::vector<u64>& diff, u32 w) {
+  u64 count = 0, offset = 0;
+  for (u32 s = 0; s < w; ++s) {
+    count += diff[s];
+    diff[s] = offset;
+    offset += count;
+  }
+  diff[w] = offset;
+}
+
+/// Used as fill cursors, offsets[s] has advanced to offsets[s + 1]; shift
+/// them back.
+void restore_offsets(std::vector<u64>& offsets, u32 w) {
+  std::copy_backward(offsets.begin(), offsets.begin() + w,
+                     offsets.begin() + w + 1);
+  offsets[0] = 0;
+}
+
+/// Resize a buffer the caller overwrites completely.  Growing past the
+/// capacity reallocates to exactly `n` without copying the old contents;
+/// otherwise only elements past the old size are value-initialized, not
+/// the whole buffer.
+template <typename T>
+void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) {
+    v.clear();
+    v.reserve(n);
+  }
+  v.resize(n);
+}
+
+}  // namespace
+
 void count_window(const WindowRecords& win, WindowObs& obs_out,
                   std::vector<SiteStats>& stats_out, BaseOccWindow* dense,
                   BaseWordWindow* sparse) {
   const u32 w = win.size;
-  stats_out.assign(w, SiteStats{});
-  obs_out.offsets.assign(static_cast<std::size_t>(w) + 1, 0);
-  obs_out.obs.clear();
-  obs_out.hits.clear();
-  if (sparse) sparse->reset(w);
+  const u64 win_end = win.start + w;
+  std::vector<u64>& offsets = obs_out.offsets;
+  offsets.assign(static_cast<std::size_t>(w) + 1, 0);
+  if (sparse) sparse->offsets.assign(static_cast<std::size_t>(w) + 1, 0);
 
-  // Pass 1: per-site observation counts (for CSR offsets).
+  // Pass 1: per-site observation counts as difference arrays over each
+  // read's covered span (all hits, and unique hits for the sparse CSR),
+  // less its non-ACGT bases, which carry no observation.  Unsigned
+  // wrap-around cancels: every prefix sum is a true count.
+  const auto add_span = [&](const reads::AlignmentRecord& rec, u64 lo, u64 hi,
+                            u64 delta) {
+    const bool unique = rec.hit_count == 1 && sparse != nullptr;
+    offsets[lo - win.start] += delta;
+    offsets[hi - win.start] -= delta;
+    if (unique) {
+      sparse->offsets[lo - win.start] += delta;
+      sparse->offsets[hi - win.start] -= delta;
+    }
+  };
   for (const auto& rec : win.records) {
     const u64 lo = std::max<u64>(rec.pos, win.start);
-    const u64 hi = std::min<u64>(rec.pos + rec.length, win.start + w);
-    for (u64 p = lo; p < hi; ++p) ++obs_out.offsets[p - win.start + 1];
-  }
-  for (u32 s = 0; s < w; ++s) obs_out.offsets[s + 1] += obs_out.offsets[s];
-  const u64 total = obs_out.offsets[w];
-  obs_out.obs.resize(total);
-  obs_out.hits.resize(total);
-
-  // Pass 2: fill observations in record-arrival order per site (two passes
-  // over records in the same order keep per-site ordering stable).
-  std::vector<u64> cursor(obs_out.offsets.begin(), obs_out.offsets.end() - 1);
-  for (const auto& rec : win.records) {
-    const u64 lo = std::max<u64>(rec.pos, win.start);
-    const u64 hi = std::min<u64>(rec.pos + rec.length, win.start + w);
-    for (u64 p = lo; p < hi; ++p) {
-      reads::SiteObservation so;
-      const bool ok = reads::observe_site(rec, p, so);
-      GSNP_CHECK(ok);
-      const u32 s = static_cast<u32>(p - win.start);
-      AlignedBase ab;
-      ab.base = so.base;
-      ab.quality = so.quality;
-      ab.coord = so.coord;
-      ab.strand = so.strand;
-      obs_out.obs[cursor[s]] = ab;
-      obs_out.hits[cursor[s]] = rec.hit_count;
-      ++cursor[s];
+    const u64 hi = std::min<u64>(rec.pos + rec.length, win_end);
+    if (lo >= hi) continue;
+    add_span(rec, lo, hi, 1);
+    const bool forward = rec.strand == Strand::kForward;
+    const u64 first = forward ? lo - rec.pos : rec.pos + rec.length - hi;
+    const u64 last = forward ? hi - rec.pos : rec.pos + rec.length - lo;
+    for (u64 cycle = first; cycle < last; ++cycle) {
+      if (base_from_char(rec.seq[cycle]) < kNumBases) continue;
+      const u64 p = rec.pos + (forward ? cycle : rec.length - 1 - cycle);
+      add_span(rec, p, p + 1, ~u64{0});  // -1: one position less
     }
   }
-
-  // Pass 3: aggregates + likelihood structures.
-  for (u32 s = 0; s < w; ++s) {
-    SiteStats& st = stats_out[s];
-    const auto site_obs = obs_out.site(s);
-    const auto site_hits = obs_out.site_hits(s);
-    for (std::size_t k = 0; k < site_obs.size(); ++k) {
-      const AlignedBase& ab = site_obs[k];
-      const bool unique = site_hits[k] == 1;
-      ++st.count_all[ab.base];
-      st.qual_sum_all[ab.base] += ab.quality;
-      ++st.depth;
-      st.hit_sum += site_hits[k];
-      if (unique) {
-        ++st.count_uniq[ab.base];
-        if (dense) dense->add(s, ab);
-      }
-    }
-  }
-
+  diff_to_offsets(offsets, w);
+  resize_for_overwrite(obs_out.obs, offsets[w]);
+  resize_for_overwrite(obs_out.hits, offsets[w]);
   if (sparse) {
-    // CSR fill of base_word (unique hits only), arrival order within a site.
-    sparse->offsets.assign(static_cast<std::size_t>(w) + 1, 0);
-    for (u32 s = 0; s < w; ++s) {
-      const auto site_hits = obs_out.site_hits(s);
-      u64 n = 0;
-      for (const u32 h : site_hits) n += (h == 1);
-      sparse->offsets[s + 1] = sparse->offsets[s] + n;
-    }
-    sparse->words.resize(sparse->offsets[w]);
-    for (u32 s = 0; s < w; ++s) {
-      const auto site_obs = obs_out.site(s);
-      const auto site_hits = obs_out.site_hits(s);
-      u64 cur = sparse->offsets[s];
-      for (std::size_t k = 0; k < site_obs.size(); ++k) {
-        if (site_hits[k] != 1) continue;
-        sparse->words[cur++] = base_word_pack(site_obs[k]);
-      }
-    }
+    diff_to_offsets(sparse->offsets, w);
+    resize_for_overwrite(sparse->words, sparse->offsets[w]);
   }
+
+  // Pass 2: one walk per read in reference order fills the observations,
+  // the statistics and the likelihood structures.  Reads arrive in record
+  // order, so each site's observations and base_words keep arrival order.
+  // The offsets serve as fill cursors.  Raw pointers, captured by value: the
+  // byte-wide stores below may alias any object, so container members would
+  // be re-read after every store.
+  stats_out.assign(w, SiteStats{});
+  AlignedBase* const obs = obs_out.obs.data();
+  u32* const obs_hits = obs_out.hits.data();
+  u64* const obs_cursor = offsets.data();
+  SiteStats* const stats = stats_out.data();
+  u32* const words = sparse ? sparse->words.data() : nullptr;
+  u64* const word_cursor = sparse ? sparse->offsets.data() : nullptr;
+  const u64 start = win.start;
+  for (const auto& rec : win.records) {
+    const u32 hits = rec.hit_count;
+    reads::for_each_observation(
+        rec, start, win_end, [=](u64 p, const reads::SiteObservation& so) {
+          const u32 s = static_cast<u32>(p - start);
+          AlignedBase ab;
+          ab.base = so.base;
+          ab.quality = so.quality;
+          ab.coord = so.coord;
+          ab.strand = so.strand;
+          const u64 k = obs_cursor[s]++;
+          obs[k] = ab;
+          obs_hits[k] = hits;
+          SiteStats& st = stats[s];
+          ++st.count_all[ab.base];
+          st.qual_sum_all[ab.base] += ab.quality;
+          ++st.depth;
+          st.hit_sum += hits;
+          if (hits != 1) return;
+          ++st.count_uniq[ab.base];
+          if (dense) dense->add(s, ab);
+          if (words) words[word_cursor[s]++] = base_word_pack(ab);
+        });
+  }
+  restore_offsets(offsets, w);
+  if (sparse) restore_offsets(sparse->offsets, w);
 }
 
 }  // namespace gsnp::core

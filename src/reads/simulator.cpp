@@ -199,28 +199,4 @@ std::vector<AlignmentRecord> simulate_reads(const genome::Diploid& individual,
   return records;
 }
 
-bool observe_site(const AlignmentRecord& rec, u64 site_pos,
-                  SiteObservation& out) {
-  if (site_pos < rec.pos || site_pos >= rec.pos + rec.length) return false;
-  const u32 offset = static_cast<u32>(site_pos - rec.pos);
-  if (rec.strand == Strand::kForward) {
-    out.coord = static_cast<u16>(offset);
-    const u8 b = base_from_char(rec.seq[offset]);
-    if (b >= kNumBases) return false;
-    out.base = b;
-    out.quality = static_cast<u8>(quality_from_char(rec.qual[offset]));
-  } else {
-    // Reference offset j was sequenced at cycle (len-1-j); the stored read
-    // base is on the read strand, so complement back to the reference strand.
-    const u32 cycle = rec.length - 1u - offset;
-    out.coord = static_cast<u16>(cycle);
-    const u8 b = base_from_char(rec.seq[cycle]);
-    if (b >= kNumBases) return false;
-    out.base = complement(b);
-    out.quality = static_cast<u8>(quality_from_char(rec.qual[cycle]));
-  }
-  out.strand = rec.strand;
-  return true;
-}
-
 }  // namespace gsnp::reads

@@ -4,8 +4,10 @@
 // reference position — the same distribution of (site -> aligned bases) the
 // paper's BGI datasets feed into SNP detection (see DESIGN.md substitutions).
 
+#include <algorithm>
 #include <vector>
 
+#include "src/common/phred.hpp"
 #include "src/common/rng.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/alignment.hpp"
@@ -47,14 +49,61 @@ std::vector<AlignmentRecord> simulate_reads(const genome::Diploid& individual,
 
 /// The observed base of record `rec` at reference position `site_pos`
 /// together with the read coordinate (sequencing cycle) it came from.
-/// Returns false if the record does not cover the site.
+/// Returns false if the record does not cover the site or its base there is
+/// not A/C/G/T ('N' and other IUPAC letters carry no observation).
 struct SiteObservation {
   u8 base;      ///< observed base, expressed on the forward reference strand
   u8 quality;   ///< Phred quality of that cycle
   u16 coord;    ///< sequencing cycle (coordinate on the read as sequenced)
   Strand strand;
 };
-bool observe_site(const AlignmentRecord& rec, u64 site_pos,
-                  SiteObservation& out);
+
+namespace detail {
+/// The observation of sequencing cycle `cycle` of a read with bases `seq`
+/// and qualities `qual` (read strand) aligned on `strand`; false for a
+/// non-ACGT base.  The stored base is on the read strand, so a reverse
+/// read's base is complemented back to the reference strand.
+inline bool observe_cycle(const char* seq, const char* qual, u32 cycle,
+                          Strand strand, SiteObservation& out) {
+  const u8 b = base_from_char(seq[cycle]);
+  if (b >= kNumBases) return false;
+  out.base = strand == Strand::kForward ? b : complement(b);
+  out.quality = static_cast<u8>(quality_from_char(qual[cycle]));
+  out.coord = static_cast<u16>(cycle);
+  out.strand = strand;
+  return true;
+}
+}  // namespace detail
+
+inline bool observe_site(const AlignmentRecord& rec, u64 site_pos,
+                         SiteObservation& out) {
+  if (site_pos < rec.pos || site_pos >= rec.pos + rec.length) return false;
+  // Reference offset j of a reverse read was sequenced at cycle (len-1-j).
+  const u32 offset = static_cast<u32>(site_pos - rec.pos);
+  const u32 cycle =
+      rec.strand == Strand::kForward ? offset : rec.length - 1u - offset;
+  return detail::observe_cycle(rec.seq.data(), rec.qual.data(), cycle,
+                               rec.strand, out);
+}
+
+/// Walk `rec` once in reference order over the positions it covers inside
+/// [lo, hi), calling fn(site_pos, observation) for each A/C/G/T base (the
+/// observe_site of each position, without re-deriving the read per call).
+template <typename Fn>
+void for_each_observation(const AlignmentRecord& rec, u64 lo, u64 hi,
+                          Fn&& fn) {
+  lo = std::max(lo, rec.pos);
+  hi = std::min<u64>(hi, rec.pos + rec.length);
+  const char* const seq = rec.seq.data();
+  const char* const qual = rec.qual.data();
+  const Strand strand = rec.strand;
+  const u32 last_cycle = rec.length - 1u;
+  SiteObservation so;
+  for (u64 p = lo; p < hi; ++p) {
+    const u32 offset = static_cast<u32>(p - rec.pos);
+    const u32 cycle = strand == Strand::kForward ? offset : last_cycle - offset;
+    if (detail::observe_cycle(seq, qual, cycle, strand, so)) fn(p, so);
+  }
+}
 
 }  // namespace gsnp::reads

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/compress/codecs.hpp"
@@ -21,8 +22,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Column shapes the codecs must handle; mirrors the real output columns.
-enum class Shape { kConstant, kRunny, kRandomSmall, kSparse, kEmpty, kSingle };
+/// Column shapes the codecs must handle; mirrors the real output columns,
+/// plus the two sides of encode_dict's value-range rule.
+enum class Shape {
+  kConstant,
+  kRunny,
+  kRandomSmall,
+  kSparse,
+  kEmpty,
+  kSingle,
+  kWideRange,  ///< values up to 2^32-1: the sorting path
+  kScanLimit,  ///< range exactly kDictScanSpan x length: the widest scan
+};
+
+constexpr u32 kScanLimitLength = 300;
 
 std::vector<u32> make_column(Shape shape, u64 seed) {
   Rng rng(seed);
@@ -52,8 +65,48 @@ std::vector<u32> make_column(Shape shape, u64 seed) {
     case Shape::kSingle:
       column.assign(1, 123456);
       break;
+    case Shape::kWideRange:
+      column.resize(700);
+      for (auto& v : column)
+        v = rng.bernoulli(0.2) ? 0xFFFFFFFFu : static_cast<u32>(rng.uniform(40));
+      column[3] = 0;
+      column[9] = 0xFFFFFFFFu;
+      break;
+    case Shape::kScanLimit: {
+      const u32 lo = 17;
+      const u32 range = static_cast<u32>(kDictScanSpan) * kScanLimitLength;
+      column.resize(kScanLimitLength);
+      for (auto& v : column) v = lo + static_cast<u32>(rng.uniform(range));
+      column[0] = lo + range - 1;
+      column[kScanLimitLength / 2] = lo;
+      break;
+    }
   }
   return column;
+}
+
+/// The dictionary frame as encode_dict wrote it before its single-scan
+/// build: the sorted dictionary from build_dictionary, delta varints, then
+/// each value's lower_bound index packed through BitWriter.
+std::vector<u8> reference_dict_frame(const std::vector<u32>& column) {
+  const std::vector<u32> dict = build_dictionary(column);
+  std::vector<u8> out;
+  varint_append(out, dict.size());
+  u32 prev = 0;
+  for (const u32 v : dict) {
+    varint_append(out, v - prev);
+    prev = v;
+  }
+  varint_append(out, column.size());
+  if (column.empty()) return out;
+  BitWriter bw;
+  for (const u32 v : column)
+    bw.write(static_cast<u64>(std::lower_bound(dict.begin(), dict.end(), v) -
+                              dict.begin()),
+             bits_for(dict.size()));
+  const auto bits = bw.finish();
+  out.insert(out.end(), bits.begin(), bits.end());
+  return out;
 }
 
 class CodecShapes
@@ -77,6 +130,31 @@ TEST_P(CodecShapes, DictRoundTrip) {
   std::size_t pos = 0;
   EXPECT_EQ(decode_dict(buf, pos), column);
   EXPECT_EQ(pos, buf.size());
+}
+
+TEST_P(CodecShapes, DictFrameMatchesReference) {
+  const auto [shape, seed] = GetParam();
+  const auto column = make_column(shape, seed);
+  std::vector<u8> buf = {0xAB};  // encode_dict appends after existing bytes
+  encode_dict(column, buf);
+  std::vector<u8> expected = {0xAB};
+  const std::vector<u8> frame = reference_dict_frame(column);
+  expected.insert(expected.end(), frame.begin(), frame.end());
+  EXPECT_EQ(buf, expected);
+}
+
+TEST(DictRangeRule, ShapesSitOnEitherSideOfTheLimit) {
+  const auto range = [](const std::vector<u32>& c) {
+    const auto [lo, hi] = std::minmax_element(c.begin(), c.end());
+    return static_cast<u64>(*hi) - *lo + 1;
+  };
+  const auto at_limit = make_column(Shape::kScanLimit, 8);
+  EXPECT_EQ(range(at_limit), kDictScanSpan * kScanLimitLength);
+  EXPECT_TRUE(dict_single_scan(at_limit.size(), range(at_limit)));
+  EXPECT_FALSE(dict_single_scan(at_limit.size(), range(at_limit) + 1));
+  const auto wide = make_column(Shape::kWideRange, 9);
+  EXPECT_EQ(range(wide), 1ull << 32);
+  EXPECT_FALSE(dict_single_scan(wide.size(), range(wide)));
 }
 
 TEST_P(CodecShapes, RleDictRoundTrip) {
@@ -116,7 +194,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{Shape::kRandomSmall, 4ull},
                       std::pair{Shape::kSparse, 5ull},
                       std::pair{Shape::kEmpty, 6ull},
-                      std::pair{Shape::kSingle, 7ull}));
+                      std::pair{Shape::kSingle, 7ull},
+                      std::pair{Shape::kWideRange, 8ull},
+                      std::pair{Shape::kScanLimit, 9ull}));
 
 // ---- pack_bases -------------------------------------------------------------
 

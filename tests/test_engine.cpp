@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
+#include "src/core/backend.hpp"
 #include "src/core/consistency.hpp"
 #include "src/core/engine.hpp"
+#include "src/core/vcf.hpp"
 #include "src/genome/dbsnp.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
@@ -210,6 +214,92 @@ TEST_F(Engines, MostPlantedSnpsDetected) {
   }
   ASSERT_GT(callable, 20u);
   EXPECT_GT(static_cast<double>(found) / callable, 0.8);
+}
+
+// ---- non-ACGT read bases ----------------------------------------------------------
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(NonAcgtReadBases, EveryBackendSkipsThemByteIdentically) {
+  // The parser accepts any letter in a read ('N', IUPAC codes, lower case);
+  // a base outside ACGT carries no observation and no depth on every
+  // backend, and the four backends still call identical rows.
+  const fs::path dir = fs::temp_directory_path() / "gsnp_non_acgt_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  genome::GenomeSpec gspec;
+  gspec.length = 5'000;
+  const genome::Reference ref = genome::generate_reference(gspec);
+  genome::SnpPlantSpec pspec;
+  pspec.seed = gspec.seed + 1;
+  const genome::Diploid individual(ref, plant_snps(ref, pspec));
+  reads::ReadSimSpec rspec;
+  rspec.depth = 6.0;
+  std::vector<reads::AlignmentRecord> records =
+      reads::simulate_reads(individual, rspec);
+
+  // An 'N' in a forward and in a reverse unique read, an IUPAC 'R' at a
+  // read's first cycle and a lower-case 'n' in a multi-hit read.
+  const auto pick = [&](u64 after, auto&& want) -> reads::AlignmentRecord& {
+    for (auto& rec : records)
+      if (rec.pos >= after && want(rec)) return rec;
+    throw Error("no such read");
+  };
+  pick(1'000, [](const auto& r) {
+    return r.strand == Strand::kForward && r.hit_count == 1;
+  }).seq[7] = 'N';
+  pick(2'000, [](const auto& r) {
+    return r.strand == Strand::kReverse && r.hit_count == 1;
+  }).seq[30] = 'N';
+  pick(3'000, [](const auto&) { return true; }).seq[0] = 'R';
+  pick(4'000, [](const auto& r) { return r.hit_count > 1; }).seq[50] = 'n';
+  reads::write_alignment_file(dir / "a.soap", records);
+
+  // Expected depth: the reads with an A/C/G/T base at each site.
+  std::vector<u32> depth(ref.size(), 0);
+  for (const auto& rec : records)
+    reads::for_each_observation(rec, 0, ref.size(),
+                                [&](u64 p, const auto&) { ++depth[p]; });
+
+  EngineConfig config;
+  config.alignment_file = dir / "a.soap";
+  config.reference = &ref;
+  config.temp_file = dir / "a.tmp";
+  config.window_size = 1'024;
+  std::string gsnp_cpu_bytes, gsnp_cpu_vcf;
+  for (const BackendInfo& backend : backend_registry()) {
+    SCOPED_TRACE(backend.name);
+    config.output_file = dir / backend.id;
+    device::Device dev;
+    run_backend(backend, config, backend.needs_device ? &dev : nullptr);
+    std::string name;
+    const std::vector<SnpRow> rows = read_snp_output(config.output_file, name);
+    ASSERT_EQ(rows.size(), ref.size());
+    for (u64 p = 0; p < ref.size(); ++p)
+      ASSERT_EQ(rows[p].depth, depth[p]) << "site " << p;
+    const fs::path vcf = dir / (std::string(backend.id) + ".vcf");
+    write_vcf_file(vcf, name, rows.size(), rows);
+    if (backend.kind == EngineKind::kGsnpCpu) {
+      gsnp_cpu_bytes = file_bytes(config.output_file);
+      gsnp_cpu_vcf = file_bytes(vcf);
+    }
+  }
+  for (const BackendInfo& backend : backend_registry()) {
+    SCOPED_TRACE(backend.name);
+    EXPECT_TRUE(file_bytes(dir / (std::string(backend.id) + ".vcf")) ==
+                gsnp_cpu_vcf);
+    if (!backend.text_output)
+      EXPECT_TRUE(file_bytes(dir / backend.id) == gsnp_cpu_bytes);
+    else
+      EXPECT_TRUE(
+          compare_output_files(dir / backend.id, dir / "gsnp_cpu").identical);
+  }
+  fs::remove_all(dir);
 }
 
 // ---- consistency module itself --------------------------------------------------

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/core/posterior.hpp"
 #include "src/core/prior.hpp"
 #include "src/core/ranksum.hpp"
@@ -114,6 +119,78 @@ TEST(RankSum, AllTiedGivesOne) {
   const std::vector<u8> a = {30, 30, 30};
   const std::vector<u8> b = {30, 30};
   EXPECT_DOUBLE_EQ(rank_sum_p(a, b), 1.0);
+}
+
+/// The pooled-sort rank-sum the histogram version replaced: pool both
+/// samples, sort, and add each tie group's mid-rank once per member of `a`.
+double pooled_sort_rank_sum_p(const std::vector<u8>& a,
+                              const std::vector<u8>& b) {
+  const double n1 = static_cast<double>(a.size());
+  const double n2 = static_cast<double>(b.size());
+  if (a.empty() || b.empty()) return 1.0;
+  std::vector<std::pair<u8, bool>> pool;
+  for (const u8 v : a) pool.push_back({v, true});
+  for (const u8 v : b) pool.push_back({v, false});
+  std::sort(pool.begin(), pool.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  double rank_sum_a = 0.0;
+  double tie_correction = 0.0;
+  const std::size_t n = pool.size();
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i;
+    while (j < n && pool[j].first == pool[i].first) ++j;
+    const double t = static_cast<double>(j - i);
+    const double mid =
+        (static_cast<double>(i + 1) + static_cast<double>(j)) / 2.0;
+    for (std::size_t k = i; k < j; ++k)
+      if (pool[k].second) rank_sum_a += mid;
+    tie_correction += t * t * t - t;
+    i = j;
+  }
+  const double total = n1 + n2;
+  const double u = rank_sum_a - n1 * (n1 + 1.0) / 2.0;
+  const double mean_u = n1 * n2 / 2.0;
+  const double var_u = n1 * n2 / 12.0 *
+                       (total + 1.0 - tie_correction / (total * (total - 1.0)));
+  if (var_u <= 0.0) return 1.0;
+  const double z = (std::abs(u - mean_u) - 0.5) / std::sqrt(var_u);
+  const double p = 2.0 * (0.5 * std::erfc(std::max(0.0, z) / std::sqrt(2.0)));
+  return std::min(1.0, p);
+}
+
+TEST(RankSum, HistogramMatchesPooledSortExactly) {
+  Rng rng(2024);
+  const auto sample = [&](std::size_t n, int lo, int hi) {
+    std::vector<u8> v(n);
+    for (auto& q : v) q = static_cast<u8>(rng.uniform_range(lo, hi));
+    return v;
+  };
+  std::vector<std::pair<std::vector<u8>, std::vector<u8>>> cases = {
+      {{30, 30, 30}, {30, 30}},   // all tied
+      {{0}, {63}},                // one-element sides, extreme qualities
+      {{63}, {0, 0, 63}},
+      {{0, 63, 0, 63}, {63}},
+      {sample(2'000, 0, 63), sample(1'700, 0, 63)},  // 2,000-deep site
+      {sample(2'000, 20, 25), sample(300, 0, 63)},
+      {sample(1'000, 40, 40), sample(1'000, 40, 40)},
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const int lo = static_cast<int>(rng.uniform(64));
+    const int hi = lo + static_cast<int>(rng.uniform(64 - lo));
+    cases.emplace_back(sample(1 + rng.uniform(60), lo, hi),
+                       sample(1 + rng.uniform(12), 0, 63));
+  }
+  for (const auto& [a, b] : cases) {
+    std::array<u32, kQualityLevels> ha{}, hb{};
+    for (const u8 q : a) ++ha[q];
+    for (const u8 q : b) ++hb[q];
+    const double expected = pooled_sort_rank_sum_p(a, b);
+    // Bit-for-bit: these doubles feed the 1e-4 output grid.
+    EXPECT_EQ(rank_sum_p_counts(ha, hb), expected)
+        << a.size() << " vs " << b.size();
+    EXPECT_EQ(rank_sum_p_counts(hb, ha), pooled_sort_rank_sum_p(b, a));
+    EXPECT_EQ(rank_sum_p(a, b), expected);
+  }
 }
 
 TEST(RankSum, RoundPIsOnGrid) {
