@@ -1,6 +1,7 @@
 // Reproduces paper Fig 7(a): batch-sort throughput (million elements/sec)
 // as a function of the batch array size, for three implementations:
-//   cpu_qsort  — OpenMP parallel CPU sort, one thread per array (measured)
+//   cpu_qsort  — parallel CPU sort on the compute executor, one thread per
+//                array (measured; the paper's OpenMP quicksort)
 //   batch_bitonic — our device batch-sort primitive (modeled M2050 time)
 //   radix_seq  — device-wide radix sort applied to one array at a time
 //                (modeled; the Thrust-style baseline)

@@ -2,7 +2,7 @@
 // for the Ch.1 and Ch.21 datasets (scaled analogs; --chr1-sites to resize).
 //
 // Expected shape: likelihood dominates (~56% in the paper), recycle second,
-// output third.
+// output third.  SOAPsnp runs on one core, as the paper's baseline did.
 
 #include <cstdio>
 
@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
     const Dataset data = make_dataset(spec, dir);
     auto config = config_for(data, dir, "soapsnp");
     config.window_size = 4'000;  // the paper's SOAPsnp default
-    const core::RunReport report = core::run_soapsnp(config);
+    const core::RunReport report =
+        on_one_core([&] { return core::run_soapsnp(config); });
     print_row(spec.name, report);
 
     const double likeli_share = report.component("likeli") / report.total();

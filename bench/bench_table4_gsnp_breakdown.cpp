@@ -6,7 +6,8 @@
 // output improved ~13-15x by compression; cal_p slightly slowed by temporary
 // file generation but cal_p + read together net positive; overall speedup
 // large (paper: 42-50x; see EXPERIMENTS.md for why this scaled-down, modern-
-// host reproduction lands lower).
+// host reproduction lands lower).  SOAPsnp runs on one core, as the paper's
+// baseline did.
 
 #include <cstdio>
 
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
 
     auto soapsnp_config = config_for(data, dir, "soapsnp");
     soapsnp_config.window_size = 4'000;
-    const auto soapsnp = core::run_soapsnp(soapsnp_config);
+    const auto soapsnp =
+        on_one_core([&] { return core::run_soapsnp(soapsnp_config); });
 
     device::Device dev;
     auto gsnp_config = config_for(data, dir, "gsnp");

@@ -92,15 +92,14 @@ echo "== overlap: serial vs streamed runs are bit-identical, wall strictly lower
 cmake --build build -j --target bench_overlap >/dev/null
 ./build/bench/bench_overlap --workdir build/bench_overlap_work
 
-echo "== TSan: determinism battery + obs/profiler/device under ThreadSanitizer =="
-# GSNP_OPENMP=OFF: libgomp is not TSan-instrumented and trips false
-# positives on its internal barriers; the thread-pool/stream machinery is
-# what this stage is after.
-cmake -B build-tsan -S . -DGSNP_SANITIZE=thread -DGSNP_OPENMP=OFF \
+echo "== TSan: executor + determinism battery + obs/profiler/device under ThreadSanitizer =="
+# Device blocks and the host window stages fan out on the compute executor
+# here, so this stage sees them run in parallel.
+cmake -B build-tsan -S . -DGSNP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure \
-      -R 'determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
+      -R 'test_parallel|determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under TSan: injector + spool + socket thread-safety =="
 ctest --test-dir build-tsan --output-on-failure -R 'fsfault|fsck|chaos'

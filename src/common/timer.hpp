@@ -31,9 +31,9 @@ class Timer {
 /// Components are registered lazily; iteration order is insertion order so
 /// breakdown tables print in pipeline order.
 ///
-/// Thread-safe: the engines run Scope timers inside and around OpenMP
-/// regions (per-window worker loops, parallel likelihood), so every
-/// accumulation and read takes the internal mutex.  The hot path is a
+/// Thread-safe: the overlapped engines run Scope timers on the main thread
+/// and on thread-pool tasks at once, so every accumulation and read takes
+/// the internal mutex.  The hot path is a
 /// per-stage add — a few per window — never per-site, so one mutex is cheap.
 class StopwatchSet {
  public:

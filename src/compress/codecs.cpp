@@ -21,16 +21,15 @@ void check_count(u64 n, const char* what) {
 
 // ---- 2-bit base packing ----------------------------------------------------
 
+void BasePacker::finish(std::vector<u8>& out) const {
+  varint_append(out, n_);
+  out.insert(out.end(), packed_.begin(), packed_.end());
+}
+
 void pack_bases(std::span<const u8> bases, std::vector<u8>& out) {
-  varint_append(out, bases.size());
-  const std::size_t base = out.size();
-  out.resize(base + (bases.size() * 2 + 7) / 8);
-  u8* p = out.data() + base;
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    const u8 b = bases[i];
-    GSNP_CHECK_MSG(b < kNumBases, "pack_bases: base out of range " << int(b));
-    p[i >> 2] |= static_cast<u8>(b << ((i & 3) * 2));
-  }
+  BasePacker packer;
+  for (const u8 b : bases) packer.add(b);
+  packer.finish(out);
 }
 
 std::vector<u8> unpack_bases(std::span<const u8> data, std::size_t& pos) {
@@ -49,14 +48,20 @@ std::vector<u8> unpack_bases(std::span<const u8> data, std::size_t& pos) {
 // ---- run-length encoding ---------------------------------------------------
 
 RunDecomposition run_decompose(std::span<const u32> column) {
+  // Count the runs first, so both arrays are sized exactly once.
+  std::size_t n_runs = column.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < column.size(); ++i)
+    n_runs += column[i] != column[i - 1];
   RunDecomposition runs;
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    if (i == 0 || column[i] != column[i - 1]) {
-      runs.values.push_back(column[i]);
-      runs.lengths.push_back(1);
-    } else {
-      ++runs.lengths.back();
-    }
+  runs.values.resize(n_runs);
+  runs.lengths.resize(n_runs);
+  std::size_t r = 0, run_start = 0;
+  for (std::size_t i = 1; i <= column.size(); ++i) {
+    if (i < column.size() && column[i] == column[i - 1]) continue;
+    runs.values[r] = column[run_start];
+    runs.lengths[r] = static_cast<u32>(i - run_start);
+    ++r;
+    run_start = i;
   }
   return runs;
 }
@@ -202,18 +207,16 @@ std::vector<u32> decode_rle_dict(std::span<const u8> data, std::size_t& pos) {
 
 // ---- sparse columns ----------------------------------------------------------
 
+void PairListEncoder::finish(std::vector<u8>& out) const {
+  varint_append(out, index_);
+  varint_append(out, count_);
+  out.insert(out.end(), pairs_.begin(), pairs_.end());
+}
+
 void encode_sparse(std::span<const u32> column, std::vector<u8>& out) {
-  varint_append(out, column.size());
-  u64 nnz = 0;
-  for (const u32 v : column) nnz += (v != 0);
-  varint_append(out, nnz);
-  u64 prev_index = 0;
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    if (column[i] == 0) continue;
-    varint_append(out, i - prev_index);  // delta to the previous non-zero
-    varint_append(out, column[i]);
-    prev_index = i;
-  }
+  PairListEncoder pairs;
+  for (const u32 v : column) pairs.add(v != 0, v);
+  pairs.finish(out);
 }
 
 std::vector<u32> decode_sparse(std::span<const u8> data, std::size_t& pos) {
@@ -237,18 +240,10 @@ void encode_exceptions(std::span<const u32> actual,
                        std::span<const u32> predicted, std::vector<u8>& out) {
   GSNP_CHECK_MSG(actual.size() == predicted.size(),
                  "encode_exceptions: size mismatch");
-  varint_append(out, actual.size());
-  u64 n_exceptions = 0;
+  PairListEncoder pairs;
   for (std::size_t i = 0; i < actual.size(); ++i)
-    n_exceptions += (actual[i] != predicted[i]);
-  varint_append(out, n_exceptions);
-  u64 prev_index = 0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i] == predicted[i]) continue;
-    varint_append(out, i - prev_index);
-    varint_append(out, actual[i]);
-    prev_index = i;
-  }
+    pairs.add(actual[i] != predicted[i], actual[i]);
+  pairs.finish(out);
 }
 
 std::vector<u32> decode_exceptions(std::span<const u32> predicted,

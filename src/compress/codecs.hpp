@@ -22,6 +22,9 @@
 // Every encoder is self-describing (varint-framed) and appends to a byte
 // vector; decoders consume from a (data, pos) cursor so frames can be
 // concatenated freely.  All codecs are exact (lossless) and single-scan.
+// The base, sparse and exception frames also have incremental encoders
+// (BasePacker, PairListEncoder) that take a column one value at a time, so
+// one pass over a row array can feed several columns' frames.
 //
 // The dictionary codec's value-range rule: encode_dict marks the column's
 // values in a presence table spanning [min, max], then one scan of that
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "src/common/bitio.hpp"
+#include "src/common/error.hpp"
 #include "src/common/types.hpp"
 
 namespace gsnp::compress {
@@ -44,6 +48,24 @@ namespace gsnp::compress {
 
 /// Pack base codes (each must be < 4) at 2 bits each.
 void pack_bases(std::span<const u8> bases, std::vector<u8>& out);
+
+/// pack_bases one code at a time: add() the column in order, then finish()
+/// appends the same frame.
+class BasePacker {
+ public:
+  void add(u8 base) {
+    GSNP_CHECK_MSG(base < kNumBases,
+                   "pack_bases: base out of range " << int(base));
+    if ((n_ & 3) == 0) packed_.push_back(0);
+    packed_.back() |= static_cast<u8>(base << ((n_ & 3) * 2));
+    ++n_;
+  }
+  void finish(std::vector<u8>& out) const;
+
+ private:
+  std::vector<u8> packed_;
+  u64 n_ = 0;
+};
 std::vector<u8> unpack_bases(std::span<const u8> data, std::size_t& pos);
 
 // ---- run-length encoding ---------------------------------------------------
@@ -92,6 +114,29 @@ std::vector<u32> decode_rle_dict(std::span<const u8> data, std::size_t& pos);
 
 /// Store only non-zero entries as (delta-index, value) pairs.
 void encode_sparse(std::span<const u32> column, std::vector<u8>& out);
+
+/// The frame of encode_sparse and encode_exceptions built one entry at a
+/// time: add(keep, value) for every index in order, then finish() appends
+/// the (n, kept) header and the (delta-index, value) pairs of the kept ones.
+class PairListEncoder {
+ public:
+  void add(bool keep, u32 value) {
+    if (keep) {
+      varint_append(pairs_, index_ - prev_);  // delta to the previous entry
+      varint_append(pairs_, value);
+      prev_ = index_;
+      ++count_;
+    }
+    ++index_;
+  }
+  void finish(std::vector<u8>& out) const;
+
+ private:
+  std::vector<u8> pairs_;
+  u64 index_ = 0;
+  u64 prev_ = 0;
+  u64 count_ = 0;
+};
 std::vector<u32> decode_sparse(std::span<const u8> data, std::size_t& pos);
 
 // ---- difference-from-prediction columns -------------------------------------

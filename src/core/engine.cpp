@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/common/error.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/compress/device_rledict.hpp"
 #include "src/compress/temp_input.hpp"
@@ -92,40 +93,81 @@ CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
 }
 
 /// Posterior for a whole window -> rows (shared by all engines; identical
-/// results by construction).  When `device_calls` is non-null the genotype
-/// selection came from the device posterior kernel; only the statistics
-/// columns are assembled on the host.
-void window_posterior(const EngineConfig& config, PriorCache& priors,
+/// results by construction), in chunks of sites on the compute executor.
+/// When `device_calls` is non-null the genotype selection came from the
+/// device posterior kernel; only the statistics columns are assembled on
+/// the host.
+void window_posterior(const EngineConfig& config, const PriorCache& priors,
                       const WindowRecords& win, const WindowObs& obs,
                       const std::vector<SiteStats>& stats,
                       const std::vector<TypeLikely>& type_likely,
                       std::vector<SnpRow>& rows,
                       const std::vector<PosteriorCall>* device_calls = nullptr,
-                      int threads = 1,
                       simd::SelectFn select = &select_genotype) {
   const genome::Reference& ref = *config.reference;
   rows.resize(win.size);
-#pragma omp parallel for schedule(static) num_threads(threads) \
-    if (threads > 1)
-  for (i64 si = 0; si < static_cast<i64>(win.size); ++si) {
-    const u32 s = static_cast<u32>(si);
-    const u64 pos = win.start + s;
-    const genome::KnownSnpEntry* known =
-        config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-    PosteriorCall call;
-    if (device_calls) {
-      call = (*device_calls)[s];
-    } else if (known) {
-      // dbSNP priors are site-specific; compute directly (thread-safe).
-      call = select(genotype_log_priors(ref.base(pos), known, config.prior),
-                    type_likely[s]);
-    } else {
-      // Novel sites share one of five cached priors (read-only access).
-      call = select(priors.get(ref.base(pos), nullptr), type_likely[s]);
+  parallel_for(win.size, kSitesPerChunk, [&](std::size_t begin,
+                                             std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const u32 s = static_cast<u32>(i);
+      const u64 pos = win.start + s;
+      const genome::KnownSnpEntry* known =
+          config.dbsnp ? config.dbsnp->find(pos) : nullptr;
+      PosteriorCall call;
+      if (device_calls) {
+        call = (*device_calls)[s];
+      } else if (known) {
+        // dbSNP priors are site-specific; computed per site.
+        call = select(genotype_log_priors(ref.base(pos), known, config.prior),
+                      type_likely[s]);
+      } else {
+        // Novel sites share one of five cached priors.
+        call = select(priors.novel(ref.base(pos)), type_likely[s]);
+      }
+      rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
+                             stats[s], obs.site(s), obs.site_hits(s));
     }
-    rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
-                           stats[s], obs.site(s), obs.site_hits(s));
-  }
+  });
+}
+
+/// Run `sites(begin, end)` over each batch of the window's plan when
+/// batching is on, else once over the whole window.
+template <typename Sites>
+void over_batches(const std::optional<BatchPlan>& plan, u32 window_sites,
+                  Sites&& sites) {
+  if (!plan) return sites(0u, window_sites);
+  for (const SiteBatch& b : plan->batches) sites(b.begin, b.end);
+}
+
+/// Sites per chunk of SOAPsnp's dense likelihood, which scans a 128 KiB
+/// matrix per site.
+constexpr std::size_t kDenseSitesPerChunk = 64;
+
+/// SOAPsnp's dense likelihood (Algorithm 1) for sites [begin, end), in
+/// chunks of kDenseSitesPerChunk on the compute executor.
+void likelihood_dense_sites(const BaseOccWindow& dense, const PMatrix& pm,
+                            u32 begin, u32 end,
+                            std::vector<TypeLikely>& type_likely) {
+  parallel_for(end - begin, kDenseSitesPerChunk,
+               [&](std::size_t b, std::size_t e, std::size_t) {
+                 for (std::size_t i = begin + b; i < begin + e; ++i)
+                   type_likely[i] = likelihood_dense_site(
+                       dense.site(static_cast<u32>(i)), pm);
+               });
+}
+
+/// The sparse likelihood (Algorithm 4's computation step) for sites
+/// [begin, end) of a sorted window, in chunks of kSitesPerChunk.
+void likelihood_sparse_sites(simd::SparseSiteFn sparse_site,
+                             const BaseWordWindow& sparse,
+                             const NewPMatrix& npm, u32 begin, u32 end,
+                             std::vector<TypeLikely>& type_likely) {
+  parallel_for(end - begin, kSitesPerChunk,
+               [&](std::size_t b, std::size_t e, std::size_t) {
+                 for (std::size_t i = begin + b; i < begin + e; ++i)
+                   type_likely[i] =
+                       sparse_site(sparse.site(static_cast<u32>(i)), npm);
+               });
 }
 
 /// Window-pass record source over the raw text (SOAPsnp engine).  The cal_p
@@ -205,8 +247,9 @@ void record_run_metrics(obs::Tracer* tracer, const char* engine,
     m.set_gauge("batch_actual_peak_bytes",
                 static_cast<double>(report.batch.actual_peak_bytes));
   }
-  if (const double total = report.total(); total > 0.0)
-    m.set_gauge("sites_per_sec", static_cast<double>(report.sites) / total);
+  if (report.wall_seconds > 0.0)
+    m.set_gauge("sites_per_sec",
+                static_cast<double>(report.sites) / report.wall_seconds);
 }
 
 /// Plan the window's batches when batching is on (EngineConfig::batch_bytes
@@ -227,7 +270,7 @@ std::optional<BatchPlan> maybe_plan_batches(const EngineConfig& config,
 
 // ---- overlapped (double-buffered) pipeline variants ------------------------
 //
-// Selected by config.streams >= 2.  The serial paths above are the
+// Selected by config.streams >= 2.  The serial paths below are the
 // bit-exactness reference and stay untouched; the overlapped variants run
 // the same arithmetic on the same data in the same order — only *when* each
 // stage executes relative to the others changes — so their output is
@@ -281,8 +324,7 @@ RunReport run_soapsnp_overlapped(const EngineConfig& config) {
       text_source(config.alignment_file, config.ingest, ref.size()),
       ref.size(), window_size);
   SnpTextWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
-  const int threads = std::max(1, config.soapsnp_threads);
+  const PriorCache priors(config.prior);
 
   // Runs on the pool; at most one prefetch task is in flight at a time, so
   // loader access is serialized.  Recycle moves from "after output" to
@@ -321,23 +363,11 @@ RunReport run_soapsnp_overlapped(const EngineConfig& config) {
     {
       const StageScope scope(report.host, tracer, "likeli");
       slot.type_likely.resize(slot.win.size);
-      if (const auto plan =
-              maybe_plan_batches(config, slot.obs.offsets, report)) {
-        for (const SiteBatch& b : plan->batches) {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-          for (i64 s = b.begin; s < static_cast<i64>(b.end); ++s)
-            slot.type_likely[static_cast<std::size_t>(s)] =
-                likelihood_dense_site(slot.dense->site(static_cast<u32>(s)),
-                                      pm);
-        }
-      } else {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-        for (i64 s = 0; s < static_cast<i64>(slot.win.size); ++s)
-          slot.type_likely[static_cast<std::size_t>(s)] =
-              likelihood_dense_site(slot.dense->site(static_cast<u32>(s)), pm);
-      }
+      over_batches(maybe_plan_batches(config, slot.obs.offsets, report),
+                   slot.win.size, [&](u32 begin, u32 end) {
+                     likelihood_dense_sites(*slot.dense, pm, begin, end,
+                                            slot.type_likely);
+                   });
     }
     // The slot's previous occupant may still be draining through the writer;
     // its rows must not be overwritten until that write retires.
@@ -345,7 +375,7 @@ RunReport run_soapsnp_overlapped(const EngineConfig& config) {
     {
       const StageScope scope(report.host, tracer, "post");
       window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows, nullptr, threads);
+                       slot.type_likely, slot.rows);
     }
     // Deferred output: window i writes while iteration i+1 computes.  Each
     // task waits its predecessor, so windows hit the file in index order.
@@ -365,7 +395,6 @@ RunReport run_soapsnp_overlapped(const EngineConfig& config) {
   report.output_bytes = writer.finish();
   report.peak_host_bytes =
       depth * slots[0].dense->bytes() + pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, "soapsnp", report);
   return report;
 }
 
@@ -474,16 +503,12 @@ RunReport run_host_sparse_overlapped(const EngineConfig& config,
           comp_scope.note("simd", ops.simd_level);
         }
         slot.type_likely.resize(slot.win.size);
-        if (const auto plan =
-                maybe_plan_batches(config, slot.sparse.offsets, report)) {
-          for (const SiteBatch& b : plan->batches)
-            for (u32 s = b.begin; s < b.end; ++s)
-              slot.type_likely[s] =
-                  ops.sparse_site(slot.sparse.site(s), *npm);
-        } else {
-          for (u32 s = 0; s < slot.win.size; ++s)
-            slot.type_likely[s] = ops.sparse_site(slot.sparse.site(s), *npm);
-        }
+        over_batches(maybe_plan_batches(config, slot.sparse.offsets, report),
+                     slot.win.size, [&](u32 begin, u32 end) {
+                       likelihood_sparse_sites(ops.sparse_site, slot.sparse,
+                                               *npm, begin, end,
+                                               slot.type_likely);
+                     });
       }
     }
     if (slot.write_done.valid()) slot.write_done.wait();
@@ -494,7 +519,7 @@ RunReport run_host_sparse_overlapped(const EngineConfig& config,
         scope.note("simd", ops.simd_level);
       }
       window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows, nullptr, 1, ops.select);
+                       slot.type_likely, slot.rows, nullptr, ops.select);
     }
     const std::shared_future<void> prev = last_write;
     last_write = host_pool
@@ -512,7 +537,6 @@ RunReport run_host_sparse_overlapped(const EngineConfig& config,
   report.peak_host_bytes = depth * max_words * sizeof(u32) +
                            npm->flat().size() * sizeof(double) +
                            pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, ops.engine, report);
   return report;
 }
 
@@ -869,14 +893,11 @@ RunReport run_gsnp_overlapped(const EngineConfig& config, device::Device& dev,
       pool.modeled_wall_seconds(model) +
       model.seconds(device::counters_delta(pool.total_stream_counters(),
                                            run_delta));
-  record_run_metrics(tracer, "gsnp", report);
   return report;
 }
 
-}  // namespace
-
-RunReport run_soapsnp(const EngineConfig& config) {
-  if (config.streams >= 2) return run_soapsnp_overlapped(config);
+/// SOAPsnp, serial: the bit-exactness reference path.
+RunReport run_soapsnp_serial(const EngineConfig& config) {
   GSNP_CHECK(config.reference != nullptr);
   const genome::Reference& ref = *config.reference;
   const u32 window_size = config.window_size
@@ -900,8 +921,7 @@ RunReport run_soapsnp(const EngineConfig& config) {
       text_source(config.alignment_file, config.ingest, ref.size()),
       ref.size(), window_size);
   SnpTextWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
-  const int threads = std::max(1, config.soapsnp_threads);
+  const PriorCache priors(config.prior);
 
   WindowRecords win;
   WindowObs obs;
@@ -923,26 +943,14 @@ RunReport run_soapsnp(const EngineConfig& config) {
     {
       const StageScope scope(report.host, tracer, "likeli");
       type_likely.resize(win.size);
-      if (const auto plan = maybe_plan_batches(config, obs.offsets, report)) {
-        for (const SiteBatch& b : plan->batches) {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-          for (i64 s = b.begin; s < static_cast<i64>(b.end); ++s)
-            type_likely[static_cast<std::size_t>(s)] =
-                likelihood_dense_site(dense.site(static_cast<u32>(s)), pm);
-        }
-      } else {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-        for (i64 s = 0; s < static_cast<i64>(win.size); ++s)
-          type_likely[static_cast<std::size_t>(s)] =
-              likelihood_dense_site(dense.site(static_cast<u32>(s)), pm);
-      }
+      over_batches(maybe_plan_batches(config, obs.offsets, report), win.size,
+                   [&](u32 begin, u32 end) {
+                     likelihood_dense_sites(dense, pm, begin, end, type_likely);
+                   });
     }
     {
       const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                       nullptr, threads);
+      window_posterior(config, priors, win, obs, stats, type_likely, rows);
     }
     {
       const StageScope scope(report.host, tracer, "output");
@@ -955,11 +963,8 @@ RunReport run_soapsnp(const EngineConfig& config) {
   }
   report.output_bytes = writer.finish();
   report.peak_host_bytes = dense.bytes() + pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, "soapsnp", report);
   return report;
 }
-
-namespace {
 
 /// Host sparse engine, serial: the bit-exactness reference path.
 RunReport run_host_sparse_serial(const EngineConfig& config,
@@ -1028,15 +1033,11 @@ RunReport run_host_sparse_serial(const EngineConfig& config,
           comp_scope.note("simd", ops.simd_level);
         }
         type_likely.resize(win.size);
-        if (const auto plan =
-                maybe_plan_batches(config, sparse.offsets, report)) {
-          for (const SiteBatch& b : plan->batches)
-            for (u32 s = b.begin; s < b.end; ++s)
-              type_likely[s] = ops.sparse_site(sparse.site(s), *npm);
-        } else {
-          for (u32 s = 0; s < win.size; ++s)
-            type_likely[s] = ops.sparse_site(sparse.site(s), *npm);
-        }
+        over_batches(maybe_plan_batches(config, sparse.offsets, report),
+                     win.size, [&](u32 begin, u32 end) {
+                       likelihood_sparse_sites(ops.sparse_site, sparse, *npm,
+                                               begin, end, type_likely);
+                     });
       }
     }
     {
@@ -1046,7 +1047,7 @@ RunReport run_host_sparse_serial(const EngineConfig& config,
         scope.note("simd", ops.simd_level);
       }
       window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                       nullptr, 1, ops.select);
+                       nullptr, ops.select);
     }
     {
       const StageScope scope(report.host, tracer, "output");
@@ -1061,37 +1062,12 @@ RunReport run_host_sparse_serial(const EngineConfig& config,
   report.peak_host_bytes = max_words * sizeof(u32) +
                            npm->flat().size() * sizeof(double) +
                            pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, ops.engine, report);
   return report;
 }
 
-}  // namespace
-
-RunReport run_gsnp_cpu(const EngineConfig& config) {
-  static constexpr HostSparseOps kScalarOps{
-      "gsnp_cpu", nullptr, &likelihood_sparse_site, &select_genotype};
-  return config.streams >= 2 ? run_host_sparse_overlapped(config, kScalarOps)
-                             : run_host_sparse_serial(config, kScalarOps);
-}
-
-RunReport run_gsnp_simd(const EngineConfig& config) {
-  // Resolve the dispatch level once per run (env override or CPU detection;
-  // see simd.hpp) so every window of one run uses one kernel set.
-  const simd::Kernels& kernels = simd::active_kernels();
-  const HostSparseOps ops{"gsnp_simd", simd::level_name(kernels.level),
-                          kernels.sparse_site, kernels.select_genotype};
-  RunReport report = config.streams >= 2
-                         ? run_host_sparse_overlapped(config, ops)
-                         : run_host_sparse_serial(config, ops);
-  if (config.tracer != nullptr)
-    config.tracer->metrics().add(std::string("simd_level_") +
-                                 simd::level_name(kernels.level));
-  return report;
-}
-
-RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
-                   const device::PerfModel& model) {
-  if (config.streams >= 2) return run_gsnp_overlapped(config, dev, model);
+/// GSNP, serial: the bit-exactness reference path.
+RunReport run_gsnp_serial(const EngineConfig& config, device::Device& dev,
+                          const device::PerfModel& model) {
   GSNP_CHECK(config.reference != nullptr);
   const genome::Reference& ref = *config.reference;
   const u32 window_size =
@@ -1350,8 +1326,61 @@ RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
   report.modeled_serial_seconds =
       model.seconds(device::counters_delta(run_start, dev.counters()));
   report.modeled_wall_seconds = report.modeled_serial_seconds;
-  record_run_metrics(tracer, "gsnp", report);
   return report;
+}
+
+/// One engine call: its wall time, measured once around the whole call,
+/// goes into RunReport::wall_seconds and the run totals into the tracer's
+/// metrics.
+template <typename Run>
+RunReport timed_run(const EngineConfig& config, const char* engine, Run&& run) {
+  const Timer timer;
+  RunReport report = run();
+  report.wall_seconds = timer.seconds();
+  record_run_metrics(config.tracer, engine, report);
+  return report;
+}
+
+}  // namespace
+
+RunReport run_soapsnp(const EngineConfig& config) {
+  return timed_run(config, "soapsnp", [&] {
+    return config.streams >= 2 ? run_soapsnp_overlapped(config)
+                               : run_soapsnp_serial(config);
+  });
+}
+
+RunReport run_gsnp_cpu(const EngineConfig& config) {
+  static constexpr HostSparseOps kScalarOps{
+      "gsnp_cpu", nullptr, &likelihood_sparse_site, &select_genotype};
+  return timed_run(config, kScalarOps.engine, [&] {
+    return config.streams >= 2 ? run_host_sparse_overlapped(config, kScalarOps)
+                               : run_host_sparse_serial(config, kScalarOps);
+  });
+}
+
+RunReport run_gsnp_simd(const EngineConfig& config) {
+  // Resolve the dispatch level once per run (env override or CPU detection;
+  // see simd.hpp) so every window of one run uses one kernel set.
+  const simd::Kernels& kernels = simd::active_kernels();
+  const HostSparseOps ops{"gsnp_simd", simd::level_name(kernels.level),
+                          kernels.sparse_site, kernels.select_genotype};
+  RunReport report = timed_run(config, ops.engine, [&] {
+    return config.streams >= 2 ? run_host_sparse_overlapped(config, ops)
+                               : run_host_sparse_serial(config, ops);
+  });
+  if (config.tracer != nullptr)
+    config.tracer->metrics().add(std::string("simd_level_") +
+                                 simd::level_name(kernels.level));
+  return report;
+}
+
+RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
+                   const device::PerfModel& model) {
+  return timed_run(config, "gsnp", [&] {
+    return config.streams >= 2 ? run_gsnp_overlapped(config, dev, model)
+                               : run_gsnp_serial(config, dev, model);
+  });
 }
 
 }  // namespace gsnp::core

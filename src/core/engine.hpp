@@ -60,10 +60,6 @@ struct EngineConfig {
   std::filesystem::path temp_file;  ///< GSNP/GSNP_CPU compressed temp input
   u32 window_size = 0;              ///< 0 = engine default
   PriorParams prior;
-  /// Threads for the SOAPsnp engine's per-site loops (the multi-threaded
-  /// variant §VI-A mentions: ~3-4x with 16 threads, memory-bandwidth-bound).
-  /// 1 = the official single-threaded SOAPsnp used in all comparisons.
-  int soapsnp_threads = 1;
 
   /// How the alignment-file loaders treat malformed input: strict (default,
   /// first bad record aborts with a ParseError) or lenient (skip into the
@@ -133,6 +129,10 @@ struct EngineConfig {
 };
 
 struct RunReport {
+  /// Wall-clock seconds of the whole engine call, measured once around it.
+  /// Stage stopwatches overlap on the overlapped paths (and run on several
+  /// threads inside a stage), so their sum, total(), is not elapsed time.
+  double wall_seconds = 0.0;
   StopwatchSet host;            ///< measured seconds per component
   StopwatchSet device_modeled;  ///< modeled device seconds per component
                                 ///< (plus "likeli_sort"/"likeli_comp" detail)

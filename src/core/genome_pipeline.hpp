@@ -75,7 +75,6 @@ struct GenomeRunConfig {
   std::filesystem::path output_dir;
   u32 window_size = 0;  ///< 0 = engine default
   PriorParams prior;
-  int soapsnp_threads = 1;
   /// Overlapped-pipeline knobs, passed through to every chromosome's
   /// EngineConfig (see there): streams <= 1 = serial reference path,
   /// streams >= 2 = double-buffered pipeline.  Output is byte-identical
@@ -179,7 +178,10 @@ struct GenomeReport {
   std::vector<ChromosomeStatus> statuses;
   std::vector<std::filesystem::path> output_files;
   std::filesystem::path manifest_file;
-  double total_seconds = 0.0;
+  double total_seconds = 0.0;  ///< summed stage stopwatches (RunReport::total)
+  /// Summed engine-call wall time (RunReport::wall_seconds) of the
+  /// chromosomes this run computed (resumed ones excluded).
+  double wall_seconds = 0.0;
   u64 total_sites = 0;
   u64 total_output_bytes = 0;
   /// Aggregate ingest outcome across all chromosomes (resumed ones included,

@@ -6,8 +6,10 @@
 #include <limits>
 #include <sstream>
 
+#include "src/common/parallel.hpp"
 #include "src/core/adjust.hpp"
 #include "src/core/log_table.hpp"
+#include "src/core/window.hpp"
 
 namespace gsnp::core {
 
@@ -152,8 +154,12 @@ void sort_site(u32* first, u32* last) {
 
 void likelihood_sort_cpu(BaseWordWindow& window) {
   u32* const words = window.words.data();
-  for (u32 s = 0; s < window.window_size(); ++s)
-    sort_site(words + window.offsets[s], words + window.offsets[s + 1]);
+  const u64* const offsets = window.offsets.data();
+  parallel_for(window.window_size(), kSitesPerChunk,
+               [=](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::size_t s = begin; s < end; ++s)
+                   sort_site(words + offsets[s], words + offsets[s + 1]);
+               });
 }
 
 }  // namespace gsnp::core

@@ -90,8 +90,8 @@ TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
                                   const NewPMatrix& npm);
 
 /// The likelihood_sort step of Algorithm 4 on the CPU: each site's words
-/// sorted in turn on the calling thread; the device equivalent is
-/// sortnet::sort_device_multipass.
+/// sorted on its own, in chunks of kSitesPerChunk sites on the compute
+/// executor; the device equivalent is sortnet::sort_device_multipass.
 void likelihood_sort_cpu(BaseWordWindow& window);
 
 }  // namespace gsnp::core

@@ -1,12 +1,15 @@
 #include "src/core/output_codec.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "src/common/bitio.hpp"
 #include "src/common/crc32.hpp"
 #include "src/common/error.hpp"
 #include "src/common/fs_fault.hpp"
+#include "src/common/parallel.hpp"
 #include "src/compress/codecs.hpp"
+#include "src/core/window.hpp"
 
 namespace gsnp::core {
 
@@ -17,15 +20,6 @@ RleDictFn host_rle_dict() {
 }
 
 namespace {
-
-/// Base column with possible 'N's: 2-bit codes (N packed as 0) plus a sparse
-/// exception column flagging the N positions.  Gathers row `i`'s base `b`;
-/// the column is encoded with pack_bases(codes) then encode_sparse(n_flags).
-void gather_base(u8 b, std::size_t i, std::vector<u8>& codes,
-                 std::vector<u32>& n_flags) {
-  codes[i] = b < kNumBases ? b : 0;
-  n_flags[i] = b < kNumBases ? 0 : 1;
-}
 
 void decode_base_column(std::vector<SnpRow>& rows, u8 SnpRow::*field,
                         std::span<const u8> data, std::size_t& pos) {
@@ -50,6 +44,91 @@ std::vector<u32> predicted_genotypes(const std::vector<SnpRow>& rows) {
   return predicted;
 }
 
+/// The frame's encoded segments, in frame order.  A base column is two
+/// segments: 2-bit codes, then the sparse 'N' flags.
+enum Segment : std::size_t {
+  kRefBase, kRefN, kGenotype, kQuality,              // cols 3-5
+  kBestBase, kBestN, kBestAvgQ, kBestUniq, kBestAll,  // cols 6-9
+  kSecondBase, kSecondAvgQ, kSecondUniq, kSecondAll,  // cols 10-13
+  kDepth, kRankSumP, kCopyNumber, kDbsnp,             // cols 14-17
+  kSegments
+};
+using Segments = std::array<std::vector<u8>, kSegments>;
+
+u8 base_code(u8 b) { return b < kNumBases ? b : u8{0}; }  // 'N' packed as 0
+
+/// Cols 3, 4 and 6: both base columns (2-bit codes and 'N' flags) and the
+/// genotype exceptions, fed from one pass over the rows.
+void encode_base_segments(std::span<const SnpRow> rows, Segments& encoded) {
+  compress::BasePacker ref, best;
+  compress::PairListEncoder ref_n, genotype, best_n;
+  for (const SnpRow& r : rows) {
+    ref.add(base_code(r.ref_base));
+    ref_n.add(r.ref_base >= kNumBases, 1);
+    const u32 g =
+        r.genotype_rank < 0 ? 0u : static_cast<u32>(r.genotype_rank) + 1;
+    genotype.add(g != predicted_genotype(r.ref_base), g);
+    best.add(base_code(r.best_base));
+    best_n.add(r.best_base >= kNumBases, 1);
+  }
+  ref.finish(encoded[kRefBase]);
+  ref_n.finish(encoded[kRefN]);
+  genotype.finish(encoded[kGenotype]);
+  best.finish(encoded[kBestBase]);
+  best_n.finish(encoded[kBestN]);
+}
+
+/// Cols 10-13 and 17: the sparse columns (second base stored as code + 1),
+/// fed from one pass over the rows.
+void encode_sparse_segments(std::span<const SnpRow> rows, Segments& encoded) {
+  compress::PairListEncoder base, avg_q, uniq, all, dbsnp;
+  for (const SnpRow& r : rows) {
+    const u32 b =
+        r.second_base < kNumBases ? static_cast<u32>(r.second_base) + 1 : 0u;
+    base.add(b != 0, b);
+    avg_q.add(r.second_avg_quality != 0, r.second_avg_quality);
+    uniq.add(r.second_uniq_count != 0, r.second_uniq_count);
+    all.add(r.second_all_count != 0, r.second_all_count);
+    dbsnp.add(r.in_dbsnp, 1);
+  }
+  base.finish(encoded[kSecondBase]);
+  avg_q.finish(encoded[kSecondAvgQ]);
+  uniq.finish(encoded[kSecondUniq]);
+  all.finish(encoded[kSecondAll]);
+  dbsnp.finish(encoded[kDbsnp]);
+}
+
+/// The segments that stay on the calling thread.  The five RLE-DICT columns,
+/// gathered in one pass into contiguous columns (a device rle_dict uploads
+/// them), are encoded in column order.  Then the two quantized columns,
+/// whose dictionary coding allocates column-sized scratch that on a worker
+/// would stay in that thread's heap.
+void encode_caller_segments(std::span<const SnpRow> rows,
+                            const RleDictFn& rle_dict, Segments& encoded) {
+  const std::size_t n = rows.size();
+  {
+    std::vector<u32> quality(n), avg_q(n), uniq(n), all(n), depth(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const SnpRow& r = rows[i];
+      quality[i] = r.quality;
+      avg_q[i] = r.best_avg_quality;
+      uniq[i] = r.best_uniq_count;
+      all[i] = r.best_all_count;
+      depth[i] = r.depth;
+    }
+    rle_dict(quality, encoded[kQuality]);
+    rle_dict(avg_q, encoded[kBestAvgQ]);
+    rle_dict(uniq, encoded[kBestUniq]);
+    rle_dict(all, encoded[kBestAll]);
+    rle_dict(depth, encoded[kDepth]);
+  }
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].rank_sum_p;
+  compress::encode_quantized(x, 1e4, encoded[kRankSumP]);  // the 1e-4 grid
+  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].copy_number;
+  compress::encode_quantized(x, 1e2, encoded[kCopyNumber]);  // the 1e-2 grid
+}
+
 }  // namespace
 
 std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
@@ -57,78 +136,32 @@ std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
   std::vector<u8> out;
   varint_append(out, rows.size());
   if (rows.empty()) return out;
-  const std::size_t n = rows.size();
 
   // Cols 1-2: positions are consecutive — store the start only.
   varint_append(out, rows.front().pos);
 
-  // The columns are gathered a few at a time, each group in one pass over
-  // the rows (a pass per column would stream the row array once for every
-  // column), and encoded in column order.
-  std::vector<u32> a(n), b(n), c(n), d(n);
-  std::vector<u8> codes(n);
-  std::vector<double> x(n);
-
-  // Col 3: reference base.  Col 4: genotype vs predicted hom-ref.  Col 5:
-  // consensus quality (quality-related -> RLE-DICT).
-  for (std::size_t i = 0; i < n; ++i) {
-    const SnpRow& r = rows[i];
-    gather_base(r.ref_base, i, codes, a);
-    b[i] = r.genotype_rank < 0 ? 0u : static_cast<u32>(r.genotype_rank) + 1;
-    c[i] = predicted_genotype(r.ref_base);
-    d[i] = r.quality;
-  }
-  compress::pack_bases(codes, out);
-  compress::encode_sparse(a, out);
-  compress::encode_exceptions(b, c, out);
-  rle_dict(d, out);
-
-  // Col 6: best base.  Cols 7-9: best-allele stats (quality-related ->
-  // RLE-DICT).
-  for (std::size_t i = 0; i < n; ++i) {
-    const SnpRow& r = rows[i];
-    gather_base(r.best_base, i, codes, a);
-    b[i] = r.best_avg_quality;
-    c[i] = r.best_uniq_count;
-    d[i] = r.best_all_count;
-  }
-  compress::pack_bases(codes, out);
-  compress::encode_sparse(a, out);
-  rle_dict(b, out);
-  rle_dict(c, out);
-  rle_dict(d, out);
-
-  // Cols 10-13: second-allele columns, sparse (base stored as code+1).
-  for (std::size_t i = 0; i < n; ++i) {
-    const SnpRow& r = rows[i];
-    a[i] = r.second_base < kNumBases ? static_cast<u32>(r.second_base) + 1
-                                     : 0u;
-    b[i] = r.second_avg_quality;
-    c[i] = r.second_uniq_count;
-    d[i] = r.second_all_count;
-  }
-  compress::encode_sparse(a, out);
-  compress::encode_sparse(b, out);
-  compress::encode_sparse(c, out);
-  compress::encode_sparse(d, out);
-
-  // Col 14: depth (quality-related -> RLE-DICT).  Col 15: rank-sum p (1e-4
-  // grid).
-  for (std::size_t i = 0; i < n; ++i) {
-    const SnpRow& r = rows[i];
-    a[i] = r.depth;
-    b[i] = r.in_dbsnp ? 1u : 0u;
-    x[i] = r.rank_sum_p;
-  }
-  rle_dict(a, out);
-  compress::encode_quantized(x, 1e4, out);
-
-  // Col 16: average copy number (1e-2 grid; quality-related family).
-  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].copy_number;
-  compress::encode_quantized(x, 1e2, out);
-
-  // Col 17: dbSNP membership, sparse.
-  compress::encode_sparse(b, out);
+  // Each segment is encoded into its own buffer; the buffers are joined in
+  // frame order.  Chunk 0, which the executor always runs on the calling
+  // thread, encodes the caller's segments, so a device-backed rle_dict
+  // launches its kernels from the caller in the serial sequence.  Chunks 1
+  // and 2 feed the other segments from one pass over the rows each and
+  // allocate only their output.  A window below kSitesPerChunk rows runs as
+  // one inline chunk.
+  constexpr std::size_t kChunks = 3;
+  Segments encoded;
+  parallel_for(kChunks, rows.size() < kSitesPerChunk ? kChunks : 1,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::size_t c = begin; c < end; ++c) {
+                   if (c == 0) encode_caller_segments(rows, rle_dict, encoded);
+                   if (c == 1) encode_base_segments(rows, encoded);
+                   if (c == 2) encode_sparse_segments(rows, encoded);
+                 }
+               });
+  std::size_t bytes = out.size();
+  for (const std::vector<u8>& e : encoded) bytes += e.size();
+  out.reserve(bytes);
+  for (const std::vector<u8>& e : encoded)
+    out.insert(out.end(), e.begin(), e.end());
   return out;
 }
 

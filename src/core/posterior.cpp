@@ -71,8 +71,7 @@ PriorCache::PriorCache(const PriorParams& params) : params_(params) {
 
 const GenotypePriors& PriorCache::get(u8 ref_base,
                                       const genome::KnownSnpEntry* known) {
-  if (known == nullptr)
-    return novel_[ref_base < kNumBases ? ref_base : kNumBases];
+  if (known == nullptr) return novel(ref_base);
   scratch_ = genotype_log_priors(ref_base, known, params_);
   return scratch_;
 }

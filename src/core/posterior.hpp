@@ -60,6 +60,10 @@ class PriorCache {
 
   /// Prior for a site: cached for novel sites, computed for dbSNP entries.
   const GenotypePriors& get(u8 ref_base, const genome::KnownSnpEntry* known);
+  /// The cached prior of a novel site (read-only, so shareable by threads).
+  const GenotypePriors& novel(u8 ref_base) const {
+    return novel_[ref_base < kNumBases ? ref_base : kNumBases];
+  }
 
  private:
   PriorParams params_;

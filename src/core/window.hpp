@@ -16,6 +16,7 @@
 // split (SOAPsnp's columns 8/9 and 12/13).
 
 #include <array>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -28,6 +29,13 @@
 #include "src/reads/simulator.hpp"
 
 namespace gsnp::core {
+
+/// Sites one compute-executor chunk covers in the per-site window loops
+/// (sort, likelihood, posterior; common/parallel.hpp).
+inline constexpr std::size_t kSitesPerChunk = 4096;
+/// Sites per count_window range.  Each range walks the reads overlapping
+/// it, so a read crossing a range boundary is walked once per range.
+inline constexpr std::size_t kCountSitesPerRange = 16384;
 
 /// A window's worth of alignment records (records overlapping the window;
 /// boundary records also appear in the neighbouring window's set).
@@ -85,6 +93,8 @@ struct SiteStats {
 
 /// Counting pass: records -> arrival-order observations + stats.  The dense
 /// and sparse structures are filled only if non-null (unique hits only).
+/// Ranges of kCountSitesPerRange sites are counted on the compute executor;
+/// the result is the same as one walk over all records in arrival order.
 void count_window(const WindowRecords& win, WindowObs& obs_out,
                   std::vector<SiteStats>& stats_out, BaseOccWindow* dense,
                   BaseWordWindow* sparse);

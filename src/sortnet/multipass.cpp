@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/common/error.hpp"
+#include "src/common/parallel.hpp"
 
 namespace gsnp::sortnet {
 
@@ -14,12 +15,13 @@ using device::DeviceBuffer;
 using device::ThreadContext;
 
 void sort_cpu_batch(VarArrays& va) {
-  const i64 n = static_cast<i64>(va.count());
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (i64 i = 0; i < n; ++i) {
-    auto a = va.array(static_cast<u64>(i));
-    std::sort(a.begin(), a.end());
-  }
+  parallel_for(va.count(), 1024,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   auto a = va.array(i);
+                   std::sort(a.begin(), a.end());
+                 }
+               });
 }
 
 namespace {

@@ -3,7 +3,8 @@
 // (paper §IV-C and Fig 7).
 //
 //  * sort_cpu_batch       — parallel CPU baseline: one thread sorts one array
-//                           with std::sort (the paper's OpenMP quicksort).
+//                           with std::sort (the paper's OpenMP quicksort, here
+//                           on the compute executor, common/parallel.hpp).
 //  * sort_device_multipass — GSNP's strategy: bucket arrays into size classes,
 //                           pad each class to its own power-of-two batch size,
 //                           and run the batch bitonic primitive per class.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/bitio.hpp"
@@ -330,28 +331,36 @@ TEST(Timer, ScopeAddsElapsed) {
 
 TEST(Timer, StopwatchSetConcurrentAddsAreExact) {
   // Regression: StopwatchSet had no synchronization while the engines use it
-  // inside and around OpenMP regions — concurrent add() was a data race on
-  // the entries vector.  Hammer it from OpenMP workers across a few names
+  // from several threads at once — concurrent add() was a data race on the
+  // entries vector.  Hammer it from four threads across a few names
   // (forcing both the insert and the accumulate path) and check nothing is
   // lost, duplicated or torn.
+  constexpr int kThreads = 4;
+  const auto on_threads = [](auto&& body) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(body, t);
+    for (std::thread& t : threads) t.join();
+  };
   StopwatchSet set;
   constexpr int kIters = 20'000;
   const char* names[] = {"read", "count", "likeli", "post", "output"};
-#pragma omp parallel for schedule(static)
-  for (int i = 0; i < kIters; ++i) {
-    set.add(names[i % 5], 1.0);
-    if (i % 100 == 0) (void)set.total();  // concurrent reads too
-  }
+  on_threads([&](int t) {
+    for (int i = t; i < kIters; i += kThreads) {
+      set.add(names[i % 5], 1.0);
+      if (i % 100 == 0) (void)set.total();  // concurrent reads too
+    }
+  });
   for (const char* name : names) EXPECT_DOUBLE_EQ(set.get(name), kIters / 5.0);
   EXPECT_DOUBLE_EQ(set.total(), static_cast<double>(kIters));
   EXPECT_EQ(set.entries().size(), 5u);
 
   // Scopes from concurrent workers must also be safe (the engine pattern).
   StopwatchSet scoped;
-#pragma omp parallel for schedule(dynamic, 8)
-  for (int i = 0; i < 256; ++i) {
-    const auto scope = scoped.scope(names[i % 5]);
-  }
+  on_threads([&](int t) {
+    for (int i = t; i < 256; i += kThreads) {
+      const auto scope = scoped.scope(names[i % 5]);
+    }
+  });
   EXPECT_EQ(scoped.entries().size(), 5u);
   EXPECT_GE(scoped.total(), 0.0);
 }

@@ -122,17 +122,6 @@ class Extensions : public ::testing::Test {
   EngineConfig config_;
 };
 
-TEST_F(Extensions, MultiThreadedSoapsnpIdenticalToSingleThreaded) {
-  config_.output_file = dir_ / "t1.txt";
-  config_.soapsnp_threads = 1;
-  run_soapsnp(config_);
-  config_.output_file = dir_ / "t4.txt";
-  config_.soapsnp_threads = 4;
-  run_soapsnp(config_);
-  const auto report = compare_output_files(dir_ / "t1.txt", dir_ / "t4.txt");
-  EXPECT_TRUE(report.identical) << report.detail;
-}
-
 TEST_F(Extensions, RangeQueryMatchesFullScanFilter) {
   config_.output_file = dir_ / "out.bin";
   config_.window_size = 1'000;  // many frames, so skipping is exercised

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "src/common/json.hpp"
+#include "src/common/timer.hpp"
 #include "src/core/engine.hpp"
 #include "src/device/device.hpp"
 #include "src/device/perf_model.hpp"
@@ -343,6 +344,22 @@ TEST_F(TracedEngines, GsnpCpuBreakdownMatchesReport) {
               1e-9);
   EXPECT_NEAR(breakdown.at("likeli_comp"), report.host.get("likeli_comp"),
               1e-9);
+}
+
+TEST_F(TracedEngines, SitesPerSecGaugeUsesTheCallsWallTime) {
+  // On the overlapped path the stage stopwatches overlap, so their sum
+  // overstates elapsed time; the gauge divides by the call's own wall time.
+  Tracer tracer;
+  config_.tracer = &tracer;
+  config_.output_file = dir_ / "out.bin";
+  config_.streams = 2;
+  const Timer stopwatch;
+  const core::RunReport report = core::run_gsnp_cpu(config_);
+  const double outer = stopwatch.seconds();
+  EXPECT_GT(report.wall_seconds, 0.0);
+  EXPECT_LE(report.wall_seconds, outer);
+  EXPECT_DOUBLE_EQ(tracer.metrics().gauge("sites_per_sec"),
+                   static_cast<double>(report.sites) / report.wall_seconds);
 }
 
 TEST_F(TracedEngines, GsnpBreakdownAndDeviceTotalsMatchReport) {

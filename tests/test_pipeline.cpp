@@ -108,6 +108,7 @@ TEST_F(GenomePipeline, RunsAllChromosomes) {
   EXPECT_EQ(report.total_sites, 8'000u + 7'000 + 6'000);
   for (const auto& path : report.output_files) EXPECT_TRUE(fs::exists(path));
   EXPECT_GT(report.total_seconds, 0.0);
+  EXPECT_GT(report.wall_seconds, 0.0);
   EXPECT_GT(report.total_output_bytes, 0u);
 }
 
