@@ -7,8 +7,7 @@
 //   gsnp_cli call     --ref <fa> --align <soap|sam> --out <file>
 //                     [--engine gsnp|gsnp-cpu|gsnp-simd|soapsnp]
 //                     [--dbsnp <file>]
-//                     [--window N] [--streams N]
-//                     [--pipeline-depth D] [--host-threads T]
+//                     [--window N] [--streams N] [--batch-bytes B]
 //                     [--save-matrix <file>]
 //                     [--lenient] [--quarantine <file>] [--max-bad N]
 //                     [--max-bad-frac P] [--trace-out <json>]
@@ -221,13 +220,9 @@ int cmd_call(const Args& args) {
   config.temp_file = out_path.string() + ".tmp";
   config.cancel = &g_interrupt;
   config.window_size = static_cast<u32>(std::stoul(args.get("--window", "0")));
-  // Overlapped pipeline: --streams 1 (default) = serial reference path;
-  // --streams N>=2 = double-buffered pipeline, byte-identical output.
+  // --streams 1 (default) = the serial run; --streams N>=2 = the
+  // overlapped (double-buffered) run, byte-identical output.
   config.streams = static_cast<u32>(std::stoul(args.get("--streams", "1")));
-  config.pipeline_depth =
-      static_cast<u32>(std::stoul(args.get("--pipeline-depth", "2")));
-  config.host_threads =
-      static_cast<u32>(std::stoul(args.get("--host-threads", "2")));
   // Depth-aware batching: split each window into device batches whose
   // planned footprint never exceeds this many bytes (0 = fixed windows).
   config.batch_bytes = std::stoull(args.get("--batch-bytes", "0"));
@@ -282,7 +277,7 @@ int cmd_call(const Args& args) {
   std::printf("%-8s %8.3f   (%llu sites, %llu bytes out)\n", "total",
               report.total(), static_cast<unsigned long long>(report.sites),
               static_cast<unsigned long long>(report.output_bytes));
-  // total sums the stage stopwatches, which overlap on the --streams paths;
+  // total sums the stage stopwatches, which overlap in --streams runs;
   // wall is the engine call's elapsed time.
   std::printf("%-8s %8.3f   (%.0f sites/s)\n", "wall", report.wall_seconds,
               report.wall_seconds > 0.0
@@ -387,10 +382,6 @@ int cmd_profile(const Args& args) {
   config.temp_file = out_path.string() + ".tmp";
   config.window_size = static_cast<u32>(std::stoul(args.get("--window", "0")));
   config.streams = static_cast<u32>(std::stoul(args.get("--streams", "1")));
-  config.pipeline_depth =
-      static_cast<u32>(std::stoul(args.get("--pipeline-depth", "2")));
-  config.host_threads =
-      static_cast<u32>(std::stoul(args.get("--host-threads", "2")));
   config.batch_bytes = std::stoull(args.get("--batch-bytes", "0"));
 
   device::Device dev;
@@ -971,7 +962,7 @@ int main(int argc, char** argv) {
               "  call     --ref FA --align SOAP|SAM --out FILE\n"
               "           [--engine gsnp|gsnp-cpu|gsnp-simd|soapsnp]\n"
               "           [--dbsnp F --window N]\n"
-              "           [--streams N --pipeline-depth D --host-threads T]\n"
+              "           [--streams N]   (>= 2: overlapped double buffer)\n"
               "           [--batch-bytes B]   (depth-aware device batching)\n"
               "           [--lenient --quarantine F --max-bad N --max-bad-frac P]\n"
               "           [--trace-out TRACE.json --metrics-out METRICS.json]\n"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
@@ -35,34 +36,11 @@ namespace {
 /// The cal_p_matrix pass: stream the alignment text file once, accumulate
 /// the recalibration counts (unique hits vs the reference base), and — for
 /// the GSNP engines — write the compressed temporary input alongside
-/// (paper §V-A).
-struct CalPResult {
-  PMatrix pm;
-  u64 records = 0;
-  u64 temp_bytes = 0;
-  IngestStats ingest;
-};
-
-CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
+/// (paper §V-A).  A reloaded matrix skips the counting, not the pass.
+PMatrix cal_p_pass(const EngineConfig& config, bool write_temp,
+                   RunReport& report) {
   const genome::Reference& ref = *config.reference;
   const bool reuse_matrix = !config.p_matrix_in.empty();
-
-  CalPResult result;
-  // With a reloaded matrix and no temp file to produce (SOAPsnp engine), the
-  // whole input pass is skipped — the point of the matrix-reuse feature.
-  if (reuse_matrix && !write_temp) {
-    result.pm = read_p_matrix(config.p_matrix_in);
-    reads::AlignmentReader reader(config.alignment_file, config.ingest,
-                                  ref.size());
-    while (reader.next()) {  // count only (no calibration)
-      if ((++result.records & 0xFFF) == 0) check_cancel(config.cancel, "cal_p");
-    }
-    result.ingest = reader.stats();
-    if (!config.p_matrix_out.empty())
-      write_p_matrix(config.p_matrix_out, result.pm);
-    return result;
-  }
-
   reads::AlignmentReader reader(config.alignment_file, config.ingest,
                                 ref.size());
   std::optional<compress::TempInputWriter> temp;
@@ -74,7 +52,7 @@ CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
 
   PMatrixCounter counter;
   while (auto rec = reader.next()) {
-    if ((++result.records & 0xFFF) == 0) check_cancel(config.cancel, "cal_p");
+    if ((++report.records & 0xFFF) == 0) check_cancel(config.cancel, "cal_p");
     if (temp) temp->add(*rec);
     if (reuse_matrix || rec->hit_count != 1) continue;
     reads::for_each_observation(
@@ -83,145 +61,13 @@ CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
           if (r < kNumBases) counter.add(so.quality, so.coord, r, so.base);
         });
   }
-  result.ingest = reader.stats();
-  if (temp) result.temp_bytes = temp->finish();
-  result.pm = reuse_matrix ? read_p_matrix(config.p_matrix_in)
-                           : finalize_p_matrix(counter);
-  if (!config.p_matrix_out.empty())
-    write_p_matrix(config.p_matrix_out, result.pm);
-  return result;
+  report.ingest = reader.stats();
+  if (temp) report.temp_bytes = temp->finish();
+  PMatrix pm = reuse_matrix ? read_p_matrix(config.p_matrix_in)
+                            : finalize_p_matrix(counter);
+  if (!config.p_matrix_out.empty()) write_p_matrix(config.p_matrix_out, pm);
+  return pm;
 }
-
-/// Posterior for a whole window -> rows (shared by all engines; identical
-/// results by construction), in chunks of sites on the compute executor.
-/// When `device_calls` is non-null the genotype selection came from the
-/// device posterior kernel; only the statistics columns are assembled on
-/// the host.
-void window_posterior(const EngineConfig& config, const PriorCache& priors,
-                      const WindowRecords& win, const WindowObs& obs,
-                      const std::vector<SiteStats>& stats,
-                      const std::vector<TypeLikely>& type_likely,
-                      std::vector<SnpRow>& rows,
-                      const std::vector<PosteriorCall>* device_calls = nullptr,
-                      simd::SelectFn select = &select_genotype) {
-  const genome::Reference& ref = *config.reference;
-  rows.resize(win.size);
-  parallel_for(win.size, kSitesPerChunk, [&](std::size_t begin,
-                                             std::size_t end, std::size_t) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const u32 s = static_cast<u32>(i);
-      const u64 pos = win.start + s;
-      const genome::KnownSnpEntry* known =
-          config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-      PosteriorCall call;
-      if (device_calls) {
-        call = (*device_calls)[s];
-      } else if (known) {
-        // dbSNP priors are site-specific; computed per site.
-        call = select(genotype_log_priors(ref.base(pos), known, config.prior),
-                      type_likely[s]);
-      } else {
-        // Novel sites share one of five cached priors.
-        call = select(priors.novel(ref.base(pos)), type_likely[s]);
-      }
-      rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
-                             stats[s], obs.site(s), obs.site_hits(s));
-    }
-  });
-}
-
-/// Run `sites(begin, end)` over each batch of the window's plan when
-/// batching is on, else once over the whole window.
-template <typename Sites>
-void over_batches(const std::optional<BatchPlan>& plan, u32 window_sites,
-                  Sites&& sites) {
-  if (!plan) return sites(0u, window_sites);
-  for (const SiteBatch& b : plan->batches) sites(b.begin, b.end);
-}
-
-/// Sites per chunk of SOAPsnp's dense likelihood, which scans a 128 KiB
-/// matrix per site.
-constexpr std::size_t kDenseSitesPerChunk = 64;
-
-/// SOAPsnp's dense likelihood (Algorithm 1) for sites [begin, end), in
-/// chunks of kDenseSitesPerChunk on the compute executor.
-void likelihood_dense_sites(const BaseOccWindow& dense, const PMatrix& pm,
-                            u32 begin, u32 end,
-                            std::vector<TypeLikely>& type_likely) {
-  parallel_for(end - begin, kDenseSitesPerChunk,
-               [&](std::size_t b, std::size_t e, std::size_t) {
-                 for (std::size_t i = begin + b; i < begin + e; ++i)
-                   type_likely[i] = likelihood_dense_site(
-                       dense.site(static_cast<u32>(i)), pm);
-               });
-}
-
-/// The sparse likelihood (Algorithm 4's computation step) for sites
-/// [begin, end) of a sorted window, in chunks of kSitesPerChunk.
-void likelihood_sparse_sites(simd::SparseSiteFn sparse_site,
-                             const BaseWordWindow& sparse,
-                             const NewPMatrix& npm, u32 begin, u32 end,
-                             std::vector<TypeLikely>& type_likely) {
-  parallel_for(end - begin, kSitesPerChunk,
-               [&](std::size_t b, std::size_t e, std::size_t) {
-                 for (std::size_t i = begin + b; i < begin + e; ++i)
-                   type_likely[i] =
-                       sparse_site(sparse.site(static_cast<u32>(i)), npm);
-               });
-}
-
-/// Window-pass record source over the raw text (SOAPsnp engine).  The cal_p
-/// pass already quarantined and counted this file; the second pass must skip
-/// the same records without double-writing the quarantine, so the policy's
-/// quarantine_file is cleared here (skips are deterministic, so both passes
-/// see the identical surviving record stream).
-WindowLoader::RecordSource text_source(const std::filesystem::path& path,
-                                       IngestPolicy policy, u64 ref_len) {
-  policy.quarantine_file.clear();
-  auto reader = std::make_shared<reads::AlignmentReader>(
-      path, std::move(policy), ref_len);
-  return [reader] { return reader->next(); };
-}
-
-WindowLoader::RecordSource temp_source(const std::filesystem::path& path) {
-  auto reader = std::make_shared<compress::TempInputReader>(path);
-  return [reader] { return reader->next(); };
-}
-
-/// One pipeline stage, measured once and recorded in both views: the
-/// RunReport stopwatch (the Tables I/IV breakdowns) and — when a tracer is
-/// attached — a span.  The stopwatch receives exactly the seconds the span
-/// reports as host_sec, so the two views cannot drift.
-class StageScope {
- public:
-  StageScope(StopwatchSet& set, obs::Tracer* tracer, const char* name)
-      : set_(set), name_(name), span_(tracer, name, "stage") {}
-
-  /// Subtract simulator wall time misattributed to this stage: the GSNP
-  /// engine runs device kernels through the host simulator, and that wall
-  /// time belongs to the modeled device, not the host component.
-  void deduct(double seconds) { deduct_ += seconds; }
-
-  /// Annotate the stage's span (backend tag, SIMD dispatch level).
-  void note(std::string_view key, std::string_view value) {
-    span_.note(key, value);
-  }
-
-  ~StageScope() {
-    const double sec = std::max(0.0, timer_.seconds() - deduct_);
-    set_.add(name_, sec);
-    span_.set_host_seconds(sec);
-  }
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-  StopwatchSet& set_;
-  const char* name_;
-  obs::Tracer::Scope span_;  // declared before timer_: dtor order measures
-  Timer timer_;              // the stage, then finishes the span
-  double deduct_ = 0.0;
-};
 
 /// Run totals into the tracer's metrics registry (exported with the run).
 void record_run_metrics(obs::Tracer* tracer, const char* engine,
@@ -252,1091 +98,624 @@ void record_run_metrics(obs::Tracer* tracer, const char* engine,
                 static_cast<double>(report.sites) / report.wall_seconds);
 }
 
-/// Plan the window's batches when batching is on (EngineConfig::batch_bytes
-/// > 0) and fold the plan into the run aggregate.  The device engine packs
-/// from the sparse base-word CSR (the payload that actually lands on the
-/// card); SOAPsnp, which has no sparse CSR, packs from the observation CSR —
-/// per-site observation counts, the same depth signal.  Host backends use
-/// the plan only to chunk their per-site loops (identical arithmetic, so
-/// identical output), keeping RunReport::batch meaningful on every backend.
-std::optional<BatchPlan> maybe_plan_batches(const EngineConfig& config,
-                                            std::span<const u64> offsets,
-                                            RunReport& report) {
-  if (config.batch_bytes == 0) return std::nullopt;
-  BatchPlan plan = plan_batches(offsets, config.batch_bytes);
-  report.batch.absorb(plan);
+/// Seconds this thread spent, inside its open stage, on work that stage does
+/// not own: the device simulator (modeled from counters, not measured) and
+/// host work charged to another component.  Stages subtract it.
+thread_local double t_off_stage_seconds = 0.0;
+
+template <typename F>
+double off_stage(F&& fn) {
+  const Timer timer;
+  fn();
+  const double seconds = timer.seconds();
+  t_off_stage_seconds += seconds;
+  return seconds;
+}
+
+/// Where a run's stage measurements go: the RunReport stopwatches (the
+/// Tables I/IV breakdowns) and, with a tracer attached, a "stage" span with
+/// the same seconds, so trace exports and the report cannot drift.
+struct Ledger {
+  RunReport& report;
+  obs::Tracer* tracer;
+  /// A cost measured outside a Stage: a device op's modeled seconds.
+  void charge(const char* name, double host_sec, double modeled_sec) const {
+    if (host_sec > 0.0) report.host.add(name, host_sec);
+    if (modeled_sec > 0.0) report.device_modeled.add(name, modeled_sec);
+    obs::Tracer::Scope span(tracer, name, "stage");
+    span.set_host_seconds(host_sec);
+    span.set_modeled_seconds(modeled_sec);
+  }
+};
+
+/// One pipeline stage: its wall time less its off-stage time, recorded once.
+class Stage {
+ public:
+  Stage(const Ledger& ledger, const char* name)
+      : ledger_(ledger),
+        name_(name),
+        span_(ledger.tracer, name, "stage"),
+        off_stage_at_start_(t_off_stage_seconds) {}
+  ~Stage() {
+    const double sec = std::max(
+        0.0, timer_.seconds() - (t_off_stage_seconds - off_stage_at_start_));
+    ledger_.report.host.add(name_, sec);
+    span_.set_host_seconds(sec);
+  }
+
+ private:
+  const Ledger& ledger_;
+  const char* name_;
+  obs::Tracer::Scope span_;  // declared before timer_: dtor order measures
+  const double off_stage_at_start_;
+  Timer timer_;  // the stage, then finishes the span
+};
+
+/// One window in flight: what run_windows loads, plans, computes and writes.
+/// Each stage bundle extends it with its own representation of the window.
+struct WindowSlot {
+  WindowRecords win;
+  WindowObs obs;
+  std::vector<SiteStats> stats;
+  BatchPlan plan;
+  std::vector<TypeLikely> type_likely;
+  std::vector<SnpRow> rows;
+  std::shared_future<void> written;  ///< valid while rows are being written
+};
+
+/// The window's batch plan.  Batching on: the batcher's byte-budgeted
+/// batches, folded into the run's BatchStats.  Off: one batch spanning the
+/// window, which runs exactly the fixed-window arithmetic and launches.
+BatchPlan plan_window(const EngineConfig& config, std::span<const u64> offsets,
+                      RunReport& report) {
+  BatchPlan plan;
+  if (config.batch_bytes > 0) {
+    plan = plan_batches(offsets, config.batch_bytes);
+    report.batch.absorb(plan);
+    return plan;
+  }
+  SiteBatch& whole = plan.batches.emplace_back();
+  whole.end = static_cast<u32>(offsets.size() - 1);
+  whole.words_end = offsets.back();
   return plan;
 }
 
-// ---- overlapped (double-buffered) pipeline variants ------------------------
-//
-// Selected by config.streams >= 2.  The serial paths below are the
-// bit-exactness reference and stay untouched; the overlapped variants run
-// the same arithmetic on the same data in the same order — only *when* each
-// stage executes relative to the others changes — so their output is
-// byte-identical (enforced by tests/test_determinism).  The reduction-order
-// rule that makes this true: every per-window artifact (counts, likelihoods,
-// rows, output frames) is produced by exactly one stage, stages of one
-// window are chained in serial order, and cross-window interleavings never
-// share mutable state (disjoint window slots; the output writer consumes
-// windows in index order via an ordered task chain / a dedicated stream).
+/// `fn(site)` over the batch, `grain` sites per compute-executor chunk.
+template <typename F>
+void each_site(const SiteBatch& batch, std::size_t grain, F&& fn) {
+  parallel_for(batch.sites(), grain,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::size_t i = begin; i < end; ++i)
+                   fn(static_cast<u32>(batch.begin + i));
+               });
+}
 
-/// SOAPsnp, overlapped: a host thread-pool prefetches (reads + recycles +
-/// counts) window i+1 into its own dense slot while the main thread computes
-/// likelihood/posterior for window i, and window i-1's text output drains
-/// through an ordered pool task.
-RunReport run_soapsnp_overlapped(const EngineConfig& config) {
-  GSNP_CHECK(config.reference != nullptr);
+/// Posterior for a whole window -> rows, shared by every engine, on the
+/// compute executor.  With `device_calls` the genotype selection came from
+/// the device posterior kernel; only the statistics columns are built here.
+void window_posterior(const EngineConfig& config, const PriorCache& priors,
+                      WindowSlot& slot, simd::SelectFn select,
+                      const std::vector<PosteriorCall>* device_calls =
+                          nullptr) {
   const genome::Reference& ref = *config.reference;
-  const u32 window_size = config.window_size
-                              ? config.window_size
-                              : EngineConfig::kDefaultSoapsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  report.streams_used = config.streams;
-  obs::Tracer* const tracer = config.tracer;
+  slot.rows.resize(slot.win.size);
+  parallel_for(slot.win.size, kSitesPerChunk, [&](std::size_t begin,
+                                                  std::size_t end,
+                                                  std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const u32 s = static_cast<u32>(i);
+      const u64 pos = slot.win.start + s;
+      const genome::KnownSnpEntry* known =
+          config.dbsnp ? config.dbsnp->find(pos) : nullptr;
+      PosteriorCall call;
+      if (device_calls) {
+        call = (*device_calls)[s];
+      } else if (known) {
+        // dbSNP priors are site-specific; computed per site.
+        call = select(genotype_log_priors(ref.base(pos), known, config.prior),
+                      slot.type_likely[s]);
+      } else {
+        // Novel sites share one of five cached priors.
+        call = select(priors.novel(ref.base(pos)), slot.type_likely[s]);
+      }
+      slot.rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
+                                  slot.stats[s], slot.obs.site(s),
+                                  slot.obs.site_hits(s));
+    }
+  });
+}
 
-  PMatrix pm;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/false);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.ingest = cal.ingest;
+// ---- stage bundles ----------------------------------------------------------
+// A bundle supplies one engine's stages to run_windows: a Slot type
+// (WindowSlot plus the engine's window state), window_size() and source()
+// for the window pass, cal_p(), recycle(slot), count(slot) returning the CSR
+// offsets the batch plan packs, likeli(slot, batch), post(slot),
+// output(slot), and finish(slots) for the report's output fields.
+
+/// What every bundle holds.
+class StagesBase {
+ public:
+  u32 window_size() const { return window_size_; }
+
+ protected:
+  StagesBase(const EngineConfig& config, Ledger& ledger, u32 default_window)
+      : config_(config),
+        ledger_(ledger),
+        report_(ledger.report),
+        window_size_(config.window_size ? config.window_size
+                                        : default_window),
+        priors_(config.prior) {}
+
+  const EngineConfig& config_;
+  Ledger& ledger_;
+  RunReport& report_;
+  const u32 window_size_;
+  PriorCache priors_;
+  PMatrix pm_;
+};
+
+/// SOAPsnp: dense base_occ windows, Algorithm 1 likelihood, text output.
+class DenseStages : public StagesBase {
+ public:
+  struct Slot : WindowSlot {
+    std::unique_ptr<BaseOccWindow> dense;
+  };
+
+  DenseStages(const EngineConfig& config, Ledger& ledger)
+      : StagesBase(config, ledger, EngineConfig::kDefaultSoapsnpWindow) {}
+
+  /// The window pass re-reads the raw text, skipping the records cal_p
+  /// already quarantined without writing the quarantine again.
+  WindowLoader::RecordSource source() const {
+    IngestPolicy policy = config_.ingest;
+    policy.quarantine_file.clear();
+    auto reader = std::make_shared<reads::AlignmentReader>(
+        config_.alignment_file, std::move(policy), config_.reference->size());
+    return [reader] { return reader->next(); };
   }
 
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    std::unique_ptr<BaseOccWindow> dense;
-    std::vector<TypeLikely> type_likely;
-    std::vector<SnpRow> rows;
-    std::shared_future<void> write_done;  // this slot's rows are in flight
-    bool loaded = false;
+  void cal_p() {
+    pm_ = cal_p_pass(config_, /*write_temp=*/false, report_);
+    writer_.emplace(config_.output_file, config_.reference->name());
+  }
+
+  /// A slot's first window is allocated zeroed; later ones pay the memset.
+  void recycle(Slot& slot) {
+    if (slot.dense) return slot.dense->recycle();
+    slot.dense = std::make_unique<BaseOccWindow>(window_size());
+  }
+
+  /// The plan packs per-site observation counts, the same depth signal.
+  std::span<const u64> count(Slot& slot) {
+    count_window(slot.win, slot.obs, slot.stats, slot.dense.get(), nullptr);
+    return slot.obs.offsets;
+  }
+
+  /// Chunks of 64 sites: each site scans a 128 KiB matrix.
+  void likeli(Slot& slot, const SiteBatch& batch) {
+    each_site(batch, 64, [&](u32 s) {
+      slot.type_likely[s] = likelihood_dense_site(slot.dense->site(s), pm_);
+    });
+  }
+
+  void post(Slot& slot) {
+    window_posterior(config_, priors_, slot, &select_genotype);
+  }
+  void output(Slot& slot) { writer_->write_window(slot.rows); }
+
+  void finish(std::size_t slots) {
+    report_.output_bytes = writer_->finish();
+    report_.peak_host_bytes = slots * window_size() * kBaseOccPerSite +
+                              pm_.flat().size() * sizeof(double);
+  }
+
+ private:
+  std::optional<SnpTextWriter> writer_;
+};
+
+/// GSNP's algorithm on the host: sparse windows from the compressed temp
+/// input, per-array sort, the sparse likelihood on new_p_matrix, host
+/// RLE-DICT output.  gsnp_simd binds the kernels of its dispatch level, so
+/// "forced scalar" gsnp_simd and gsnp_cpu run the very same functions.
+class HostSparseStages : public StagesBase {
+ public:
+  struct Slot : WindowSlot {
+    BaseWordWindow sparse;
   };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
-  for (Slot& s : slots)
-    s.dense = std::make_unique<BaseOccWindow>(window_size);
 
-  WindowLoader loader(
-      text_source(config.alignment_file, config.ingest, ref.size()),
-      ref.size(), window_size);
-  SnpTextWriter writer(config.output_file, ref.name());
-  const PriorCache priors(config.prior);
+  HostSparseStages(const EngineConfig& config, Ledger& ledger,
+                   simd::SparseSiteFn sparse_site = &likelihood_sparse_site,
+                   simd::SelectFn select = &select_genotype)
+      : StagesBase(config, ledger, EngineConfig::kDefaultGsnpWindow),
+        sparse_site_(sparse_site),
+        select_(select) {}
 
-  // Runs on the pool; at most one prefetch task is in flight at a time, so
-  // loader access is serialized.  Recycle moves from "after output" to
-  // "before count" of the slot's next occupant — numerically identical (a
-  // zeroed matrix is a zeroed matrix), and it rides the prefetch thread.
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
+  WindowLoader::RecordSource source() const {
+    auto reader = std::make_shared<compress::TempInputReader>(config_.temp_file);
+    return [reader] { return reader->next(); };
+  }
+
+  /// cal_p includes the temp file and the new score tables (Table IV note).
+  void cal_p() {
+    pm_ = cal_p_pass(config_, /*write_temp=*/true, report_);
+    npm_.emplace(pm_);
+    writer_.emplace(config_.output_file, config_.reference->name());
+  }
+
+  /// Sparse recycle: no 131,072-byte-per-site memset, an offsets reset.
+  void recycle(Slot& slot) { slot.sparse.reset(window_size()); }
+
+  std::span<const u64> count(Slot& slot) {
+    count_window(slot.win, slot.obs, slot.stats, nullptr, &slot.sparse);
+    max_words_ = std::max<u64>(max_words_, slot.sparse.words.size());
+    return slot.sparse.offsets;
+  }
+
+  void likeli(Slot& slot, const SiteBatch& batch) {
+    // The whole window's arrays are sorted once, ahead of its first batch.
+    if (batch.begin == 0) {
+      const Stage stage(ledger_, "likeli_sort");
+      likelihood_sort_cpu(slot.sparse);
+    }
+    const Stage stage(ledger_, "likeli_comp");
+    each_site(batch, kSitesPerChunk, [&](u32 s) {
+      slot.type_likely[s] = sparse_site_(slot.sparse.site(s), *npm_);
+    });
+  }
+
+  void post(Slot& slot) {
+    window_posterior(config_, priors_, slot, select_);
+  }
+  void output(Slot& slot) { writer_->write_window(slot.rows, host_rle_); }
+
+  void finish(std::size_t slots) {
+    report_.output_bytes = writer_->finish();
+    report_.peak_host_bytes = slots * max_words_ * sizeof(u32) +
+                              npm_->flat().size() * sizeof(double) +
+                              pm_.flat().size() * sizeof(double);
+  }
+
+ protected:
+  const simd::SparseSiteFn sparse_site_;
+  const simd::SelectFn select_;
+  std::optional<NewPMatrix> npm_;
+  std::optional<SnpOutputWriter> writer_;
+  const RleDictFn host_rle_ = host_rle_dict();
+  u64 max_words_ = 0;
+};
+
+/// GSNP: the host sparse engine with its sort, likelihood, posterior and six
+/// output columns on the device, timed by the analytical M2050 model from
+/// measured counters (host work is wall clock).  A serial run runs each
+/// device op at once on the default queue; an overlapped run enqueues them
+/// on copy, compute and output streams that overlap in the modeled timeline,
+/// window i-1's output beside window i's first batch (the paper's three-way
+/// overlap).  A batch's ops finish before the next batch uploads, and each
+/// op's counters are charged to the component it is named after.
+class DeviceStages : public HostSparseStages {
+ public:
+  DeviceStages(const EngineConfig& config, Ledger& ledger, device::Device& dev,
+               const device::PerfModel& model)
+      : HostSparseStages(config, ledger),
+        dev_(dev),
+        model_(model),
+        run_start_(dev.counters()),
+        stream_spans_(ledger.tracer, &dev, &model) {
+    if (config.streams < 2) return;
+    pool_.emplace(dev, std::min<u32>(config.streams, 8));
+    pool_->set_listener(&stream_spans_);  // one span per drained op
+  }
+
+  /// load_table (Fig 2): the score tables go up once, before any likelihood
+  /// work, outside the streams (charged serially).
+  void cal_p() {
+    HostSparseStages::cal_p();
+    const device::DeviceCounters moved = run_now("load_table", "transfer", [&] {
+      tables_.emplace(dev_, pm_, *npm_);
+    });
+    ledger_.charge("cal_p", 0.0, model_.seconds(moved));
+  }
+
+  /// The batch's whole device chain: upload, sort, likelihood (only the ten
+  /// log-likelihoods per site come back), then the posterior kernel, whose
+  /// priors are host posterior work done first.
+  void likeli(Slot& slot, const SiteBatch& batch) {
+    priors_buf_.resize(slot.win.size);
+    calls_.resize(slot.win.size);
+    const genome::Reference& ref = *config_.reference;
+    ledger_.charge("post", off_stage([&] {
+                     for (u32 s = batch.begin; s < batch.end; ++s) {
+                       const u64 pos = slot.win.start + s;
+                       priors_buf_[s] = priors_.get(
+                           ref.base(pos),
+                           config_.dbsnp ? config_.dbsnp->find(pos) : nullptr);
+                     }
+                   }),
+                   0.0);
+    boffsets_.resize(batch.sites() + 1);
+    for (u32 s = 0; s <= batch.sites(); ++s)
+      boffsets_[s] = slot.sparse.offsets[batch.begin + s] - batch.words_begin;
+
+    // Watermark the batch's footprint over the resident score tables (the
+    // budget bounds the batch; worst_case_device_bytes adds the tables).
+    const u64 batch_base = dev_.allocated_bytes();
+    dev_.reset_peak_watermark();
+    upload("likeli_sort", "h2d:base_word", words_dev_,
+           std::span<const u32>(slot.sparse.words)
+               .subspan(batch.words_begin, batch.words()));
+    dispatch(kCompute, "likeli_sort", [this](device::Device& d) {
+      sortnet::sort_device_multipass_resident(
+          d, *words_dev_, boffsets_, sortnet::kDefaultClassBounds,
+          ledger_.tracer);
+    });
+    upload("likeli_comp", "h2d:offsets", offsets_dev_,
+           std::span<const u64>(boffsets_));
+    dispatch(kCompute, "likeli_comp", [this, &slot, &batch](device::Device& d) {
+      const std::vector<TypeLikely> likely = device_likelihood_sparse_resident(
+          d, *words_dev_, *offsets_dev_, batch.sites(), *tables_);
+      std::copy(likely.begin(), likely.end(),
+                slot.type_likely.begin() + batch.begin);
+      words_dev_.reset();  // the batch's residency ends here
+      offsets_dev_.reset();
+    });
+    dispatch(kCompute, "post", [this, &slot, &batch](device::Device& d) {
+      const std::vector<PosteriorCall> calls = device_posterior(
+          d,
+          std::span<const TypeLikely>(slot.type_likely)
+              .subspan(batch.begin, batch.sites()),
+          std::span<const GenotypePriors>(priors_buf_)
+              .subspan(batch.begin, batch.sites()));
+      std::copy(calls.begin(), calls.end(), calls_.begin() + batch.begin);
+    });
+    // A drain that also ran another window's output is not the batch's alone.
+    Slot* const carried = std::exchange(pending_output_, nullptr);
+    if (carried) dispatch_output(*carried);
+    sync();
+    if (config_.batch_bytes > 0 && !carried)
+      report_.batch.record_actual(dev_.peak_since_watermark() - batch_base);
+  }
+
+  void post(Slot& slot) {
+    window_posterior(config_, priors_, slot, &select_genotype, &calls_);
+    if (pool_) pending_output_ = &slot;
+  }
+
+  /// Overlapped, the window's output rides the next window's first batch.
+  void output(Slot& slot) {
+    if (pool_) return;
+    dispatch_output(slot);
+    sync();
+  }
+
+  void finish(std::size_t slots) {
+    if (pending_output_) {  // the last window's output
+      dispatch_output(*std::exchange(pending_output_, nullptr));
+      sync();
+    }
+    HostSparseStages::finish(slots);
+    report_.peak_device_bytes = dev_.peak_allocated_bytes();
+    report_.device_counters = dev_.counters();
+    const device::DeviceCounters run_delta =
+        device::counters_delta(run_start_, dev_.counters());
+    report_.modeled_serial_seconds = model_.seconds(run_delta);
+    // Overlapped wall: the stream timelines' replay plus the device work
+    // outside any stream (the table upload); a serial run overlaps nothing.
+    report_.modeled_wall_seconds =
+        pool_ ? pool_->modeled_wall_seconds(model_) +
+                    model_.seconds(device::counters_delta(
+                        pool_->total_stream_counters(), run_delta))
+              : report_.modeled_serial_seconds;
+    report_.streams_used = pool_ ? pool_->size() : 1;
+  }
+
+ private:
+  /// Stream index per lane; with two streams output shares the copy stream.
+  enum Lane { kCompute, kCopy, kOut };
+
+  device::Stream& stream(Lane lane) {
+    return pool_->stream(std::min<u32>(lane, pool_->size() - 1));
+  }
+
+  /// One device op: overlapped, enqueued on its lane's stream (the compute
+  /// lane's next kernel waits for an upload); serial, run at once.
+  void dispatch(Lane lane, const char* name,
+                std::function<void(device::Device&)> fn) {
+    device::StreamOpRecord op;
+    op.kind = lane == kCopy ? device::StreamOpKind::kH2d
+                            : device::StreamOpKind::kLaunch;
+    op.name = name;
+    if (!pool_) {
+      op.delta = run_now(name, "stream", [&] { fn(dev_); });
+      ran_.push_back(std::move(op));
+      return;
+    }
+    stream(lane).enqueue(op.kind, op.name, std::move(fn));
+    if (lane != kCopy) return;
+    const device::Event uploaded = pool_->create_event();
+    stream(kCopy).record(uploaded);
+    stream(kCompute).wait(uploaded);
+  }
+
+  /// Run `fn` now, off-stage, under a device span; returns its counters.
+  template <typename F>
+  device::DeviceCounters run_now(const char* name, const char* category,
+                                 F&& fn) {
+    obs::Tracer::Scope span(ledger_.tracer, name, category, &dev_, &model_);
+    span.set_host_seconds(0.0);
+    const device::DeviceCounters before = dev_.counters();
+    off_stage(fn);
+    return device::counters_delta(before, dev_.counters());
+  }
+
+  /// The upload feeding kernel `op`, under a transfer span.
+  template <typename T>
+  void upload(const char* op, const char* transfer,
+              std::optional<device::DeviceBuffer<T>>& dst,
+              std::span<const T> src) {
+    dispatch(kCopy, op, [this, transfer, &dst, src](device::Device& d) {
+      obs::Tracer::Scope span(ledger_.tracer, transfer, "transfer", &d,
+                              &model_);
+      span.set_host_seconds(0.0);
+      dst.emplace(d.to_device(src));
+    });
+  }
+
+  /// The output op's host share is its wall time less the simulator time
+  /// the device RLE-DICT kernels burn inside it.
+  void dispatch_output(Slot& slot) {
+    dispatch(kOut, "output", [this, &slot](device::Device&) {
+      const Timer timer;
+      const double rle_before = rle_seconds_;
+      writer_->write_window(slot.rows, device_rle_);
+      output_host_seconds_ +=
+          std::max(0.0, timer.seconds() - (rle_seconds_ - rle_before));
+    });
+  }
+
+  /// Finish the dispatched ops (a drain is off-stage simulator time); charge
+  /// each to the component it is named after, likeli_* to "likeli" as well.
+  void sync() {
+    const std::size_t first = pool_ ? pool_->log().size() : 0;
+    if (pool_) off_stage([&] { pool_->sync(); });
+    const auto& ops = pool_ ? pool_->log() : ran_;
+    for (std::size_t i = first; i < ops.size(); ++i) {
+      const device::StreamOpRecord& op = ops[i];
+      if (op.kind == device::StreamOpKind::kRecord ||
+          op.kind == device::StreamOpKind::kWait)
+        continue;
+      const double modeled = model_.seconds(op.delta);
+      ledger_.charge(op.name.c_str(),
+                     op.name == "output"
+                         ? std::exchange(output_host_seconds_, 0.0)
+                         : 0.0,
+                     modeled);
+      if (op.name.starts_with("likeli_")) ledger_.charge("likeli", 0.0, modeled);
+    }
+    ran_.clear();
+  }
+
+  /// The window's priors and device calls; the current batch's rebased CSR
+  /// slice (site i owns words [boffsets_[i], boffsets_[i+1])) and buffers.
+  std::vector<GenotypePriors> priors_buf_;
+  std::vector<PosteriorCall> calls_;
+  std::vector<u64> boffsets_;
+  std::optional<device::DeviceBuffer<u32>> words_dev_;
+  std::optional<device::DeviceBuffer<u64>> offsets_dev_;
+  device::Device& dev_;
+  const device::PerfModel& model_;
+  const device::DeviceCounters run_start_;
+  std::optional<DeviceScoreTables> tables_;
+  obs::StreamSpanListener stream_spans_;
+  std::optional<device::StreamPool> pool_;  ///< overlapped runs only
+  std::vector<device::StreamOpRecord> ran_;  ///< ops not yet charged
+  Slot* pending_output_ = nullptr;
+  double rle_seconds_ = 0.0;
+  double output_host_seconds_ = 0.0;
+  const RleDictFn device_rle_ = [this](std::span<const u32> column,
+                                       std::vector<u8>& out) {
+    obs::Tracer::Scope span(ledger_.tracer, "rle_dict", "compress", &dev_,
+                            &model_);
+    span.set_host_seconds(0.0);
+    const Timer timer;
+    compress::device_encode_rle_dict(dev_, column, out);
+    rle_seconds_ += timer.seconds();
+  };
+};
+
+// ---- the window loop --------------------------------------------------------
+
+/// The one window loop: per window, load (cancel check, read, recycle,
+/// count, plan), likelihood over the plan's batches, posterior, output.
+/// Serial (streams <= 1) is its one-slot run on the calling thread.
+/// Overlapped is its two-slot run: window i+1 loads on the prefetch lane and
+/// window i-1 writes on the ordered output lane while window i computes.
+/// Each artifact comes from one stage and concurrent stages touch disjoint
+/// slots, so both runs produce the same bytes.
+template <typename Stages, typename... Args>
+RunReport run_windows(const EngineConfig& config, const char* engine,
+                      Args&&... args) {
+  GSNP_CHECK(config.reference != nullptr);
+  const Timer wall;
+  RunReport report;
+  report.sites = config.reference->size();
+  Ledger ledger{report, config.tracer};
+  Stages stages(config, ledger, std::forward<Args>(args)...);
+  {
+    const Stage stage(ledger, "cal_p");
+    stages.cal_p();
+  }
+
+  using Slot = typename Stages::Slot;
+  std::vector<Slot> slots(config.streams >= 2 ? 2 : 1);
+  WindowLoader loader(stages.source(), report.sites, stages.window_size());
+  // One load in flight at a time; false at the end of input.
+  const auto load = [&](Slot& slot) {
     check_cancel(config.cancel, "window");
     {
-      const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
-    }
-    if (!slot.loaded) return;
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      slot.dense->recycle();
+      const Stage stage(ledger, "read");
+      if (!loader.next(slot.win)) return false;
     }
     {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, slot.dense.get(), nullptr);
+      const Stage stage(ledger, "recycle");
+      stages.recycle(slot);
     }
+    const Stage stage(ledger, "count");
+    slot.plan = plan_window(config, stages.count(slot), report);
+    return true;
   };
 
-  std::shared_future<void> last_write;  // ordered output chain
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
-  for (u64 i = 0;; ++i) {
-    prefetch.get();  // window i ingested (or end of input); rethrows errors
-    Slot& slot = slots[i % depth];
-    if (!slot.loaded) break;
+  // Overlapped: the prefetch and ordered output lanes share a two-thread
+  // pool, declared after everything its tasks touch.  Serial: no pool; a
+  // load runs when awaited, a write on the spot.
+  std::optional<ThreadPool> lanes;
+  if (slots.size() > 1) lanes.emplace(2);
+  const auto prefetch_into = [&](Slot& slot) {
+    const auto task = [&load, &slot] { return load(slot); };
+    return lanes ? lanes->submit(task) : std::async(std::launch::deferred, task);
+  };
+  std::shared_future<void> last_write;
+  std::future<bool> prefetch = prefetch_into(slots[0]);
+  // get() waits for window i's load and rethrows its errors.
+  for (std::size_t i = 0; prefetch.get(); ++i) {
+    Slot& slot = slots[i % slots.size()];
     ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
+    prefetch = prefetch_into(slots[(i + 1) % slots.size()]);
     {
-      const StageScope scope(report.host, tracer, "likeli");
+      const Stage stage(ledger, "likeli");
       slot.type_likely.resize(slot.win.size);
-      over_batches(maybe_plan_batches(config, slot.obs.offsets, report),
-                   slot.win.size, [&](u32 begin, u32 end) {
-                     likelihood_dense_sites(*slot.dense, pm, begin, end,
-                                            slot.type_likely);
-                   });
+      for (const SiteBatch& batch : slot.plan.batches) {
+        obs::Tracer::Scope span(
+            config.batch_bytes > 0 ? config.tracer : nullptr, "batch",
+            "batcher");
+        span.note("sites", std::to_string(batch.sites()));
+        span.note("words", std::to_string(batch.words()));
+        span.note("planned_peak_bytes",
+                  std::to_string(batch.planned_peak_bytes));
+        stages.likeli(slot, batch);
+      }
     }
-    // The slot's previous occupant may still be draining through the writer;
-    // its rows must not be overwritten until that write retires.
-    if (slot.write_done.valid()) slot.write_done.wait();
+    // The slot's previous occupant may still be on the output lane; its rows
+    // must not be overwritten until that write retires.
+    if (slot.written.valid()) slot.written.wait();
     {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows);
+      const Stage stage(ledger, "post");
+      stages.post(slot);
     }
-    // Deferred output: window i writes while iteration i+1 computes.  Each
-    // task waits its predecessor, so windows hit the file in index order.
-    const std::shared_future<void> prev = last_write;
-    last_write = host_pool
-                     .submit([&, s = &slot, prev] {
-                       if (prev.valid()) prev.wait();
-                       const StageScope scope(report.host, tracer, "output");
-                       writer.write_window(s->rows);
-                     })
-                     .share();
-    slot.write_done = last_write;
+    const auto write = [&, s = &slot, prev = last_write] {
+      if (prev.valid()) prev.wait();  // windows reach the file in order
+      const Stage stage(ledger, "output");
+      stages.output(*s);
+    };
+    if (lanes)
+      slot.written = last_write = lanes->submit(write).share();
+    else
+      write();
   }
   // Join every outstanding write; get() rethrows the first failure.
   for (Slot& slot : slots)
-    if (slot.write_done.valid()) slot.write_done.get();
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes =
-      depth * slots[0].dense->bytes() + pm.flat().size() * sizeof(double);
-  return report;
-}
-
-/// Parameterization of the host sparse engine: gsnp_cpu and gsnp_simd run
-/// the identical pipeline over the identical data; only the per-site
-/// kernels (and the labels describing them) differ.  gsnp_cpu binds the
-/// scalar reference kernels, gsnp_simd the dispatch level simd::kernels()
-/// selected — so "forced scalar" gsnp_simd and gsnp_cpu execute the very
-/// same functions.
-struct HostSparseOps {
-  const char* engine;      ///< metrics tag: "gsnp_cpu" / "gsnp_simd"
-  const char* simd_level;  ///< non-null: span/metrics annotation
-  simd::SparseSiteFn sparse_site;
-  simd::SelectFn select;
-};
-
-/// Host sparse engine, overlapped: same shape as SOAPsnp's variant with the
-/// sparse representation — prefetch packs base_words for window i+1 while
-/// the main thread sorts + computes window i and the pool
-/// RLE-DICT-compresses and writes window i-1 (the compression lives inside
-/// the deferred output task, which is the point: it rides a spare host
-/// thread).
-RunReport run_host_sparse_overlapped(const EngineConfig& config,
-                                     const HostSparseOps& ops) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  report.streams_used = config.streams;
-  obs::Tracer* const tracer = config.tracer;
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-  }
-
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    BaseWordWindow sparse;
-    std::vector<TypeLikely> type_likely;
-    std::vector<SnpRow> rows;
-    std::shared_future<void> write_done;
-    bool loaded = false;
-  };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
-
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  const RleDictFn rle = host_rle_dict();
-  PriorCache priors(config.prior);
-  u64 max_words = 0;
-
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
-    }
-    if (!slot.loaded) return;
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      slot.sparse.reset(window_size);
-    }
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, nullptr, &slot.sparse);
-      max_words = std::max<u64>(max_words, slot.sparse.words.size());
-    }
-  };
-
-  std::shared_future<void> last_write;
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
-  for (u64 i = 0;; ++i) {
-    prefetch.get();
-    Slot& slot = slots[i % depth];
-    if (!slot.loaded) break;
-    ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
-    {
-      const StageScope likeli_scope(report.host, tracer, "likeli");
-      {
-        const StageScope sort_scope(report.host, tracer, "likeli_sort");
-        likelihood_sort_cpu(slot.sparse);
-      }
-      {
-        StageScope comp_scope(report.host, tracer, "likeli_comp");
-        if (ops.simd_level != nullptr) {
-          comp_scope.note("backend", ops.engine);
-          comp_scope.note("simd", ops.simd_level);
-        }
-        slot.type_likely.resize(slot.win.size);
-        over_batches(maybe_plan_batches(config, slot.sparse.offsets, report),
-                     slot.win.size, [&](u32 begin, u32 end) {
-                       likelihood_sparse_sites(ops.sparse_site, slot.sparse,
-                                               *npm, begin, end,
-                                               slot.type_likely);
-                     });
-      }
-    }
-    if (slot.write_done.valid()) slot.write_done.wait();
-    {
-      StageScope scope(report.host, tracer, "post");
-      if (ops.simd_level != nullptr) {
-        scope.note("backend", ops.engine);
-        scope.note("simd", ops.simd_level);
-      }
-      window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows, nullptr, ops.select);
-    }
-    const std::shared_future<void> prev = last_write;
-    last_write = host_pool
-                     .submit([&, s = &slot, prev] {
-                       if (prev.valid()) prev.wait();
-                       const StageScope scope(report.host, tracer, "output");
-                       writer.write_window(s->rows, rle);
-                     })
-                     .share();
-    slot.write_done = last_write;
-  }
-  for (Slot& slot : slots)
-    if (slot.write_done.valid()) slot.write_done.get();
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = depth * max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  return report;
-}
-
-/// GSNP, overlapped: the full three-way overlap of the paper's pipeline.
-/// Device work for window i is *enqueued* onto async streams (h2d copies on
-/// the copy stream, sort + likelihood on the compute stream, chained by
-/// events) together with window i-1's device-RLE output on the output
-/// stream, then drained in one deterministic sync — the overlap-aware wall
-/// clock charges max(compute, transfer, output) across the lanes.  The host
-/// thread-pool prefetches window i+1 meanwhile.  Per-component modeled
-/// seconds come from the per-op counter deltas in the pool's execution log,
-/// mapped to the same components the serial path charges.
-RunReport run_gsnp_overlapped(const EngineConfig& config, device::Device& dev,
-                              const device::PerfModel& model) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-  const device::DeviceCounters run_start = dev.counters();
-
-  // Synchronous device stage (table upload happens before the pipeline).
-  const auto device_scope = [&](const char* name, auto&& body) {
-    obs::Tracer::Scope span(tracer, name, "stage", &dev, &model);
-    span.set_host_seconds(0.0);
-    const device::DeviceCounters before = dev.counters();
-    body();
-    const device::DeviceCounters delta =
-        device::counters_delta(before, dev.counters());
-    report.device_modeled.add(name, model.seconds(delta));
-  };
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  std::optional<DeviceScoreTables> tables;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-    device_scope("cal_p", [&] { tables.emplace(dev, pm, *npm); });
-  }
-
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    BaseWordWindow sparse;
-    std::vector<TypeLikely> type_likely;
-    std::vector<GenotypePriors> window_priors;
-    std::vector<PosteriorCall> calls;
-    std::vector<SnpRow> rows;
-    std::optional<device::DeviceBuffer<u32>> words_dev;
-    std::optional<device::DeviceBuffer<u64>> offsets_dev;
-    /// Batched mode: the window's pack plan and one rebased CSR slice per
-    /// batch, built on the prefetch thread; the slices must outlive the
-    /// stream drain (memcpy_h2d reads them at execution time).
-    std::optional<BatchPlan> plan;
-    std::vector<std::vector<u64>> boffsets;
-    bool loaded = false;
-  };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
-
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
-
-  // Host "output" cost: wall time of write_window minus the simulator wall
-  // burned inside the device RLE-DICT kernels (modeled, not measured).
-  double rle_sim_wall = 0.0;
-  double output_host_wall = 0.0;
-  const RleDictFn rle = [&rle_sim_wall, &dev, &model, tracer](
-                            std::span<const u32> column, std::vector<u8>& out) {
-    obs::Tracer::Scope span(tracer, "rle_dict", "compress", &dev, &model);
-    span.set_host_seconds(0.0);
-    const Timer t;
-    compress::device_encode_rle_dict(dev, column, out);
-    rle_sim_wall += t.seconds();
-  };
-
-  const u32 n_streams = std::min<u32>(std::max<u32>(config.streams, 2), 8);
-  device::StreamPool pool(dev, n_streams);
-  obs::StreamSpanListener stream_spans(tracer, &dev, &model);
-  pool.set_listener(&stream_spans);
-  device::Stream& s_compute = pool.stream(0);
-  device::Stream& s_copy = pool.stream(1);
-  device::Stream& s_out = pool.stream(n_streams >= 3 ? 2 : 1);
-
-  // Same component attribution as the serial path's device_scope calls: the
-  // window upload belongs to likelihood_sort, the offsets upload to
-  // likelihood_comp (each precedes the kernel it feeds).
-  const auto component_of = [](const std::string& name) -> const char* {
-    if (name == "h2d:base_word" || name == "likeli_sort") return "likeli_sort";
-    if (name == "h2d:offsets" || name == "likeli_comp") return "likeli_comp";
-    if (name == "post") return "post";
-    if (name == "output") return "output";
-    return nullptr;
-  };
-  std::size_t log_cursor = 0;
-  const auto drain = [&] {
-    pool.sync();
-    const auto& log = pool.log();
-    for (; log_cursor < log.size(); ++log_cursor) {
-      const device::StreamOpRecord& rec = log[log_cursor];
-      if (const char* comp = component_of(rec.name))
-        report.device_modeled.add(comp, model.seconds(rec.delta));
-    }
-  };
-
-  u64 max_words = 0;
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
-    }
-    if (!slot.loaded) return;
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      slot.sparse.reset(window_size);
-    }
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, nullptr, &slot.sparse);
-      max_words = std::max<u64>(max_words, slot.sparse.words.size());
-      // Pack plan + rebased CSR slices ride the prefetch thread; a
-      // BatchBudgetError unwinds through the prefetch future's get().
-      slot.plan = maybe_plan_batches(config, slot.sparse.offsets, report);
-      slot.boffsets.clear();
-      if (slot.plan) {
-        slot.boffsets.resize(slot.plan->batches.size());
-        for (std::size_t bi = 0; bi < slot.plan->batches.size(); ++bi) {
-          const SiteBatch& b = slot.plan->batches[bi];
-          slot.boffsets[bi].resize(b.sites() + 1);
-          for (u32 s = 0; s <= b.sites(); ++s)
-            slot.boffsets[bi][s] =
-                slot.sparse.offsets[b.begin + s] - b.words_begin;
-        }
-      }
-    }
-  };
-
-  const auto enqueue_output = [&](Slot* ps) {
-    s_out.enqueue(device::StreamOpKind::kLaunch, "output",
-                  [&, ps](device::Device&) {
-                    const Timer t;
-                    rle_sim_wall = 0.0;
-                    writer.write_window(ps->rows, rle);
-                    output_host_wall +=
-                        std::max(0.0, t.seconds() - rle_sim_wall);
-                  });
-  };
-
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  Slot* prev_slot = nullptr;
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
-  for (u64 i = 0;; ++i) {
-    prefetch.get();
-    Slot& slot = slots[i % depth];
-    if (!slot.loaded) {
-      if (prev_slot != nullptr) {  // flush the last window's output
-        enqueue_output(prev_slot);
-        drain();
-      }
-      break;
-    }
-    ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
-
-    Slot* const cur = &slot;
-    if (cur->plan) {
-      // Stage A, batched: each batch's upload + sort + likelihood is
-      // enqueued and drained before the next batch uploads, so at most one
-      // batch is device-resident at a time (the budget's whole point).
-      // Window i-1's device-RLE output is enqueued alongside the first
-      // batch, keeping the output-lane overlap.  The plan is identical to
-      // the serial path's (same offsets, same budget), and so is the
-      // arithmetic — the actual watermark is only measured serially, where
-      // no concurrent output scratch pollutes it.
-      cur->type_likely.resize(cur->win.size);
-      bool output_enqueued = false;
-      for (std::size_t bi = 0; bi < cur->plan->batches.size(); ++bi) {
-        const SiteBatch& b = cur->plan->batches[bi];
-        const device::Event e_words = pool.create_event();
-        const device::Event e_offsets = pool.create_event();
-        s_copy.memcpy_h2d(cur->words_dev,
-                          std::span<const u32>(cur->sparse.words)
-                              .subspan(b.words_begin, b.words()),
-                          "h2d:base_word");
-        s_copy.record(e_words);
-        s_copy.memcpy_h2d(cur->offsets_dev,
-                          std::span<const u64>(cur->boffsets[bi]),
-                          "h2d:offsets");
-        s_copy.record(e_offsets);
-        s_compute.wait(e_words);
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "likeli_sort",
-            [&, cur, bi](device::Device& d) {
-              sortnet::sort_device_multipass_resident(
-                  d, *cur->words_dev, cur->boffsets[bi],
-                  sortnet::kDefaultClassBounds, tracer);
-            });
-        s_compute.wait(e_offsets);
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "likeli_comp",
-            [&, cur, bi](device::Device& d) {
-              const SiteBatch& bb = cur->plan->batches[bi];
-              const std::vector<TypeLikely> btl =
-                  device_likelihood_sparse_resident(d, *cur->words_dev,
-                                                    *cur->offsets_dev,
-                                                    bb.sites(), *tables);
-              std::copy(btl.begin(), btl.end(),
-                        cur->type_likely.begin() + bb.begin);
-            });
-        if (!output_enqueued && prev_slot != nullptr) {
-          enqueue_output(prev_slot);
-          output_enqueued = true;
-        }
-        drain();
-        cur->words_dev.reset();
-        cur->offsets_dev.reset();
-      }
-
-      // Stage B, batched: priors on the host, then one posterior launch per
-      // batch over its likelihood/prior slices.  Ops run sequentially on the
-      // compute stream, so each batch's posterior scratch is freed before
-      // the next allocates.
-      {
-        const StageScope scope(report.host, tracer, "post");
-        cur->window_priors.resize(cur->win.size);
-        for (u32 s = 0; s < cur->win.size; ++s) {
-          const u64 pos = cur->win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          cur->window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      cur->calls.resize(cur->win.size);
-      for (std::size_t bi = 0; bi < cur->plan->batches.size(); ++bi) {
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "post",
-            [&, cur, bi](device::Device& d) {
-              const SiteBatch& bb = cur->plan->batches[bi];
-              const std::vector<PosteriorCall> bcalls = device_posterior(
-                  d,
-                  std::span<const TypeLikely>(cur->type_likely)
-                      .subspan(bb.begin, bb.sites()),
-                  std::span<const GenotypePriors>(cur->window_priors)
-                      .subspan(bb.begin, bb.sites()));
-              std::copy(bcalls.begin(), bcalls.end(),
-                        cur->calls.begin() + bb.begin);
-            });
-      }
-      drain();
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, cur->win, cur->obs, cur->stats,
-                         cur->type_likely, cur->rows, &cur->calls);
-      }
-      prev_slot = cur;
-      continue;
-    }
-
-    // Stage A: window i's upload (copy stream) + sort + likelihood (compute
-    // stream, event-chained behind the uploads) concurrent with window
-    // i-1's device-RLE output (output stream).
-    const device::Event e_words = pool.create_event();
-    const device::Event e_offsets = pool.create_event();
-    s_copy.memcpy_h2d(cur->words_dev,
-                      std::span<const u32>(cur->sparse.words),
-                      "h2d:base_word");
-    s_copy.record(e_words);
-    s_copy.memcpy_h2d(cur->offsets_dev,
-                      std::span<const u64>(cur->sparse.offsets),
-                      "h2d:offsets");
-    s_copy.record(e_offsets);
-    s_compute.wait(e_words);
-    s_compute.enqueue(
-        device::StreamOpKind::kLaunch, "likeli_sort",
-        [&, cur](device::Device& d) {
-          sortnet::sort_device_multipass_resident(
-              d, *cur->words_dev, cur->sparse.offsets,
-              sortnet::kDefaultClassBounds, tracer);
-        });
-    s_compute.wait(e_offsets);
-    s_compute.enqueue(
-        device::StreamOpKind::kLaunch, "likeli_comp",
-        [&, cur](device::Device& d) {
-          cur->type_likely = device_likelihood_sparse_resident(
-              d, *cur->words_dev, *cur->offsets_dev, cur->win.size, *tables);
-        });
-    if (prev_slot != nullptr) enqueue_output(prev_slot);
-    drain();
-
-    // Stage B: posterior for window i.  A second, short drain: the kernel
-    // consumes the likelihoods stage A materialized.
-    {
-      const StageScope scope(report.host, tracer, "post");
-      cur->window_priors.resize(cur->win.size);
-      for (u32 s = 0; s < cur->win.size; ++s) {
-        const u64 pos = cur->win.start + s;
-        const genome::KnownSnpEntry* known =
-            config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-        cur->window_priors[s] = priors.get(ref.base(pos), known);
-      }
-    }
-    s_compute.enqueue(device::StreamOpKind::kLaunch, "post",
-                      [&, cur](device::Device& d) {
-                        cur->calls = device_posterior(d, cur->type_likely,
-                                                      cur->window_priors);
-                      });
-    drain();
-    {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, cur->win, cur->obs, cur->stats,
-                       cur->type_likely, cur->rows, &cur->calls);
-    }
-    // Window i's device residency ends here; i-1's buffers were already
-    // dropped, so at most one window's data is resident at a time.
-    cur->words_dev.reset();
-    cur->offsets_dev.reset();
-    prev_slot = cur;
-  }
-  report.host.add("output", output_host_wall);
-  report.device_modeled.add("likeli",
-                            report.device_modeled.get("likeli_sort") +
-                                report.device_modeled.get("likeli_comp"));
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = depth * max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  report.peak_device_bytes = dev.peak_allocated_bytes();
-  report.device_counters = dev.counters();
-  report.streams_used = n_streams;
-  for (u32 i = 0; i < n_streams; ++i)
-    report.stream_counters.push_back(pool.stream_counters(i));
-  const device::DeviceCounters run_delta =
-      device::counters_delta(run_start, dev.counters());
-  report.modeled_serial_seconds = model.seconds(run_delta);
-  // Wall = overlap-aware replay of the stream timelines, plus the device
-  // work that ran outside any stream (the cal_p table upload) charged
-  // serially.
-  report.modeled_wall_seconds =
-      pool.modeled_wall_seconds(model) +
-      model.seconds(device::counters_delta(pool.total_stream_counters(),
-                                           run_delta));
-  return report;
-}
-
-/// SOAPsnp, serial: the bit-exactness reference path.
-RunReport run_soapsnp_serial(const EngineConfig& config) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size = config.window_size
-                              ? config.window_size
-                              : EngineConfig::kDefaultSoapsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-
-  PMatrix pm;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/false);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.ingest = cal.ingest;
-  }
-
-  BaseOccWindow dense(window_size);
-  WindowLoader loader(
-      text_source(config.alignment_file, config.ingest, ref.size()),
-      ref.size(), window_size);
-  SnpTextWriter writer(config.output_file, ref.name());
-  const PriorCache priors(config.prior);
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, &dense, nullptr);
-    }
-    {
-      const StageScope scope(report.host, tracer, "likeli");
-      type_likely.resize(win.size);
-      over_batches(maybe_plan_batches(config, obs.offsets, report), win.size,
-                   [&](u32 begin, u32 end) {
-                     likelihood_dense_sites(dense, pm, begin, end, type_likely);
-                   });
-    }
-    {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, win, obs, stats, type_likely, rows);
-    }
-    {
-      const StageScope scope(report.host, tracer, "output");
-      writer.write_window(rows);
-    }
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      dense.recycle();
-    }
-  }
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = dense.bytes() + pm.flat().size() * sizeof(double);
-  return report;
-}
-
-/// Host sparse engine, serial: the bit-exactness reference path.
-RunReport run_host_sparse_serial(const EngineConfig& config,
-                                 const HostSparseOps& ops) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  {
-    // cal_p includes temp-file generation plus the new score tables
-    // (paper Table IV note).
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-  }
-
-  BaseWordWindow sparse(window_size);
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  const RleDictFn rle = host_rle_dict();
-  PriorCache priors(config.prior);
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-  u64 max_words = 0;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, nullptr, &sparse);
-      max_words = std::max<u64>(max_words, sparse.words.size());
-    }
-    {
-      // The aggregate "likeli" component is measured directly as the scope
-      // enclosing both phases (it used to be reconstructed afterwards as
-      // sort + comp, which silently drifted from what a wall clock around
-      // the stage would have read).
-      const StageScope likeli_scope(report.host, tracer, "likeli");
-      {
-        const StageScope sort_scope(report.host, tracer, "likeli_sort");
-        likelihood_sort_cpu(sparse);
-      }
-      {
-        StageScope comp_scope(report.host, tracer, "likeli_comp");
-        if (ops.simd_level != nullptr) {
-          comp_scope.note("backend", ops.engine);
-          comp_scope.note("simd", ops.simd_level);
-        }
-        type_likely.resize(win.size);
-        over_batches(maybe_plan_batches(config, sparse.offsets, report),
-                     win.size, [&](u32 begin, u32 end) {
-                       likelihood_sparse_sites(ops.sparse_site, sparse, *npm,
-                                               begin, end, type_likely);
-                     });
-      }
-    }
-    {
-      StageScope scope(report.host, tracer, "post");
-      if (ops.simd_level != nullptr) {
-        scope.note("backend", ops.engine);
-        scope.note("simd", ops.simd_level);
-      }
-      window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                       nullptr, ops.select);
-    }
-    {
-      const StageScope scope(report.host, tracer, "output");
-      writer.write_window(rows, rle);
-    }
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      sparse.reset(window_size);
-    }
-  }
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  return report;
-}
-
-/// GSNP, serial: the bit-exactness reference path.
-RunReport run_gsnp_serial(const EngineConfig& config, device::Device& dev,
-                          const device::PerfModel& model) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-  const device::DeviceCounters run_start = dev.counters();
-
-  // A device stage: the counter delta over `body` is modeled into GPU
-  // seconds (Table IV's device columns).  The span mirrors the same delta
-  // and model, with host_sec pinned to zero — the wall time `body` burns is
-  // simulator time, not time on the modeled hardware.
-  const auto device_scope = [&](const char* name, auto&& body) {
-    obs::Tracer::Scope span(tracer, name, "stage", &dev, &model);
-    span.set_host_seconds(0.0);
-    const device::DeviceCounters before = dev.counters();
-    body();
-    const device::DeviceCounters delta =
-        device::counters_delta(before, dev.counters());
-    report.device_modeled.add(name, model.seconds(delta));
-  };
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  std::optional<DeviceScoreTables> tables;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-    // load_table (Fig 2): tables uploaded once, before any likelihood work.
-    device_scope("cal_p", [&] { tables.emplace(dev, pm, *npm); });
-  }
-
-  BaseWordWindow sparse(window_size);
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  // The six quality columns go through the device RLE-DICT kernels; their
-  // modeled time is charged to "output" via the counters delta, and the
-  // *simulation* wall time they burn is subtracted from the measured host
-  // "output" time (the simulator is not the hardware being modeled).
-  PriorCache priors(config.prior);
-  double rle_sim_wall = 0.0;
-  const RleDictFn rle = [&dev, &model, &rle_sim_wall, tracer](
-                            std::span<const u32> column, std::vector<u8>& out) {
-    obs::Tracer::Scope span(tracer, "rle_dict", "compress", &dev, &model);
-    span.set_host_seconds(0.0);
-    const Timer t;
-    compress::device_encode_rle_dict(dev, column, out);
-    rle_sim_wall += t.seconds();
-  };
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-  u64 max_words = 0;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, nullptr, &sparse);
-      max_words = std::max<u64>(max_words, sparse.words.size());
-    }
-
-    // Depth-aware batching: the window is split into the batcher's
-    // position-ordered, byte-budgeted batches and each batch runs the full
-    // device chain (upload, multipass sort, likelihood, posterior) on a
-    // rebased CSR slice before the next begins.  Per-site arithmetic is
-    // batch-invariant and rows are still assembled and written once per
-    // window, so output is byte-identical to the fixed-window else-branch;
-    // only the launch geometry (and hence the device counters) changes.
-    // Each batch's actual allocation watermark is measured against its
-    // planned peak — the property the admission budget relies on.
-    if (const auto plan = maybe_plan_batches(config, sparse.offsets, report)) {
-      std::vector<GenotypePriors> window_priors(win.size);
-      {
-        const StageScope scope(report.host, tracer, "post");
-        for (u32 s = 0; s < win.size; ++s) {
-          const u64 pos = win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      type_likely.resize(win.size);
-      std::vector<PosteriorCall> calls(win.size);
-      for (const SiteBatch& b : plan->batches) {
-        obs::Tracer::Scope batch_span(tracer, "batch", "batcher", &dev,
-                                      &model);
-        batch_span.set_host_seconds(0.0);
-        batch_span.note("sites", std::to_string(b.sites()));
-        batch_span.note("words", std::to_string(b.words()));
-        batch_span.note("planned_peak_bytes",
-                        std::to_string(b.planned_peak_bytes));
-        // Watermark the batch's incremental footprint over the resident
-        // score tables (the budget bounds the batch, not the run baseline;
-        // worst_case_device_bytes accounts for the tables).
-        const u64 batch_base = dev.allocated_bytes();
-        dev.reset_peak_watermark();
-        // Rebased CSR slice: batch-local site i owns words
-        // [boffsets[i], boffsets[i+1]) of the batch's word upload.
-        std::vector<u64> boffsets(b.sites() + 1);
-        for (u32 s = 0; s <= b.sites(); ++s)
-          boffsets[s] = sparse.offsets[b.begin + s] - b.words_begin;
-        {
-          std::optional<device::DeviceBuffer<u32>> words_dev;
-          std::optional<device::DeviceBuffer<u64>> offsets_dev;
-          device_scope("likeli_sort", [&] {
-            {
-              obs::Tracer::Scope h2d(tracer, "h2d:base_word", "transfer",
-                                     &dev, &model);
-              h2d.set_host_seconds(0.0);
-              words_dev.emplace(dev.to_device(
-                  std::span<const u32>(sparse.words)
-                      .subspan(b.words_begin, b.words())));
-            }
-            sortnet::sort_device_multipass_resident(
-                dev, *words_dev, boffsets, sortnet::kDefaultClassBounds,
-                tracer);
-          });
-          device_scope("likeli_comp", [&] {
-            {
-              obs::Tracer::Scope h2d(tracer, "h2d:offsets", "transfer", &dev,
-                                     &model);
-              h2d.set_host_seconds(0.0);
-              offsets_dev.emplace(
-                  dev.to_device(std::span<const u64>(boffsets)));
-            }
-            const std::vector<TypeLikely> btl =
-                device_likelihood_sparse_resident(dev, *words_dev,
-                                                  *offsets_dev, b.sites(),
-                                                  *tables);
-            std::copy(btl.begin(), btl.end(),
-                      type_likely.begin() + b.begin);
-          });
-        }
-        device_scope("post", [&] {
-          const std::vector<PosteriorCall> bcalls = device_posterior(
-              dev,
-              std::span<const TypeLikely>(type_likely)
-                  .subspan(b.begin, b.sites()),
-              std::span<const GenotypePriors>(window_priors)
-                  .subspan(b.begin, b.sites()));
-          std::copy(bcalls.begin(), bcalls.end(), calls.begin() + b.begin);
-        });
-        const u64 actual = dev.peak_since_watermark() - batch_base;
-        report.batch.record_actual(actual);
-        batch_span.note("actual_peak_bytes", std::to_string(actual));
-      }
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                         &calls);
-      }
-    } else {
-    // The window's base_word data goes to the device once and stays
-    // resident through sorting and likelihood (the production data flow);
-    // only the ten log-likelihoods per site come back.  The enclosing
-    // "likeli" span captures the combined counter delta, so its modeled
-    // seconds equal likeli_sort + likeli_comp (the model is linear in the
-    // counters) — the trace stays consistent with the aggregate component.
-    {
-      obs::Tracer::Scope likeli_span(tracer, "likeli", "stage", &dev, &model);
-      likeli_span.set_host_seconds(0.0);
-      std::optional<device::DeviceBuffer<u32>> words_dev;
-      std::optional<device::DeviceBuffer<u64>> offsets_dev;
-
-      // likelihood_sort: multipass batch bitonic, device-resident.
-      device_scope("likeli_sort", [&] {
-        {
-          obs::Tracer::Scope h2d(tracer, "h2d:base_word", "transfer", &dev,
-                                 &model);
-          h2d.set_host_seconds(0.0);
-          words_dev.emplace(
-              dev.to_device(std::span<const u32>(sparse.words)));
-        }
-        sortnet::sort_device_multipass_resident(
-            dev, *words_dev, sparse.offsets, sortnet::kDefaultClassBounds,
-            tracer);
-      });
-
-      // likelihood_comp: the optimized kernel (shared memory + new table).
-      device_scope("likeli_comp", [&] {
-        {
-          obs::Tracer::Scope h2d(tracer, "h2d:offsets", "transfer", &dev,
-                                 &model);
-          h2d.set_host_seconds(0.0);
-          offsets_dev.emplace(
-              dev.to_device(std::span<const u64>(sparse.offsets)));
-        }
-        type_likely = device_likelihood_sparse_resident(
-            dev, *words_dev, *offsets_dev, win.size, *tables);
-      });
-    }
-
-    {
-      // Posterior: prior construction + genotype selection on the device
-      // (modeled), statistics assembly on the host (measured).
-      std::vector<GenotypePriors> window_priors(win.size);
-      std::vector<PosteriorCall> calls;
-      {
-        const StageScope scope(report.host, tracer, "post");
-        for (u32 s = 0; s < win.size; ++s) {
-          const u64 pos = win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      device_scope("post",
-                   [&] { calls = device_posterior(dev, type_likely,
-                                                  window_priors); });
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                         &calls);
-      }
-    }
-    }
-    {
-      // Host output seconds = wall time minus the simulator wall burned
-      // inside the RLE-DICT kernels (their time is modeled, not measured).
-      StageScope scope(report.host, tracer, "output");
-      rle_sim_wall = 0.0;
-      device_scope("output", [&] { writer.write_window(rows, rle); });
-      scope.deduct(rle_sim_wall);
-    }
-    {
-      // Sparse recycle: offsets reset on the host, device buffers are
-      // per-window; the dense 131,072-byte-per-site memset is gone entirely.
-      const StageScope scope(report.host, tracer, "recycle");
-      sparse.reset(window_size);
-    }
-  }
-  report.device_modeled.add("likeli", report.device_modeled.get("likeli_sort") +
-                                          report.device_modeled.get("likeli_comp"));
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  report.peak_device_bytes = dev.peak_allocated_bytes();
-  report.device_counters = dev.counters();
-  // The serial path has no overlap: modeled wall == the no-overlap baseline.
-  report.modeled_serial_seconds =
-      model.seconds(device::counters_delta(run_start, dev.counters()));
-  report.modeled_wall_seconds = report.modeled_serial_seconds;
-  return report;
-}
-
-/// One engine call: its wall time, measured once around the whole call,
-/// goes into RunReport::wall_seconds and the run totals into the tracer's
-/// metrics.
-template <typename Run>
-RunReport timed_run(const EngineConfig& config, const char* engine, Run&& run) {
-  const Timer timer;
-  RunReport report = run();
-  report.wall_seconds = timer.seconds();
+    if (slot.written.valid()) slot.written.get();
+  stages.finish(slots.size());
+  report.wall_seconds = wall.seconds();
   record_run_metrics(config.tracer, engine, report);
   return report;
 }
@@ -1344,31 +723,19 @@ RunReport timed_run(const EngineConfig& config, const char* engine, Run&& run) {
 }  // namespace
 
 RunReport run_soapsnp(const EngineConfig& config) {
-  return timed_run(config, "soapsnp", [&] {
-    return config.streams >= 2 ? run_soapsnp_overlapped(config)
-                               : run_soapsnp_serial(config);
-  });
+  return run_windows<DenseStages>(config, "soapsnp");
 }
 
 RunReport run_gsnp_cpu(const EngineConfig& config) {
-  static constexpr HostSparseOps kScalarOps{
-      "gsnp_cpu", nullptr, &likelihood_sparse_site, &select_genotype};
-  return timed_run(config, kScalarOps.engine, [&] {
-    return config.streams >= 2 ? run_host_sparse_overlapped(config, kScalarOps)
-                               : run_host_sparse_serial(config, kScalarOps);
-  });
+  return run_windows<HostSparseStages>(config, "gsnp_cpu");
 }
 
 RunReport run_gsnp_simd(const EngineConfig& config) {
   // Resolve the dispatch level once per run (env override or CPU detection;
   // see simd.hpp) so every window of one run uses one kernel set.
   const simd::Kernels& kernels = simd::active_kernels();
-  const HostSparseOps ops{"gsnp_simd", simd::level_name(kernels.level),
-                          kernels.sparse_site, kernels.select_genotype};
-  RunReport report = timed_run(config, ops.engine, [&] {
-    return config.streams >= 2 ? run_host_sparse_overlapped(config, ops)
-                               : run_host_sparse_serial(config, ops);
-  });
+  RunReport report = run_windows<HostSparseStages>(
+      config, "gsnp_simd", kernels.sparse_site, kernels.select_genotype);
   if (config.tracer != nullptr)
     config.tracer->metrics().add(std::string("simd_level_") +
                                  simd::level_name(kernels.level));
@@ -1377,10 +744,7 @@ RunReport run_gsnp_simd(const EngineConfig& config) {
 
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
                    const device::PerfModel& model) {
-  return timed_run(config, "gsnp", [&] {
-    return config.streams >= 2 ? run_gsnp_overlapped(config, dev, model)
-                               : run_gsnp_serial(config, dev, model);
-  });
+  return run_windows<DeviceStages>(config, "gsnp", dev, model);
 }
 
 }  // namespace gsnp::core

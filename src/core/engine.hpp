@@ -24,6 +24,10 @@
 // All engines emit identical SnpRow streams (paper §IV-G); only the
 // container format differs (text vs compressed).  Component times use the
 // paper's seven names: cal_p, read, count, likeli, post, output, recycle.
+// Each engine is a small stage bundle run by one window loop (run_windows
+// in engine.cpp), which owns the batch loop, the serial and overlapped
+// modes and the stage accounting; a bundle supplies count, likelihood,
+// posterior and output for its representation.
 // Callers normally go through the registry in core/backend.hpp instead of
 // naming these entry points directly.
 
@@ -83,25 +87,16 @@ struct EngineConfig {
   /// drift.  Null = tracing off (zero overhead).
   obs::Tracer* tracer = nullptr;
 
-  /// Overlapped-pipeline knobs.  `streams <= 1` selects the serial reference
-  /// path (unchanged, the bit-exactness baseline).  `streams >= 2` runs the
-  /// double-buffered pipeline: the GSNP engine issues device work onto a
-  /// StreamPool of `streams` async streams (compute / h2d / output lanes)
-  /// while a host thread pool prefetches (ingests + packs) the next window
-  /// and the previous window's output+compression drains on its own stream;
-  /// the CPU engines prefetch the next window and defer output (SOAPsnp
-  /// text, GSNP_CPU host RLE-DICT) to ordered thread-pool tasks.  All
-  /// arithmetic runs in the same order on the same data as the serial path,
-  /// so output is byte-identical by construction (tests/test_determinism).
+  /// `streams <= 1` runs the window loop's serial mode: one window slot,
+  /// every stage on the calling thread, and (GSNP) each device op at once.
+  /// `streams >= 2` runs its overlapped mode, the paper's double buffer: two
+  /// slots, with window i+1 loading on a prefetch lane and window i-1
+  /// writing on an ordered output lane while window i computes; the GSNP
+  /// engine also spreads its device ops over min(streams, 8) async streams
+  /// (compute / copy / output) whose modeled timelines overlap.  Both modes
+  /// run the same arithmetic on the same data in the same order, so output
+  /// is byte-identical (tests/test_determinism).
   u32 streams = 1;
-  /// Window slots in flight for the overlapped path (clamped to >= 2).
-  /// SOAPsnp note: each slot owns a dense base_occ window, so memory scales
-  /// with depth there; the sparse engines pay ~0.1% of that per slot.
-  u32 pipeline_depth = 2;
-  /// Host worker threads for ingest prefetch + deferred output tasks.  Any
-  /// size (including 1) produces identical output; it only changes how much
-  /// host work overlaps.
-  u32 host_threads = 2;
 
   /// Optional cooperative cancellation.  The engines poll the token at
   /// window boundaries and periodically inside the cal_p streaming pass, and
@@ -111,15 +106,15 @@ struct EngineConfig {
   /// Null = never cancelled (zero overhead beyond one branch per window).
   const CancelToken* cancel = nullptr;
 
-  /// Depth-aware batching (src/core/batcher.hpp).  0 = off: every window is
-  /// one device batch, the historical fixed-window behavior.  > 0: each
-  /// loader window is split into position-ordered batches whose planned
-  /// device footprint never exceeds this many bytes, so batch size floats
-  /// with observed depth.  Output stays byte-identical to the fixed-window
-  /// path on every backend (batches never span a window, and per-site
-  /// arithmetic is batch-invariant); device counters differ (more, smaller
-  /// launches).  Host backends use the same plan to chunk their per-site
-  /// loops, so RunReport::batch is populated for all four backends.  Throws
+  /// Depth-aware batching (src/core/batcher.hpp).  0 = off: each window is
+  /// a one-batch plan, the fixed-window behavior.  > 0: each loader window
+  /// is split into position-ordered batches whose planned device footprint
+  /// never exceeds this many bytes, so batch size floats with observed
+  /// depth.  Output stays byte-identical to fixed windows on every backend
+  /// (batches never span a window, and per-site arithmetic is
+  /// batch-invariant); device counters differ (more, smaller launches).
+  /// Host backends run their per-site loops over the same plan, so
+  /// RunReport::batch is populated for all four backends.  Throws
   /// BatchBudgetError if a single site cannot fit.
   u64 batch_bytes = 0;
 
@@ -130,7 +125,7 @@ struct EngineConfig {
 
 struct RunReport {
   /// Wall-clock seconds of the whole engine call, measured once around it.
-  /// Stage stopwatches overlap on the overlapped paths (and run on several
+  /// Stage stopwatches overlap in overlapped runs (and run on several
   /// threads inside a stage), so their sum, total(), is not elapsed time.
   double wall_seconds = 0.0;
   StopwatchSet host;            ///< measured seconds per component
@@ -148,24 +143,21 @@ struct RunReport {
   /// per reason), from the cal_p streaming pass.
   IngestStats ingest;
 
-  /// Number of device streams the run actually used (1 = serial path).
+  /// Streams the run used (1 = serial; GSNP caps the overlap at 8).
   u32 streams_used = 1;
   /// Overlap-aware modeled device wall seconds for the whole run: stream
   /// timelines replayed with event dependencies (max across concurrent
-  /// streams), plus non-stream device work charged serially.  For the
-  /// serial path this equals modeled_serial_seconds.  GSNP engine only.
+  /// streams), plus non-stream device work charged serially.  A serial run
+  /// has one stream, so this equals modeled_serial_seconds.  GSNP only.
   double modeled_wall_seconds = 0.0;
   /// No-overlap baseline: PerfModel seconds over the run's whole device
   /// counter delta.  Identical for serial and overlapped runs of the same
   /// input (the counters are identical).  GSNP engine only.
   double modeled_serial_seconds = 0.0;
-  /// Exact per-stream counter movement (overlapped GSNP runs; index =
-  /// stream id - 1).  Sums to the stream-issued part of device_counters.
-  std::vector<device::DeviceCounters> stream_counters;
-
   /// Depth-aware batching aggregate (EngineConfig::batch_bytes > 0 only):
   /// batch counts, planned peak from the cost model, and — on the device
-  /// engine — the actual per-batch allocation watermark.
+  /// engine — the actual per-batch allocation watermark of every batch
+  /// whose drain ran no other window's output.
   BatchStats batch;
 
   /// Combined (host + modeled device) seconds for one component.

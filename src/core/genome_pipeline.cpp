@@ -145,8 +145,6 @@ ChromosomeRunResult run_one_chromosome(const GenomeRunConfig& config,
   engine_config.window_size = config.window_size;
   engine_config.prior = config.prior;
   engine_config.streams = config.streams;
-  engine_config.pipeline_depth = config.pipeline_depth;
-  engine_config.host_threads = config.host_threads;
   engine_config.batch_bytes = config.batch_bytes;
   engine_config.ingest = config.ingest;
   if (engine_config.ingest.lenient() &&

@@ -75,13 +75,10 @@ struct GenomeRunConfig {
   std::filesystem::path output_dir;
   u32 window_size = 0;  ///< 0 = engine default
   PriorParams prior;
-  /// Overlapped-pipeline knobs, passed through to every chromosome's
-  /// EngineConfig (see there): streams <= 1 = serial reference path,
-  /// streams >= 2 = double-buffered pipeline.  Output is byte-identical
-  /// either way.
+  /// Passed through to every chromosome's EngineConfig (see there):
+  /// streams <= 1 = serial, streams >= 2 = overlapped.  Output is
+  /// byte-identical either way.
   u32 streams = 1;
-  u32 pipeline_depth = 2;
-  u32 host_threads = 2;
   /// Depth-aware batching budget in device bytes, passed through to every
   /// chromosome's EngineConfig (see there).  0 = off (fixed windows).
   u64 batch_bytes = 0;

@@ -238,6 +238,11 @@ void Tracer::Scope::set_host_seconds(double sec) {
   host_sec_override_ = std::max(0.0, sec);
 }
 
+void Tracer::Scope::set_modeled_seconds(double sec) {
+  if (!tracer_) return;
+  pending_->modeled_sec = std::max(0.0, sec);
+}
+
 void Tracer::Scope::set_stream(u32 stream_id) {
   if (!tracer_) return;
   pending_->stream = stream_id;

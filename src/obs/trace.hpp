@@ -129,6 +129,9 @@ class Tracer {
     /// Override the seconds this span contributes to the breakdown tables
     /// (default: its wall duration).  See SpanRecord::host_sec.
     void set_host_seconds(double sec);
+    /// Modeled device seconds for a span opened without a device: device
+    /// work measured elsewhere (a drained stream op) and charged to it.
+    void set_modeled_seconds(double sec);
     /// Assign the span to a device stream lane (Chrome exporter renders
     /// each stream as its own row).  See SpanRecord::stream.
     void set_stream(u32 stream_id);

@@ -423,7 +423,6 @@ core::GenomeRunConfig Daemon::job_run_config(const Job& job) {
   core::GenomeRunConfig cfg;
   cfg.output_dir = job.output_dir;
   cfg.window_size = job.spec.window_size;
-  cfg.streams = config_.streams;
   cfg.batch_bytes =
       job.spec.batch_bytes != 0 ? job.spec.batch_bytes : config_.batch_bytes;
   cfg.retry = config_.retry;

@@ -77,7 +77,6 @@ struct DaemonConfig {
   u64 max_payload_bytes = 64ull << 20;  ///< per-job summed alignment bytes
   core::RetryPolicy retry;         ///< per-chromosome device-fault policy
   IngestPolicy ingest;             ///< malformed-input policy for all jobs
-  u32 streams = 1;                 ///< engine pipeline width (1 = serial)
   /// Default depth-aware batching budget (device bytes per batch) for jobs
   /// that do not set JobSpec::batch_bytes.  0 = batching off.
   u64 batch_bytes = 0;

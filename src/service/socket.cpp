@@ -249,14 +249,6 @@ void LineServer::serve_connection(int fd) {
   ::close(fd);
 }
 
-LineClient::LineClient(const std::filesystem::path& socket_path)
-    : path_(socket_path) {
-  // Legacy semantics: eager connect, no deadlines, single attempt.
-  options_.op_timeout_seconds = 0.0;
-  options_.retry.max_attempts = 1;
-  ensure_connected();
-}
-
 LineClient::LineClient(std::filesystem::path socket_path,
                        ClientOptions options)
     : path_(std::move(socket_path)), options_(std::move(options)) {}

@@ -22,8 +22,7 @@
 //    mid-frame, stall before a reply, or deliver every reply one byte per
 //    write(); clients must survive all three.
 //
-// The resilient LineClient (ClientOptions constructor) wraps every request
-// in per-operation poll deadlines and a seeded-jitter reconnect loop (the
+// LineClient wraps every request in per-operation poll deadlines and a seeded-jitter reconnect loop (the
 // same core::RetryPolicy/backoff_sequence machinery the engines retry
 // with).  Blind resend after reconnect is safe for every protocol verb
 // because the daemon's mutating op — submit — is idempotent when the client
@@ -128,14 +127,10 @@ struct ClientOptions {
 
 class LineClient {
  public:
-  /// Legacy blocking client: connects eagerly (throws gsnp::Error when the
-  /// daemon is not listening), no deadlines, no retry — exactly the PR 6
-  /// behavior.
-  explicit LineClient(const std::filesystem::path& socket_path);
-
-  /// Resilient client: connects lazily on first request(); every request
-  /// runs under `options` deadlines and reconnects with jittered backoff on
-  /// connection loss, resending the line (see the idempotency note above).
+  /// Connects lazily on first request(); every request runs under
+  /// `options` deadlines and reconnects with jittered backoff on connection
+  /// loss, resending the line (see the idempotency note above).  A single
+  /// attempt with op_timeout_seconds = 0 is a plain blocking client.
   LineClient(std::filesystem::path socket_path, ClientOptions options);
 
   ~LineClient();
@@ -144,8 +139,7 @@ class LineClient {
   LineClient& operator=(const LineClient&) = delete;
 
   /// Send one line, block for one line back.  Throws gsnp::Error once every
-  /// attempt allowed by the options is exhausted (or immediately on the
-  /// legacy single-attempt path).
+  /// attempt allowed by the options is exhausted.
   std::string request(const std::string& line);
 
   bool connected() const { return fd_ >= 0; }

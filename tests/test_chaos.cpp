@@ -368,6 +368,14 @@ class NetChaosTest : public ::testing::Test {
     }
   }
 
+  /// A plain blocking client: one attempt, no deadline.
+  static ClientOptions single_attempt() {
+    ClientOptions options;
+    options.op_timeout_seconds = 0.0;
+    options.retry.max_attempts = 1;
+    return options;
+  }
+
   ClientOptions resilient(int attempts, double timeout_seconds) {
     ClientOptions options;
     options.retry.max_attempts = attempts;
@@ -389,7 +397,8 @@ TEST_F(NetChaosTest, OversizedFrameGetsTypedRejectAndClose) {
   start_server(options);
   if (server_ == nullptr) return;  // skipped
 
-  LineClient client(socket());
+  // One attempt, no deadline: the second request must fail, not reconnect.
+  LineClient client(socket(), single_attempt());
   const Response reject =
       parse_response(client.request(std::string(4'096, 'x')));
   EXPECT_FALSE(reject.ok);
@@ -398,7 +407,7 @@ TEST_F(NetChaosTest, OversizedFrameGetsTypedRejectAndClose) {
   EXPECT_THROW(client.request("hello"), Error);
 
   // A new, well-behaved connection is unaffected.
-  LineClient fresh(socket());
+  LineClient fresh(socket(), single_attempt());
   EXPECT_EQ(fresh.request("hello"), "echo:hello");
 }
 

@@ -1,20 +1,23 @@
-// The determinism battery (overlapped-pipeline lockdown).
+// The determinism battery (one window loop, every mode and plan).
 //
-// The overlapped engine paths (EngineConfig::streams >= 2) promise output
-// *byte-identical* to the serial reference path, for any stream count, any
-// pipeline depth and any host thread-pool size.  This file is the contract's
-// enforcement: it runs the full pipeline repeatedly — twice serially and
-// under several overlapped configurations — across all three engines, and
-// asserts byte-identical raw output, byte-identical VCF conversion,
-// identical manifest digests and identical device counters.
+// The window loop promises output *byte-identical* across its modes — the
+// serial run (EngineConfig::streams <= 1) and the overlapped run (two window
+// slots, and for GSNP 2..8 device streams) — and across batch plans: fixed
+// windows and the depth-aware batcher.  This file is the contract's
+// enforcement: one matrix runs every backend in every mode under both plans
+// and asserts byte-identical raw output, byte-identical VCF conversion,
+// identical manifest digests and identical device counters, against the
+// serial run of the same plan; batched and fixed serial runs must produce
+// the same artifacts.
 //
 // A second section pins the end-to-end result against committed golden
 // SHA-256 hashes (tests/corpus/golden/), so a cross-PR behavioral drift is
-// caught even if serial and overlapped paths drift *together*.  Regenerate
-// with GSNP_UPDATE_GOLDEN=1 after an intentional output change.
+// caught even if every mode drifts *together*.  Regenerate with
+// GSNP_UPDATE_GOLDEN=1 after an intentional output change.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -51,14 +54,12 @@ std::string read_file_bytes(const fs::path& path) {
   return buf.str();
 }
 
-/// One overlapped-pipeline configuration under test.
+/// One run configuration under test.
 struct PipelineVariant {
-  const char* label;
+  std::string label;
   u32 streams;
-  u32 pipeline_depth;
-  u32 host_threads;
   /// Depth-aware batching budget (0 = fixed windows).  Small enough values
-  /// split every window, exercising the batched engine paths.
+  /// split every window into several batches.
   u64 batch_bytes = 0;
 };
 
@@ -120,8 +121,6 @@ class DeterminismBattery : public ::testing::Test {
         dir_ / (std::string(engine_name(kind)) + "_" + v.label);
     config.window_size = window_size_;
     config.streams = v.streams;
-    config.pipeline_depth = v.pipeline_depth;
-    config.host_threads = v.host_threads;
     config.batch_bytes = v.batch_bytes;
 
     device::Device dev;  // fresh per run: counters comparable across runs
@@ -161,7 +160,7 @@ class DeterminismBattery : public ::testing::Test {
   }
 
   void expect_identical(const RunFingerprint& a, const RunFingerprint& b,
-                        EngineKind kind, const char* label) {
+                        EngineKind kind, const std::string& label) {
     ASSERT_EQ(a.output_bytes.size(), b.output_bytes.size()) << label;
     for (std::size_t c = 0; c < a.output_bytes.size(); ++c) {
       EXPECT_EQ(a.output_bytes[c] == b.output_bytes[c], true)
@@ -201,27 +200,12 @@ class DeterminismBattery : public ::testing::Test {
     }
   }
 
-  /// The battery itself: serial twice (reproducibility with itself — seeded
-  /// input, deterministic code), then every overlapped variant vs serial.
-  void run_battery(EngineKind kind) {
-    static constexpr PipelineVariant kVariants[] = {
-        {"s2_p1", 2, 2, 1},  // overlapped, single host worker
-        {"s2_p2", 2, 2, 2},  // overlapped, default host pool
-        {"s4_p8", 4, 3, 8},  // wide: 4 streams, depth 3, oversubscribed pool
-    };
-    const RunFingerprint serial = run(kind, {"serial", 1, 2, 2});
-    expect_identical(run(kind, {"serial2", 1, 2, 2}), serial, kind,
-                     "serial rerun");
-    for (const PipelineVariant& v : kVariants)
-      expect_identical(run(kind, v), serial, kind, v.label);
-  }
-
   /// Batched-vs-fixed identity, minus device counters: batching re-shapes
   /// the device op stream (per-batch uploads, per-batch scratch), so the
   /// counters legitimately differ from the fixed-window run — the contract
   /// is on the *artifacts*: raw output, VCF and manifest digest.
   void expect_same_artifacts(const RunFingerprint& a, const RunFingerprint& b,
-                             EngineKind kind, const char* label) {
+                             EngineKind kind, const std::string& label) {
     ASSERT_EQ(a.output_bytes.size(), b.output_bytes.size()) << label;
     for (std::size_t c = 0; c < a.output_bytes.size(); ++c) {
       EXPECT_EQ(a.output_bytes[c] == b.output_bytes[c], true)
@@ -235,23 +219,29 @@ class DeterminismBattery : public ::testing::Test {
         << engine_name(kind) << " " << label << ": manifest digest differs";
   }
 
-  /// The batched battery: a fixed-window serial reference, then a batched
-  /// serial run (artifact-identical to fixed), then overlapped batched
-  /// variants (fully identical to batched serial, device counters included —
-  /// the overlapped paths execute the same per-batch op multiset).
-  void run_batched_battery(EngineKind kind) {
+  /// The matrix: each mode (serial, 2 and 4 streams) under each plan (fixed
+  /// windows, batched) is fully identical — device counters included — to
+  /// the serial run of its plan, and the two serial runs produce the same
+  /// artifacts.  Batching re-shapes the device op stream (per-batch uploads
+  /// and scratch), so only the counters may differ between plans.  With
+  /// `rerun`, the fixed serial run also reproduces itself.
+  void run_matrix(EngineKind kind, bool rerun) {
     // ~1/17th of a 2,048-site window's likelihood footprint: every window in
     // the 6x dataset splits into multiple batches.
     constexpr u64 kBudget = 256 * 1024;
-    static constexpr PipelineVariant kBatchedVariants[] = {
-        {"b_s2_p2", 2, 2, 2, kBudget},
-        {"b_s4_p8", 4, 3, 8, kBudget},
-    };
-    const RunFingerprint fixed = run(kind, {"b_fixed", 1, 2, 2, 0});
-    const RunFingerprint batched = run(kind, {"b_serial", 1, 2, 2, kBudget});
+    const RunFingerprint fixed = run(kind, {"fixed_serial", 1, 0});
+    if (rerun)
+      expect_identical(run(kind, {"fixed_serial_rerun", 1, 0}), fixed, kind,
+                       "serial rerun");
+    const RunFingerprint batched = run(kind, {"batched_serial", 1, kBudget});
     expect_same_artifacts(batched, fixed, kind, "batched serial");
-    for (const PipelineVariant& v : kBatchedVariants)
-      expect_identical(run(kind, v), batched, kind, v.label);
+    for (const u32 streams : {2u, 4u}) {
+      const std::string s = "_s" + std::to_string(streams);
+      expect_identical(run(kind, {"fixed" + s, streams, 0}), fixed, kind,
+                       "fixed" + s);
+      expect_identical(run(kind, {"batched" + s, streams, kBudget}), batched,
+                       kind, "batched" + s);
+    }
   }
 
   fs::path dir_;
@@ -260,45 +250,32 @@ class DeterminismBattery : public ::testing::Test {
   u32 window_size_ = 2'048;
 };
 
-TEST_F(DeterminismBattery, SoapsnpOverlappedMatchesSerial) {
-  run_battery(EngineKind::kSoapsnp);
+std::string backend_label(const ::testing::TestParamInfo<EngineKind>& info) {
+  std::string name = engine_name(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
 }
 
-TEST_F(DeterminismBattery, GsnpCpuOverlappedMatchesSerial) {
-  run_battery(EngineKind::kGsnpCpu);
+class DeterminismMatrix : public DeterminismBattery,
+                          public ::testing::WithParamInterface<EngineKind> {};
+
+TEST_P(DeterminismMatrix, EveryModeAndPlanMatchesSerial) {
+  run_matrix(GetParam(), /*rerun=*/true);
 }
 
-TEST_F(DeterminismBattery, GsnpOverlappedMatchesSerial) {
-  run_battery(EngineKind::kGsnp);
-}
+INSTANTIATE_TEST_SUITE_P(Backends, DeterminismMatrix,
+                         ::testing::Values(EngineKind::kSoapsnp,
+                                           EngineKind::kGsnpCpu,
+                                           EngineKind::kGsnp,
+                                           EngineKind::kGsnpSimd),
+                         backend_label);
 
-TEST_F(DeterminismBattery, GsnpSimdOverlappedMatchesSerial) {
-  run_battery(EngineKind::kGsnpSimd);
-}
-
-// ---- depth-aware batching (byte-capacity budget) ---------------------------
-
-TEST_F(DeterminismBattery, SoapsnpBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kSoapsnp);
-}
-
-TEST_F(DeterminismBattery, GsnpCpuBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kGsnpCpu);
-}
-
-TEST_F(DeterminismBattery, GsnpBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kGsnp);
-}
-
-TEST_F(DeterminismBattery, GsnpSimdBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kGsnpSimd);
-}
-
-/// The batched battery over a skewed-depth dataset: seeded 50-200x hotspot
-/// islands on a 6x baseline, so batch sizes genuinely float (hundreds of
-/// shallow sites per batch outside the islands, a handful of deep ones
-/// inside) while windows, streams and budgets interact.
-class HotspotDeterminism : public DeterminismBattery {
+/// The matrix over a skewed-depth dataset: seeded hotspot islands on a 6x
+/// baseline, so batch sizes genuinely float (hundreds of shallow sites per
+/// batch outside the islands, a handful of deep ones inside) while windows,
+/// streams and budgets interact.
+class HotspotDeterminism : public DeterminismBattery,
+                           public ::testing::WithParamInterface<EngineKind> {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() / "gsnp_hotspot_determinism_test";
@@ -342,15 +319,16 @@ class HotspotDeterminism : public DeterminismBattery {
   }
 };
 
-TEST_F(HotspotDeterminism, GsnpBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kGsnp);
+TEST_P(HotspotDeterminism, EveryModeAndPlanMatchesSerial) {
+  run_matrix(GetParam(), /*rerun=*/false);
 }
 
-TEST_F(HotspotDeterminism, GsnpCpuBatchedMatchesFixedWindow) {
-  run_batched_battery(EngineKind::kGsnpCpu);
-}
+INSTANTIATE_TEST_SUITE_P(Backends, HotspotDeterminism,
+                         ::testing::Values(EngineKind::kGsnpCpu,
+                                           EngineKind::kGsnp),
+                         backend_label);
 
-/// Fan-out vs inline: the serial reference path run from the test thread,
+/// Fan-out vs inline: the serial run from the test thread,
 /// where every window stage and device launch fans out on the compute
 /// executor, and under an InlineComputeScope, where the executor runs each
 /// of them inline, must produce the same bytes, digests and device counters.
@@ -397,9 +375,9 @@ class FanOutDeterminism : public DeterminismBattery {
     const bool dense = kind == EngineKind::kSoapsnp;
     jobs_ = {all_jobs_[dense ? 1 : 0]};
     window_size_ = dense ? 2'048 : static_cast<u32>(3 * kCountSitesPerRange);
-    const RunFingerprint fanned = run(kind, {"fan_out", 1, 2, 2});
+    const RunFingerprint fanned = run(kind, {"fan_out", 1});
     const RunFingerprint inlined =
-        run(kind, {"inline", 1, 2, 2}, /*run_inline=*/true);
+        run(kind, {"inline", 1}, /*run_inline=*/true);
     expect_identical(inlined, fanned, kind, "inline");
   }
 
@@ -434,7 +412,7 @@ TEST_F(DeterminismBattery, BackendMatrixIsByteIdentical) {
   // levels: gsnp-simd pinned to scalar, SSE2 and AVX2 must produce output
   // and VCF bytes identical to gsnp-cpu.  (Manifest digests embed the
   // engine id, so cross-backend identity is asserted on the bytes.)
-  const PipelineVariant v = {"matrix", 1, 2, 2};
+  const PipelineVariant v = {"matrix", 1};
   const RunFingerprint reference = run(EngineKind::kGsnpCpu, v);
 
   if (!simd::level_supported(simd::Level::kAvx2))
@@ -459,13 +437,10 @@ TEST_F(DeterminismBattery, BackendMatrixIsByteIdentical) {
 TEST_F(DeterminismBattery, EnginesAgreeUnderOverlap) {
   // The §IV-G cross-engine guarantee must survive overlap: an overlapped
   // GSNP run and an overlapped SOAPsnp run still call identical rows.
-  const PipelineVariant v = {"cross", 2, 2, 2};
   GenomeRunConfig config;
   config.chromosomes = jobs_;
   config.window_size = 2'048;
-  config.streams = v.streams;
-  config.pipeline_depth = v.pipeline_depth;
-  config.host_threads = v.host_threads;
+  config.streams = 2;
 
   device::Device dev;
   config.output_dir = dir_ / "cross_gsnp";
@@ -496,7 +471,7 @@ TEST_F(DeterminismBattery, GoldenEndToEndHashes) {
       fs::path(GSNP_TEST_CORPUS_DIR) / "golden" / "e2e.sha256";
 
   // Hash every backend's serial raw outputs and VCFs — the same artifacts
-  // the battery above proves the overlapped paths reproduce, so pinning
+  // the matrix above proves every mode and plan reproduces, so pinning
   // serial pins everything.  The registry's bit-exactness contract shows up
   // directly in the golden file: the .out/.vcf hashes of gsnp, gsnp_cpu and
   // gsnp_simd are the same hex strings (only the manifests differ, because
@@ -505,7 +480,7 @@ TEST_F(DeterminismBattery, GoldenEndToEndHashes) {
   for (const EngineKind kind :
        {EngineKind::kGsnp, EngineKind::kSoapsnp, EngineKind::kGsnpCpu,
         EngineKind::kGsnpSimd}) {
-    const RunFingerprint fp = run(kind, {"golden", 1, 2, 2});
+    const RunFingerprint fp = run(kind, {"golden", 1});
     for (std::size_t c = 0; c < fp.output_bytes.size(); ++c) {
       const std::string base =
           std::string(engine_name(kind)) + "/" + jobs_[c].name;

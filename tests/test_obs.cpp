@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "src/common/json.hpp"
 #include "src/common/timer.hpp"
+#include "src/core/backend.hpp"
 #include "src/core/engine.hpp"
 #include "src/device/device.hpp"
 #include "src/device/perf_model.hpp"
@@ -302,13 +307,17 @@ class TracedEngines : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Every component of the report must agree with the trace's per-stage
-  /// totals (the acceptance bar is 1%; construction makes it ~exact, the
-  /// slack only absorbs floating-point accumulation-order noise).
+  /// Every component of the report, and the likelihood's sort/comp detail
+  /// rows, must agree with the trace's per-stage totals (the acceptance bar
+  /// is 1%; construction makes it ~exact, the slack only absorbs
+  /// floating-point accumulation-order noise).
   static void expect_breakdown_matches(const core::RunReport& report,
                                        const Tracer& tracer) {
     const auto breakdown = tracer.stage_breakdown();
-    for (const char* name : core::kComponents) {
+    std::vector<const char*> names(std::begin(core::kComponents),
+                                   std::end(core::kComponents));
+    names.insert(names.end(), {"likeli_sort", "likeli_comp"});
+    for (const char* name : names) {
       const double table = report.component(name);
       const auto it = breakdown.find(name);
       const double traced = it == breakdown.end() ? 0.0 : it->second;
@@ -321,30 +330,6 @@ class TracedEngines : public ::testing::Test {
   genome::Reference ref_;
   core::EngineConfig config_;
 };
-
-TEST_F(TracedEngines, SoapsnpBreakdownMatchesReport) {
-  Tracer tracer;
-  config_.tracer = &tracer;
-  config_.output_file = dir_ / "out.txt";
-  const core::RunReport report = core::run_soapsnp(config_);
-  expect_breakdown_matches(report, tracer);
-  EXPECT_EQ(tracer.metrics().counter("runs_soapsnp"), 1u);
-  EXPECT_EQ(tracer.metrics().counter("sites"), report.sites);
-}
-
-TEST_F(TracedEngines, GsnpCpuBreakdownMatchesReport) {
-  Tracer tracer;
-  config_.tracer = &tracer;
-  config_.output_file = dir_ / "out.bin";
-  const core::RunReport report = core::run_gsnp_cpu(config_);
-  expect_breakdown_matches(report, tracer);
-  // The sub-phase detail rows agree too.
-  const auto breakdown = tracer.stage_breakdown();
-  EXPECT_NEAR(breakdown.at("likeli_sort"), report.host.get("likeli_sort"),
-              1e-9);
-  EXPECT_NEAR(breakdown.at("likeli_comp"), report.host.get("likeli_comp"),
-              1e-9);
-}
 
 TEST_F(TracedEngines, SitesPerSecGaugeUsesTheCallsWallTime) {
   // On the overlapped path the stage stopwatches overlap, so their sum
@@ -362,45 +347,88 @@ TEST_F(TracedEngines, SitesPerSecGaugeUsesTheCallsWallTime) {
                    static_cast<double>(report.sites) / report.wall_seconds);
 }
 
-TEST_F(TracedEngines, GsnpBreakdownAndDeviceTotalsMatchReport) {
+/// Every backend x {serial, overlapped} x {fixed windows, batched}: the
+/// trace's per-stage totals — and what write_metrics_json exports for
+/// --metrics-out — equal the report's components and detail rows, with the
+/// device's modeled seconds carried by stage spans in every mode.
+class TracedEngineMatrix
+    : public TracedEngines,
+      public ::testing::WithParamInterface<std::tuple<const char*, u32, u64>> {
+};
+
+TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
+  const auto [name, streams, batch_bytes] = GetParam();
+  const core::BackendInfo* backend = core::find_backend(name);
+  ASSERT_NE(backend, nullptr) << name;
   Tracer tracer;
   config_.tracer = &tracer;
-  config_.output_file = dir_ / "out.bin";
-  device::Device dev;
-  const core::RunReport report = core::run_gsnp(config_, dev);
+  config_.output_file = dir_ / "out";
+  // SOAPsnp holds a 128 KiB matrix per site in each of its window slots.
+  config_.window_size = 2'048;
+  config_.streams = streams;
+  config_.batch_bytes = batch_bytes;
+  std::optional<device::Device> dev;
+  if (backend->needs_device) dev.emplace();
+  const core::RunReport report =
+      core::run_backend(*backend, config_, dev ? &*dev : nullptr);
+  ASSERT_GT(report.windows, 1u);
   expect_breakdown_matches(report, tracer);
+  std::string engine = name;
+  std::replace(engine.begin(), engine.end(), '-', '_');
+  EXPECT_EQ(tracer.metrics().counter("runs_" + engine), 1u);
+  EXPECT_EQ(tracer.metrics().counter("sites"), report.sites);
+
+  // The exports round-trip with the same stage totals.
+  const fs::path mpath = dir_ / "metrics.json";
+  write_metrics_json(mpath, tracer);
+  const MetricsSnapshot snap = read_metrics_json(mpath);
+  for (const char* component : core::kComponents) {
+    const double table = report.component(component);
+    const auto it = snap.stages.find(component);
+    EXPECT_NEAR(it == snap.stages.end() ? 0.0 : it->second, table,
+                0.01 * std::max(table, 1e-9))
+        << "metrics component " << component;
+  }
+  if (!dev) return;
+  for (const char* component : {"likeli", "post", "output"})
+    EXPECT_GT(report.device_modeled.get(component), 0.0) << component;
 
   // Every device operation of the run happens under some device-capturing
   // span, and ancestor dedup prevents double counting — so the tracer's
   // device totals are exactly the device's own lifetime counters.
   const device::DeviceCounters totals = tracer.device_totals();
-  EXPECT_EQ(totals.instructions, dev.counters().instructions);
-  EXPECT_EQ(totals.h2d_bytes, dev.counters().h2d_bytes);
-  EXPECT_EQ(totals.d2h_bytes, dev.counters().d2h_bytes);
-  EXPECT_EQ(totals.kernel_launches, dev.counters().kernel_launches);
+  EXPECT_EQ(totals.instructions, dev->counters().instructions);
+  EXPECT_EQ(totals.h2d_bytes, dev->counters().h2d_bytes);
+  EXPECT_EQ(totals.d2h_bytes, dev->counters().d2h_bytes);
+  EXPECT_EQ(totals.kernel_launches, dev->counters().kernel_launches);
   EXPECT_EQ(tracer.device_peak_bytes(), report.peak_device_bytes);
 
-  // The per-window sort passes and RLE compression calls left their spans.
-  const auto spans = tracer.spans();
+  // The per-batch sort passes, transfers and RLE compression calls left
+  // their spans.
   int sort_passes = 0, rle_calls = 0, transfers = 0;
-  for (const auto& s : spans) {
-    if (s.category == "sort") ++sort_passes;
-    if (s.category == "compress") ++rle_calls;
-    if (s.category == "transfer") ++transfers;
+  for (const auto& span : tracer.spans()) {
+    if (span.category == "sort") ++sort_passes;
+    if (span.category == "compress") ++rle_calls;
+    if (span.category == "transfer") ++transfers;
   }
   EXPECT_GT(sort_passes, 0);
   EXPECT_GT(rle_calls, 0);
   EXPECT_GT(transfers, 0);
-
-  // And the exports round-trip with the same stage totals.
-  const fs::path mpath = dir_ / "metrics.json";
-  write_metrics_json(mpath, tracer);
-  const MetricsSnapshot snap = read_metrics_json(mpath);
-  for (const char* name : core::kComponents)
-    EXPECT_NEAR(snap.stages.at(name), report.component(name),
-                0.01 * std::max(report.component(name), 1e-9))
-        << name;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, TracedEngineMatrix,
+    ::testing::Combine(::testing::Values("soapsnp", "gsnp-cpu", "gsnp-simd",
+                                         "gsnp"),
+                       ::testing::Values(1u, 2u),
+                       ::testing::Values(u64{0}, u64{256 * 1024})),
+    [](const auto& info) {
+      std::string label = std::get<0>(info.param);
+      std::replace(label.begin(), label.end(), '-', '_');
+      label += std::get<1>(info.param) > 1 ? "_overlapped" : "_serial";
+      label += std::get<2>(info.param) > 0 ? "_batched" : "_fixed";
+      return label;
+    });
 
 }  // namespace
 }  // namespace gsnp::obs

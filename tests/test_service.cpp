@@ -900,7 +900,10 @@ TEST_F(ServiceFixture, SocketRoundTripServesSubmitStatusStats) {
                  << ": " << e.what();
   }
 
-  LineClient client(socket_path);
+  ClientOptions single_attempt;  // one attempt, no deadline
+  single_attempt.op_timeout_seconds = 0.0;
+  single_attempt.retry.max_attempts = 1;
+  LineClient client(socket_path, single_attempt);
 
   Request ping;
   ping.op = "ping";
