@@ -69,35 +69,6 @@ PMatrix cal_p_pass(const EngineConfig& config, bool write_temp,
   return pm;
 }
 
-/// Run totals into the tracer's metrics registry (exported with the run).
-void record_run_metrics(obs::Tracer* tracer, const char* engine,
-                        const RunReport& report) {
-  if (!tracer) return;
-  obs::Metrics& m = tracer->metrics();
-  m.add(std::string("runs_") + engine);
-  m.add("sites", report.sites);
-  m.add("windows", report.windows);
-  m.add("records", report.records);
-  m.add("output_bytes", report.output_bytes);
-  m.add("temp_bytes", report.temp_bytes);
-  m.add("records_quarantined", report.ingest.records_quarantined);
-  m.set_gauge("peak_host_bytes", static_cast<double>(report.peak_host_bytes));
-  m.set_gauge("peak_device_bytes",
-              static_cast<double>(report.peak_device_bytes));
-  if (report.batch.batches > 0) {
-    m.add("batches", report.batch.batches);
-    m.set_gauge("batch_budget_bytes",
-                static_cast<double>(report.batch.budget_bytes));
-    m.set_gauge("batch_planned_peak_bytes",
-                static_cast<double>(report.batch.planned_peak_bytes));
-    m.set_gauge("batch_actual_peak_bytes",
-                static_cast<double>(report.batch.actual_peak_bytes));
-  }
-  if (report.wall_seconds > 0.0)
-    m.set_gauge("sites_per_sec",
-                static_cast<double>(report.sites) / report.wall_seconds);
-}
-
 /// Seconds this thread spent, inside its open stage, on work that stage does
 /// not own: the device simulator (modeled from counters, not measured) and
 /// host work charged to another component.  Stages subtract it.
@@ -112,12 +83,15 @@ double off_stage(F&& fn) {
   return seconds;
 }
 
-/// Where a run's stage measurements go: the RunReport stopwatches (the
-/// Tables I/IV breakdowns) and, with a tracer attached, a "stage" span with
-/// the same seconds, so trace exports and the report cannot drift.
+/// Where a run's measurements go: the RunReport stopwatches (Tables I/IV),
+/// with a tracer a "stage" span of the same seconds, so trace exports and
+/// the report cannot drift, and at the end the tracer's run metrics.
 struct Ledger {
   RunReport& report;
   obs::Tracer* tracer;
+  const char* engine;
+  /// gsnp_simd's dispatch level, noted on its kernel stages' spans.
+  const char* simd_level = nullptr;
   /// A cost measured outside a Stage: a device op's modeled seconds.
   void charge(const char* name, double host_sec, double modeled_sec) const {
     if (host_sec > 0.0) report.host.add(name, host_sec);
@@ -126,16 +100,51 @@ struct Ledger {
     span.set_host_seconds(host_sec);
     span.set_modeled_seconds(modeled_sec);
   }
+
+  /// Run totals into the tracer's metrics registry (exported with the run).
+  void record_metrics() const {
+    if (!tracer) return;
+    obs::Metrics& m = tracer->metrics();
+    m.add(std::string("runs_") + engine);
+    if (simd_level) m.add(std::string("simd_level_") + simd_level);
+    m.add("sites", report.sites);
+    m.add("windows", report.windows);
+    m.add("records", report.records);
+    m.add("output_bytes", report.output_bytes);
+    m.add("temp_bytes", report.temp_bytes);
+    m.add("records_quarantined", report.ingest.records_quarantined);
+    m.set_gauge("peak_host_bytes", static_cast<double>(report.peak_host_bytes));
+    m.set_gauge("peak_device_bytes",
+                static_cast<double>(report.peak_device_bytes));
+    if (report.batch.batches > 0) {
+      m.add("batches", report.batch.batches);
+      m.set_gauge("batch_budget_bytes",
+                  static_cast<double>(report.batch.budget_bytes));
+      m.set_gauge("batch_planned_peak_bytes",
+                  static_cast<double>(report.batch.planned_peak_bytes));
+      m.set_gauge("batch_actual_peak_bytes",
+                  static_cast<double>(report.batch.actual_peak_bytes));
+    }
+    if (report.wall_seconds > 0.0)
+      m.set_gauge("sites_per_sec",
+                  static_cast<double>(report.sites) / report.wall_seconds);
+  }
 };
 
 /// One pipeline stage: its wall time less its off-stage time, recorded once.
+/// A kernel stage (likeli_comp, post) runs the backend's dispatched kernels;
+/// a gsnp_simd run notes its backend and SIMD level on that stage's span.
 class Stage {
  public:
-  Stage(const Ledger& ledger, const char* name)
+  Stage(const Ledger& ledger, const char* name, bool kernel = false)
       : ledger_(ledger),
         name_(name),
         span_(ledger.tracer, name, "stage"),
-        off_stage_at_start_(t_off_stage_seconds) {}
+        off_stage_at_start_(t_off_stage_seconds) {
+    if (!kernel || !ledger.simd_level) return;
+    span_.note("backend", ledger.engine);
+    span_.note("simd", ledger.simd_level);
+  }
   ~Stage() {
     const double sec = std::max(
         0.0, timer_.seconds() - (t_off_stage_seconds - off_stage_at_start_));
@@ -229,7 +238,7 @@ void window_posterior(const EngineConfig& config, const PriorCache& priors,
 // A bundle supplies one engine's stages to run_windows: a Slot type
 // (WindowSlot plus the engine's window state), window_size() and source()
 // for the window pass, cal_p(), recycle(slot), count(slot) returning the CSR
-// offsets the batch plan packs, likeli(slot, batch), post(slot),
+// offsets the batch plan packs, likeli(slot, batch, batch_span), post(slot),
 // output(slot), and finish(slots) for the report's output fields.
 
 /// What every bundle holds.
@@ -241,14 +250,12 @@ class StagesBase {
   StagesBase(const EngineConfig& config, Ledger& ledger, u32 default_window)
       : config_(config),
         ledger_(ledger),
-        report_(ledger.report),
         window_size_(config.window_size ? config.window_size
                                         : default_window),
         priors_(config.prior) {}
 
   const EngineConfig& config_;
   Ledger& ledger_;
-  RunReport& report_;
   const u32 window_size_;
   PriorCache priors_;
   PMatrix pm_;
@@ -275,7 +282,7 @@ class DenseStages : public StagesBase {
   }
 
   void cal_p() {
-    pm_ = cal_p_pass(config_, /*write_temp=*/false, report_);
+    pm_ = cal_p_pass(config_, /*write_temp=*/false, ledger_.report);
     writer_.emplace(config_.output_file, config_.reference->name());
   }
 
@@ -292,7 +299,7 @@ class DenseStages : public StagesBase {
   }
 
   /// Chunks of 64 sites: each site scans a 128 KiB matrix.
-  void likeli(Slot& slot, const SiteBatch& batch) {
+  void likeli(Slot& slot, const SiteBatch& batch, obs::Tracer::Scope&) {
     each_site(batch, 64, [&](u32 s) {
       slot.type_likely[s] = likelihood_dense_site(slot.dense->site(s), pm_);
     });
@@ -304,9 +311,9 @@ class DenseStages : public StagesBase {
   void output(Slot& slot) { writer_->write_window(slot.rows); }
 
   void finish(std::size_t slots) {
-    report_.output_bytes = writer_->finish();
-    report_.peak_host_bytes = slots * window_size() * kBaseOccPerSite +
-                              pm_.flat().size() * sizeof(double);
+    ledger_.report.output_bytes = writer_->finish();
+    ledger_.report.peak_host_bytes = slots * window_size() * kBaseOccPerSite +
+                                     pm_.flat().size() * sizeof(double);
   }
 
  private:
@@ -324,11 +331,12 @@ class HostSparseStages : public StagesBase {
   };
 
   HostSparseStages(const EngineConfig& config, Ledger& ledger,
-                   simd::SparseSiteFn sparse_site = &likelihood_sparse_site,
-                   simd::SelectFn select = &select_genotype)
+                   const simd::Kernels* simd = nullptr)
       : StagesBase(config, ledger, EngineConfig::kDefaultGsnpWindow),
-        sparse_site_(sparse_site),
-        select_(select) {}
+        sparse_site_(simd ? simd->sparse_site : &likelihood_sparse_site),
+        select_(simd ? simd->select_genotype : &select_genotype) {
+    if (simd) ledger.simd_level = simd::level_name(simd->level);
+  }
 
   WindowLoader::RecordSource source() const {
     auto reader = std::make_shared<compress::TempInputReader>(config_.temp_file);
@@ -337,7 +345,7 @@ class HostSparseStages : public StagesBase {
 
   /// cal_p includes the temp file and the new score tables (Table IV note).
   void cal_p() {
-    pm_ = cal_p_pass(config_, /*write_temp=*/true, report_);
+    pm_ = cal_p_pass(config_, /*write_temp=*/true, ledger_.report);
     npm_.emplace(pm_);
     writer_.emplace(config_.output_file, config_.reference->name());
   }
@@ -351,13 +359,13 @@ class HostSparseStages : public StagesBase {
     return slot.sparse.offsets;
   }
 
-  void likeli(Slot& slot, const SiteBatch& batch) {
+  void likeli(Slot& slot, const SiteBatch& batch, obs::Tracer::Scope&) {
     // The whole window's arrays are sorted once, ahead of its first batch.
     if (batch.begin == 0) {
       const Stage stage(ledger_, "likeli_sort");
       likelihood_sort_cpu(slot.sparse);
     }
-    const Stage stage(ledger_, "likeli_comp");
+    const Stage stage(ledger_, "likeli_comp", /*kernel=*/true);
     each_site(batch, kSitesPerChunk, [&](u32 s) {
       slot.type_likely[s] = sparse_site_(slot.sparse.site(s), *npm_);
     });
@@ -369,10 +377,10 @@ class HostSparseStages : public StagesBase {
   void output(Slot& slot) { writer_->write_window(slot.rows, host_rle_); }
 
   void finish(std::size_t slots) {
-    report_.output_bytes = writer_->finish();
-    report_.peak_host_bytes = slots * max_words_ * sizeof(u32) +
-                              npm_->flat().size() * sizeof(double) +
-                              pm_.flat().size() * sizeof(double);
+    ledger_.report.output_bytes = writer_->finish();
+    ledger_.report.peak_host_bytes = slots * max_words_ * sizeof(u32) +
+                                     npm_->flat().size() * sizeof(double) +
+                                     pm_.flat().size() * sizeof(double);
   }
 
  protected:
@@ -419,15 +427,15 @@ class DeviceStages : public HostSparseStages {
   /// The batch's whole device chain: upload, sort, likelihood (only the ten
   /// log-likelihoods per site come back), then the posterior kernel, whose
   /// priors are host posterior work done first.
-  void likeli(Slot& slot, const SiteBatch& batch) {
+  void likeli(Slot& slot, const SiteBatch& batch,
+              obs::Tracer::Scope& batch_span) {
     priors_buf_.resize(slot.win.size);
     calls_.resize(slot.win.size);
-    const genome::Reference& ref = *config_.reference;
     ledger_.charge("post", off_stage([&] {
                      for (u32 s = batch.begin; s < batch.end; ++s) {
                        const u64 pos = slot.win.start + s;
                        priors_buf_[s] = priors_.get(
-                           ref.base(pos),
+                           config_.reference->base(pos),
                            config_.dbsnp ? config_.dbsnp->find(pos) : nullptr);
                      }
                    }),
@@ -471,8 +479,10 @@ class DeviceStages : public HostSparseStages {
     Slot* const carried = std::exchange(pending_output_, nullptr);
     if (carried) dispatch_output(*carried);
     sync();
-    if (config_.batch_bytes > 0 && !carried)
-      report_.batch.record_actual(dev_.peak_since_watermark() - batch_base);
+    if (config_.batch_bytes == 0 || carried) return;
+    const u64 actual = dev_.peak_since_watermark() - batch_base;
+    ledger_.report.batch.record_actual(actual);
+    batch_span.note("actual_peak_bytes", std::to_string(actual));
   }
 
   void post(Slot& slot) {
@@ -482,9 +492,7 @@ class DeviceStages : public HostSparseStages {
 
   /// Overlapped, the window's output rides the next window's first batch.
   void output(Slot& slot) {
-    if (pool_) return;
-    dispatch_output(slot);
-    sync();
+    if (!pool_) dispatch_output(slot);
   }
 
   void finish(std::size_t slots) {
@@ -493,19 +501,19 @@ class DeviceStages : public HostSparseStages {
       sync();
     }
     HostSparseStages::finish(slots);
-    report_.peak_device_bytes = dev_.peak_allocated_bytes();
-    report_.device_counters = dev_.counters();
+    ledger_.report.peak_device_bytes = dev_.peak_allocated_bytes();
+    ledger_.report.device_counters = dev_.counters();
     const device::DeviceCounters run_delta =
         device::counters_delta(run_start_, dev_.counters());
-    report_.modeled_serial_seconds = model_.seconds(run_delta);
+    ledger_.report.modeled_serial_seconds = model_.seconds(run_delta);
     // Overlapped wall: the stream timelines' replay plus the device work
     // outside any stream (the table upload); a serial run overlaps nothing.
-    report_.modeled_wall_seconds =
+    ledger_.report.modeled_wall_seconds =
         pool_ ? pool_->modeled_wall_seconds(model_) +
                     model_.seconds(device::counters_delta(
                         pool_->total_stream_counters(), run_delta))
-              : report_.modeled_serial_seconds;
-    report_.streams_used = pool_ ? pool_->size() : 1;
+              : ledger_.report.modeled_serial_seconds;
+    if (pool_) ledger_.report.streams_used = pool_->size();
   }
 
  private:
@@ -517,19 +525,13 @@ class DeviceStages : public HostSparseStages {
   }
 
   /// One device op: overlapped, enqueued on its lane's stream (the compute
-  /// lane's next kernel waits for an upload); serial, run at once.
+  /// lane's next kernel waits for an upload); serial, run and charged at once.
   void dispatch(Lane lane, const char* name,
                 std::function<void(device::Device&)> fn) {
-    device::StreamOpRecord op;
-    op.kind = lane == kCopy ? device::StreamOpKind::kH2d
-                            : device::StreamOpKind::kLaunch;
-    op.name = name;
-    if (!pool_) {
-      op.delta = run_now(name, "stream", [&] { fn(dev_); });
-      ran_.push_back(std::move(op));
-      return;
-    }
-    stream(lane).enqueue(op.kind, op.name, std::move(fn));
+    if (!pool_) return charge(name, run_now(name, "stream", [&] { fn(dev_); }));
+    stream(lane).enqueue(lane == kCopy ? device::StreamOpKind::kH2d
+                                       : device::StreamOpKind::kLaunch,
+                         name, std::move(fn));
     if (lane != kCopy) return;
     const device::Event uploaded = pool_->create_event();
     stream(kCopy).record(uploaded);
@@ -572,26 +574,28 @@ class DeviceStages : public HostSparseStages {
     });
   }
 
-  /// Finish the dispatched ops (a drain is off-stage simulator time); charge
-  /// each to the component it is named after, likeli_* to "likeli" as well.
+  /// Overlapped, finish the enqueued ops (a drain is off-stage simulator
+  /// time) and charge each one.
   void sync() {
-    const std::size_t first = pool_ ? pool_->log().size() : 0;
-    if (pool_) off_stage([&] { pool_->sync(); });
-    const auto& ops = pool_ ? pool_->log() : ran_;
-    for (std::size_t i = first; i < ops.size(); ++i) {
-      const device::StreamOpRecord& op = ops[i];
-      if (op.kind == device::StreamOpKind::kRecord ||
-          op.kind == device::StreamOpKind::kWait)
-        continue;
-      const double modeled = model_.seconds(op.delta);
-      ledger_.charge(op.name.c_str(),
-                     op.name == "output"
-                         ? std::exchange(output_host_seconds_, 0.0)
-                         : 0.0,
-                     modeled);
-      if (op.name.starts_with("likeli_")) ledger_.charge("likeli", 0.0, modeled);
-    }
-    ran_.clear();
+    if (!pool_) return;
+    const std::size_t first = pool_->log().size();
+    off_stage([&] { pool_->sync(); });
+    const auto& ops = pool_->log();
+    for (std::size_t i = first; i < ops.size(); ++i)
+      if (ops[i].kind != device::StreamOpKind::kRecord &&
+          ops[i].kind != device::StreamOpKind::kWait)
+        charge(ops[i].name, ops[i].delta);
+  }
+
+  /// A finished op's counters go to the component it is named after,
+  /// likeli_* to "likeli" as well.
+  void charge(const std::string& name, const device::DeviceCounters& delta) {
+    const double modeled = model_.seconds(delta);
+    ledger_.charge(
+        name.c_str(),
+        name == "output" ? std::exchange(output_host_seconds_, 0.0) : 0.0,
+        modeled);
+    if (name.starts_with("likeli_")) ledger_.charge("likeli", 0.0, modeled);
   }
 
   /// The window's priors and device calls; the current batch's rebased CSR
@@ -607,7 +611,6 @@ class DeviceStages : public HostSparseStages {
   std::optional<DeviceScoreTables> tables_;
   obs::StreamSpanListener stream_spans_;
   std::optional<device::StreamPool> pool_;  ///< overlapped runs only
-  std::vector<device::StreamOpRecord> ran_;  ///< ops not yet charged
   Slot* pending_output_ = nullptr;
   double rle_seconds_ = 0.0;
   double output_host_seconds_ = 0.0;
@@ -638,7 +641,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   const Timer wall;
   RunReport report;
   report.sites = config.reference->size();
-  Ledger ledger{report, config.tracer};
+  Ledger ledger{report, config.tracer, engine};
   Stages stages(config, ledger, std::forward<Args>(args)...);
   {
     const Stage stage(ledger, "cal_p");
@@ -691,14 +694,14 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
         span.note("words", std::to_string(batch.words()));
         span.note("planned_peak_bytes",
                   std::to_string(batch.planned_peak_bytes));
-        stages.likeli(slot, batch);
+        stages.likeli(slot, batch, span);
       }
     }
     // The slot's previous occupant may still be on the output lane; its rows
     // must not be overwritten until that write retires.
     if (slot.written.valid()) slot.written.wait();
     {
-      const Stage stage(ledger, "post");
+      const Stage stage(ledger, "post", /*kernel=*/true);
       stages.post(slot);
     }
     const auto write = [&, s = &slot, prev = last_write] {
@@ -714,9 +717,10 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   // Join every outstanding write; get() rethrows the first failure.
   for (Slot& slot : slots)
     if (slot.written.valid()) slot.written.get();
+  if (lanes) report.streams_used = config.streams;
   stages.finish(slots.size());
   report.wall_seconds = wall.seconds();
-  record_run_metrics(config.tracer, engine, report);
+  ledger.record_metrics();
   return report;
 }
 
@@ -733,13 +737,8 @@ RunReport run_gsnp_cpu(const EngineConfig& config) {
 RunReport run_gsnp_simd(const EngineConfig& config) {
   // Resolve the dispatch level once per run (env override or CPU detection;
   // see simd.hpp) so every window of one run uses one kernel set.
-  const simd::Kernels& kernels = simd::active_kernels();
-  RunReport report = run_windows<HostSparseStages>(
-      config, "gsnp_simd", kernels.sparse_site, kernels.select_genotype);
-  if (config.tracer != nullptr)
-    config.tracer->metrics().add(std::string("simd_level_") +
-                                 simd::level_name(kernels.level));
-  return report;
+  return run_windows<HostSparseStages>(config, "gsnp_simd",
+                                       &simd::active_kernels());
 }
 
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,

@@ -143,7 +143,8 @@ struct RunReport {
   /// per reason), from the cal_p streaming pass.
   IngestStats ingest;
 
-  /// Streams the run used (1 = serial; GSNP caps the overlap at 8).
+  /// Streams the run used: 1 = serial, else EngineConfig::streams (GSNP
+  /// caps its device streams at 8).
   u32 streams_used = 1;
   /// Overlap-aware modeled device wall seconds for the whole run: stream
   /// timelines replayed with event dependencies (max across concurrent

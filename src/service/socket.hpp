@@ -22,13 +22,13 @@
 //    mid-frame, stall before a reply, or deliver every reply one byte per
 //    write(); clients must survive all three.
 //
-// LineClient wraps every request in per-operation poll deadlines and a seeded-jitter reconnect loop (the
-// same core::RetryPolicy/backoff_sequence machinery the engines retry
-// with).  Blind resend after reconnect is safe for every protocol verb
-// because the daemon's mutating op — submit — is idempotent when the client
-// supplies the job id: a resent submit of the identical spec is answered
-// from existing state, not run twice.  Resilient clients should therefore
-// always name their jobs.
+// LineClient wraps every request in per-operation poll deadlines and a
+// seeded-jitter reconnect loop (the same core::RetryPolicy/backoff_sequence
+// machinery the engines retry with).  Blind resend after reconnect is safe
+// for every protocol verb because the daemon's mutating op — submit — is
+// idempotent when the client supplies the job id: a resent submit of the
+// identical spec is answered from existing state, not run twice.  Resilient
+// clients should therefore always name their jobs.
 
 #include <atomic>
 #include <filesystem>

@@ -10,14 +10,17 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/backend.hpp"
 #include "src/core/engine.hpp"
+#include "src/core/simd.hpp"
 #include "src/device/device.hpp"
 #include "src/device/perf_model.hpp"
 #include "src/genome/synthetic.hpp"
@@ -307,21 +310,17 @@ class TracedEngines : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Every component of the report, and the likelihood's sort/comp detail
-  /// rows, must agree with the trace's per-stage totals (the acceptance bar
-  /// is 1%; construction makes it ~exact, the slack only absorbs
-  /// floating-point accumulation-order noise).
+  /// Every component of the report must have stage spans, and agree with
+  /// their total (the acceptance bar is 1%; construction makes it ~exact,
+  /// the slack only absorbs floating-point accumulation-order noise).
   static void expect_breakdown_matches(const core::RunReport& report,
                                        const Tracer& tracer) {
     const auto breakdown = tracer.stage_breakdown();
-    std::vector<const char*> names(std::begin(core::kComponents),
-                                   std::end(core::kComponents));
-    names.insert(names.end(), {"likeli_sort", "likeli_comp"});
-    for (const char* name : names) {
-      const double table = report.component(name);
+    for (const char* name : core::kComponents) {
       const auto it = breakdown.find(name);
-      const double traced = it == breakdown.end() ? 0.0 : it->second;
-      EXPECT_NEAR(traced, table, 0.01 * std::max(table, 1e-9))
+      ASSERT_NE(it, breakdown.end()) << "no stage span for " << name;
+      const double table = report.component(name);
+      EXPECT_NEAR(it->second, table, 0.01 * std::max(table, 1e-9))
           << "component " << name;
     }
   }
@@ -372,23 +371,55 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
   const core::RunReport report =
       core::run_backend(*backend, config_, dev ? &*dev : nullptr);
   ASSERT_GT(report.windows, 1u);
+  EXPECT_EQ(report.streams_used, streams);
   expect_breakdown_matches(report, tracer);
   std::string engine = name;
   std::replace(engine.begin(), engine.end(), '-', '_');
   EXPECT_EQ(tracer.metrics().counter("runs_" + engine), 1u);
   EXPECT_EQ(tracer.metrics().counter("sites"), report.sites);
 
+  // The likelihood's sort/comp detail rows are measured (host engines) or
+  // modeled (GSNP), and the trace carries the very same seconds.
+  const auto breakdown = tracer.stage_breakdown();
+  if (engine != "soapsnp") {
+    for (const char* row : {"likeli_sort", "likeli_comp"}) {
+      EXPECT_GT(dev ? report.device_modeled.get(row) : report.host.get(row),
+                0.0)
+          << row;
+      EXPECT_NEAR(breakdown.at(row), report.component(row), 1e-9) << row;
+    }
+  }
+
+  // gsnp_simd notes its backend and dispatch level on the kernel stages.
+  if (engine == "gsnp_simd") {
+    const std::string level =
+        core::simd::level_name(core::simd::active_level());
+    EXPECT_EQ(tracer.metrics().counter("simd_level_" + level), 1u);
+    const auto has_note = [](const SpanRecord& span, const char* key,
+                             const std::string& value) {
+      return std::find(span.args.begin(), span.args.end(),
+                       std::pair<std::string, std::string>(key, value)) !=
+             span.args.end();
+    };
+    int noted = 0;
+    for (const auto& span : tracer.spans()) {
+      if (span.category != "stage") continue;
+      const bool kernel = span.name == "likeli_comp" || span.name == "post";
+      EXPECT_EQ(has_note(span, "backend", "gsnp_simd"), kernel) << span.name;
+      EXPECT_EQ(has_note(span, "simd", level), kernel) << span.name;
+      noted += kernel;
+    }
+    EXPECT_GT(noted, 0);
+  }
+
   // The exports round-trip with the same stage totals.
   const fs::path mpath = dir_ / "metrics.json";
   write_metrics_json(mpath, tracer);
   const MetricsSnapshot snap = read_metrics_json(mpath);
-  for (const char* component : core::kComponents) {
-    const double table = report.component(component);
-    const auto it = snap.stages.find(component);
-    EXPECT_NEAR(it == snap.stages.end() ? 0.0 : it->second, table,
-                0.01 * std::max(table, 1e-9))
+  for (const char* component : core::kComponents)
+    EXPECT_NEAR(snap.stages.at(component), report.component(component),
+                0.01 * std::max(report.component(component), 1e-9))
         << "metrics component " << component;
-  }
   if (!dev) return;
   for (const char* component : {"likeli", "post", "output"})
     EXPECT_GT(report.device_modeled.get(component), 0.0) << component;
@@ -414,6 +445,28 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
   EXPECT_GT(sort_passes, 0);
   EXPECT_GT(rle_calls, 0);
   EXPECT_GT(transfers, 0);
+
+  // Batched, each measured batch watermark is noted on its batch span: every
+  // batch of a serial run, and in an overlapped one every batch whose drain
+  // carried no other window's output.
+  if (batch_bytes == 0) return;
+  u64 batches = 0, measured = 0, noted_peak = 0;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "batch") continue;
+    ++batches;
+    for (const auto& [key, value] : span.args) {
+      if (key != "actual_peak_bytes") continue;
+      ++measured;
+      noted_peak = std::max<u64>(noted_peak, std::stoull(value));
+    }
+  }
+  EXPECT_EQ(batches, report.batch.batches);
+  if (streams <= 1) {
+    EXPECT_EQ(measured, batches);
+  } else {
+    EXPECT_GT(measured, 0u);
+  }
+  EXPECT_EQ(noted_peak, report.batch.actual_peak_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
