@@ -1,18 +1,18 @@
 // bench_overlap — the stream-overlap benchmark (plain harness, like
 // bench_smoke: no google-benchmark dependency, deterministic, self-checking).
 //
-// Runs the GSNP engine over the same multi-window dataset serially
-// (--streams 1) and overlapped (--streams 2 and 4), under both batch plans —
-// fixed windows and a 1 MiB depth-aware batch budget — and reports the
-// modeled device wall seconds each way.  The overlapped wall replays the
+// Runs the GSNP engine over the same multi-window dataset serially and
+// overlapped (EngineConfig::overlapped), under both batch plans — fixed
+// windows and a 1 MiB depth-aware batch budget — and reports the modeled
+// device wall seconds each way.  The overlapped wall replays the
 // stream timelines with event dependencies — concurrent streams are charged
 // max(compute, transfer) instead of the serial sum — so with at least two
 // windows the output/compression stream hides behind the compute stream and
 // the overlapped wall must be *strictly* below the serial wall.  A serial
 // run has one stream, so its modeled wall must equal its modeled serial
 // seconds exactly.  The harness also re-verifies the bit-exactness
-// contract: identical output bytes and identical device counters across all
-// stream counts of one plan.
+// contract: identical output bytes and identical device counters across
+// both modes of one plan.
 //
 //   bench_overlap [--workdir DIR] [--sites N] [--window N] [--depth X]
 //
@@ -51,18 +51,18 @@ struct RunResult {
 };
 
 RunResult run_once(const fs::path& workdir, const genome::Reference& ref,
-                   const fs::path& align, u32 window, u32 streams,
+                   const fs::path& align, u32 window, bool overlapped,
                    u64 batch_bytes) {
   core::EngineConfig config;
   config.alignment_file = align;
   config.reference = &ref;
   config.batch_bytes = batch_bytes;
-  const std::string tag = "s" + std::to_string(streams) + "_b" +
-                          std::to_string(batch_bytes);
+  const std::string tag = std::string(overlapped ? "over" : "serial") +
+                          "_b" + std::to_string(batch_bytes);
   config.output_file = workdir / ("out_" + tag + ".snp");
   config.temp_file = workdir / ("tmp_" + tag + ".bin");
   config.window_size = window;
-  config.streams = streams;
+  config.overlapped = overlapped;
 
   device::Device dev;  // fresh device per run: counters start at zero
   RunResult r;
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     for (const u64 batch_bytes : {u64{0}, u64{1} << 20}) {
       const char* plan = batch_bytes == 0 ? "fixed" : "batched";
       const RunResult serial =
-          run_once(workdir, ref, align, window, 1, batch_bytes);
+          run_once(workdir, ref, align, window, false, batch_bytes);
       GSNP_CHECK_MSG(serial.report.windows >= 2,
                      "dataset too small: need >= 2 windows for overlap, got "
                          << serial.report.windows
@@ -132,56 +132,54 @@ int main(int argc, char** argv) {
 
       std::printf("%-8s %-10s %8s %12s %12s %8s\n", "plan", "config",
                   "windows", "modeled_wall", "serial_wall", "speedup");
-      std::printf("%-8s %-10s %8llu %12.6f %12.6f %8s\n", plan, "streams=1",
+      std::printf("%-8s %-10s %8llu %12.6f %12.6f %8s\n", plan, "serial",
                   static_cast<unsigned long long>(serial.report.windows),
                   serial.report.modeled_wall_seconds,
                   serial.report.modeled_serial_seconds, "1.00x");
       if (serial.report.modeled_wall_seconds !=
           serial.report.modeled_serial_seconds) {
         std::fprintf(stderr,
-                     "FAIL: %s streams=1 modeled wall %.9f differs from its "
+                     "FAIL: %s serial modeled wall %.9f differs from its "
                      "modeled serial %.9f\n",
                      plan, serial.report.modeled_wall_seconds,
                      serial.report.modeled_serial_seconds);
         failures++;
       }
 
-      for (const u32 n : {u32{2}, u32{4}}) {
-        const RunResult over =
-            run_once(workdir, ref, align, window, n, batch_bytes);
-        const double wall = over.report.modeled_wall_seconds;
-        const double base = serial.report.modeled_serial_seconds;
-        std::printf("%-8s %-10s %8llu %12.6f %12.6f %7.2fx\n", plan,
-                    ("streams=" + std::to_string(n)).c_str(),
-                    static_cast<unsigned long long>(over.report.windows), wall,
-                    over.report.modeled_serial_seconds,
-                    wall > 0.0 ? base / wall : 0.0);
+      const RunResult over =
+          run_once(workdir, ref, align, window, true, batch_bytes);
+      const double wall = over.report.modeled_wall_seconds;
+      const double base = serial.report.modeled_serial_seconds;
+      std::printf("%-8s %-10s %8llu %12.6f %12.6f %7.2fx\n", plan,
+                  "overlapped",
+                  static_cast<unsigned long long>(over.report.windows), wall,
+                  over.report.modeled_serial_seconds,
+                  wall > 0.0 ? base / wall : 0.0);
 
-        if (over.output_bytes != serial.output_bytes) {
-          std::fprintf(stderr,
-                       "FAIL: %s streams=%u output differs from serial "
-                       "(%zu vs %zu bytes)\n",
-                       plan, n, over.output_bytes.size(),
-                       serial.output_bytes.size());
-          failures++;
-        }
-        if (std::memcmp(&over.counters, &serial.counters,
-                        sizeof(device::DeviceCounters)) != 0) {
-          std::fprintf(stderr,
-                       "FAIL: %s streams=%u device counters differ from "
-                       "serial\n",
-                       plan, n);
-          failures++;
-        }
-        // Counters identical => modeled serial seconds identical; the
-        // overlapped wall must then be strictly better, not merely equal.
-        if (!(wall < base)) {
-          std::fprintf(stderr,
-                       "FAIL: %s streams=%u modeled wall %.9f not strictly "
-                       "below serial %.9f\n",
-                       plan, n, wall, base);
-          failures++;
-        }
+      if (over.output_bytes != serial.output_bytes) {
+        std::fprintf(stderr,
+                     "FAIL: %s overlapped output differs from serial "
+                     "(%zu vs %zu bytes)\n",
+                     plan, over.output_bytes.size(),
+                     serial.output_bytes.size());
+        failures++;
+      }
+      if (std::memcmp(&over.counters, &serial.counters,
+                      sizeof(device::DeviceCounters)) != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s overlapped device counters differ from "
+                     "serial\n",
+                     plan);
+        failures++;
+      }
+      // Counters identical => modeled serial seconds identical; the
+      // overlapped wall must then be strictly better, not merely equal.
+      if (!(wall < base)) {
+        std::fprintf(stderr,
+                     "FAIL: %s overlapped modeled wall %.9f not strictly "
+                     "below serial %.9f\n",
+                     plan, wall, base);
+        failures++;
       }
     }
 

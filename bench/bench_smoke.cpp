@@ -3,12 +3,12 @@
 // Runs a small deterministic whole-genome pipeline (two synthetic
 // chromosomes through the full GSNP engine, traced) and emits
 // BENCH_pipeline.json: per-stage seconds (host + modeled device), device
-// counters, sites/s throughput, and a per-backend REAL host seconds axis
-// ("backends": the host sparse engines gsnp_cpu and gsnp_simd over the same
-// dataset — total / likelihood / posterior host seconds, best of three
-// repetitions, with the SIMD dispatch level that ran).  The sweep asserts
-// the backends' outputs are byte-identical to the device engine's before
-// timing them, so a speedup that breaks §IV-G cannot enter the baseline.
+// counters, sites/s throughput, and a REAL host seconds axis ("backends":
+// the host sparse engine gsnp_cpu over the same dataset — total /
+// likelihood / posterior host seconds, best of three repetitions).  The
+// sweep asserts gsnp_cpu's outputs are byte-identical to the device
+// engine's before timing them, so a speedup that breaks §IV-G cannot enter
+// the baseline.
 // The file is the regression baseline a reviewer diffs against when a PR
 // claims (or risks) a performance change — scripts/bench_report regenerates
 // it, scripts/verify.sh runs this binary and fails when the file is missing
@@ -44,7 +44,6 @@
 #include "src/common/timer.hpp"
 #include "src/core/backend.hpp"
 #include "src/core/genome_pipeline.hpp"
-#include "src/core/simd.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/obs/trace.hpp"
 #include "src/reads/alignment.hpp"
@@ -109,17 +108,16 @@ std::string read_file_bytes(const fs::path& path) {
   return buf.str();
 }
 
+/// The host backend timed under "backends" (its engine id).
+constexpr const char* kHostBackend = "gsnp_cpu";
+
 /// One host backend's measured real seconds over the bench dataset: the
-/// best-of-N total host seconds plus the two stages the SIMD backend
-/// vectorizes.  `simd_level` records which dispatch level actually ran, so a
-/// history entry from a scalar-only CI box is distinguishable from an AVX2
-/// one.
+/// best-of-N total host seconds plus its likelihood and posterior stages.
 struct BackendBench {
   std::string id;
   double host_seconds = 0.0;
   double likeli_seconds = 0.0;
   double post_seconds = 0.0;
-  std::string simd_level;
 };
 
 /// Run `kind` over the dataset `reps` times (fresh output dir each) and keep
@@ -134,10 +132,6 @@ BackendBench bench_backend(core::EngineKind kind, const Dataset& ds,
   BackendBench result;
   result.id = core::engine_name(kind);
   result.host_seconds = result.likeli_seconds = result.post_seconds = 1e300;
-  result.simd_level =
-      kind == core::EngineKind::kGsnpSimd
-          ? gsnp::core::simd::level_name(gsnp::core::simd::active_level())
-          : "scalar";
   for (int rep = 0; rep < reps; ++rep) {
     core::GenomeRunConfig config;
     config.chromosomes = ds.jobs;
@@ -202,18 +196,14 @@ int validate(const fs::path& path) {
     const json::Value* backends = json::find(root, "backends");
     GSNP_CHECK_MSG(backends && backends->kind == json::Value::Kind::kObject,
                    "'backends' object missing");
-    for (const char* name : {"gsnp_cpu", "gsnp_simd"}) {
-      const json::Value* b = json::find(*backends, name);
-      GSNP_CHECK_MSG(b != nullptr, "backend '" << name << "' missing");
-      GSNP_CHECK_MSG(json::get_number(*b, "host_seconds") > 0.0,
-                     "backend '" << name << "' has no host seconds");
-      GSNP_CHECK_MSG(json::get_number(*b, "likeli_seconds") >= 0.0,
-                     "backend '" << name << "' likeli_seconds negative");
-      GSNP_CHECK_MSG(json::get_number(*b, "post_seconds") >= 0.0,
-                     "backend '" << name << "' post_seconds negative");
-      GSNP_CHECK_MSG(!json::get_string(*b, "simd_level").empty(),
-                     "backend '" << name << "' simd_level missing");
-    }
+    const json::Value* b = json::find(*backends, kHostBackend);
+    GSNP_CHECK_MSG(b != nullptr, "backend '" << kHostBackend << "' missing");
+    GSNP_CHECK_MSG(json::get_number(*b, "host_seconds") > 0.0,
+                   "backend '" << kHostBackend << "' has no host seconds");
+    GSNP_CHECK_MSG(json::get_number(*b, "likeli_seconds") >= 0.0,
+                   "backend '" << kHostBackend << "' likeli_seconds negative");
+    GSNP_CHECK_MSG(json::get_number(*b, "post_seconds") >= 0.0,
+                   "backend '" << kHostBackend << "' post_seconds negative");
 
     const json::Value* dev = json::find(root, "device");
     GSNP_CHECK_MSG(dev && dev->kind == json::Value::Kind::kObject,
@@ -308,24 +298,15 @@ int append_history(const fs::path& hist, const fs::path& from,
      << json::get_u64(*bat, "planned_peak_bytes")
      << ", \"actual_peak_bytes\": "
      << json::get_u64(*bat, "actual_peak_bytes") << "}";
+  const json::Value* b = json::find(*backends, kHostBackend);
+  GSNP_CHECK_MSG(b != nullptr,
+                 "backend '" << kHostBackend << "' missing in " << from);
   os << ", \"backends\": {";
-  bool first = true;
-  for (const char* name : {"gsnp_cpu", "gsnp_simd"}) {
-    const json::Value* b = json::find(*backends, name);
-    GSNP_CHECK_MSG(b != nullptr, "backend '" << name << "' missing in "
-                                             << from);
-    os << (first ? "" : ", ");
-    first = false;
-    json::write_escaped(os, name);
-    os << ": {\"host_seconds\": " << fmt(json::get_number(*b, "host_seconds"))
-       << ", \"likeli_seconds\": "
-       << fmt(json::get_number(*b, "likeli_seconds"))
-       << ", \"post_seconds\": " << fmt(json::get_number(*b, "post_seconds"))
-       << ", \"simd_level\": ";
-    json::write_escaped(os, json::get_string(*b, "simd_level"));
-    os << "}";
-  }
-  os << "}, \"host_band\": " << fmt(host_band) << "}\n";
+  json::write_escaped(os, kHostBackend);
+  os << ": {\"host_seconds\": " << fmt(json::get_number(*b, "host_seconds"))
+     << ", \"likeli_seconds\": " << fmt(json::get_number(*b, "likeli_seconds"))
+     << ", \"post_seconds\": " << fmt(json::get_number(*b, "post_seconds"))
+     << "}}, \"host_band\": " << fmt(host_band) << "}\n";
   os.flush();
   GSNP_CHECK_MSG(os.good(), "history append failed " << hist);
   std::printf("bench_smoke: appended %s (sha %s) to %s\n",
@@ -434,22 +415,21 @@ int check(const fs::path& baseline_path, const fs::path& candidate_path,
           std::string("stages.") + name + ".host_seconds", host_band, 0.05);
   }
 
-  // Per-backend real host seconds: machine-dependent, loose band only.  The
-  // byte-identity behind each entry was already enforced when the candidate
-  // file was produced (bench_backend refuses divergent outputs).
+  // The host backend's real seconds: machine-dependent, loose band only.
+  // The byte-identity behind the entry was already enforced when the
+  // candidate file was produced (bench_backend refuses divergent outputs).
   const json::Value* bback = json::find(base, "backends");
   const json::Value* cback = json::find(cand, "backends");
   GSNP_CHECK_MSG(bback && cback, "'backends' object missing");
-  for (const char* name : {"gsnp_cpu", "gsnp_simd"}) {
-    const json::Value* bb = json::find(*bback, name);
-    const json::Value* cb = json::find(*cback, name);
-    if (bb == nullptr || cb == nullptr) {
-      fail(std::string("backends.") + name, "missing backend entry");
-      continue;
-    }
+  const json::Value* bb = json::find(*bback, kHostBackend);
+  const json::Value* cb = json::find(*cback, kHostBackend);
+  if (bb == nullptr || cb == nullptr) {
+    fail(std::string("backends.") + kHostBackend, "missing backend entry");
+  } else {
     for (const char* key : {"host_seconds", "likeli_seconds", "post_seconds"})
       loose(json::get_number(*bb, key), json::get_number(*cb, key),
-            std::string("backends.") + name + "." + key, host_band, 0.05);
+            std::string("backends.") + kHostBackend + "." + key, host_band,
+            0.05);
   }
 
   loose(json::get_number(base, "wall_seconds"),
@@ -509,15 +489,13 @@ int run(const fs::path& out, const fs::path& workdir) {
           : 0.0;
   const device::DeviceCounters& c = dev.counters();
 
-  // Per-backend real host seconds: the host sparse engines over the same
-  // dataset, byte-checked against the device engine's outputs.
+  // Real host seconds: the host sparse engine over the same dataset,
+  // byte-checked against the device engine's outputs.
   std::vector<std::string> golden_bytes;
   for (const fs::path& f : report.output_files)
     golden_bytes.push_back(read_file_bytes(f));
-  std::vector<BackendBench> backends;
-  for (const core::EngineKind kind :
-       {core::EngineKind::kGsnpCpu, core::EngineKind::kGsnpSimd})
-    backends.push_back(bench_backend(kind, ds, workdir, golden_bytes, 3));
+  const BackendBench host_backend = bench_backend(
+      core::EngineKind::kGsnpCpu, ds, workdir, golden_bytes, 3);
 
   // Depth-aware batching axis: the device engine again under a byte budget
   // small enough to split every window, on its OWN device so the main run's
@@ -589,20 +567,12 @@ int run(const fs::path& out, const fs::path& workdir) {
          << ", \"modeled_seconds\": " << fmt(m) << "}";
     }
     os << "\n  },\n"
-       << "  \"backends\": {";
-    first = true;
-    for (const BackendBench& b : backends) {
-      os << (first ? "\n    " : ",\n    ");
-      first = false;
-      json::write_escaped(os, b.id);
-      os << ": {\"host_seconds\": " << fmt(b.host_seconds)
-         << ", \"likeli_seconds\": " << fmt(b.likeli_seconds)
-         << ", \"post_seconds\": " << fmt(b.post_seconds)
-         << ", \"simd_level\": ";
-      json::write_escaped(os, b.simd_level);
-      os << "}";
-    }
-    os << "\n  },\n"
+       << "  \"backends\": {\n    ";
+    json::write_escaped(os, host_backend.id);
+    os << ": {\"host_seconds\": " << fmt(host_backend.host_seconds)
+       << ", \"likeli_seconds\": " << fmt(host_backend.likeli_seconds)
+       << ", \"post_seconds\": " << fmt(host_backend.post_seconds) << "}"
+       << "\n  },\n"
        << "  \"device\": {"
        << "\"instructions\": " << c.instructions
        << ", \"global_loads\": " << c.global_loads()
@@ -635,12 +605,10 @@ int run(const fs::path& out, const fs::path& workdir) {
   std::printf("%-8s %10.4f   (%llu sites, %.0f sites/s, %zu spans)\n", "total",
               table_seconds, static_cast<unsigned long long>(report.total_sites),
               throughput, tracer.spans().size());
-  std::printf("%-10s %10s %10s %10s  %s\n", "backend", "host", "likeli",
-              "post", "simd");
-  for (const BackendBench& b : backends)
-    std::printf("%-10s %10.4f %10.4f %10.4f  %s\n", b.id.c_str(),
-                b.host_seconds, b.likeli_seconds, b.post_seconds,
-                b.simd_level.c_str());
+  std::printf("%-10s %10s %10s %10s\n", "backend", "host", "likeli", "post");
+  std::printf("%-10s %10.4f %10.4f %10.4f\n", host_backend.id.c_str(),
+              host_backend.host_seconds, host_backend.likeli_seconds,
+              host_backend.post_seconds);
   std::printf("batcher  %llu batches over %llu windows (budget %llu B, "
               "planned peak %llu, actual peak %llu)\n",
               static_cast<unsigned long long>(batcher.batches),

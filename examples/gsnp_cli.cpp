@@ -5,15 +5,15 @@
 //   gsnp_cli simulate --out <dir> [--sites N] [--depth X] [--seed S]
 //                     [--snp-rate R] [--name chrS] [--sam]
 //   gsnp_cli call     --ref <fa> --align <soap|sam> --out <file>
-//                     [--engine gsnp|gsnp-cpu|gsnp-simd|soapsnp]
+//                     [--engine gsnp|gsnp-cpu|soapsnp]
 //                     [--dbsnp <file>]
-//                     [--window N] [--streams N] [--batch-bytes B]
+//                     [--window N] [--overlap] [--batch-bytes B]
 //                     [--save-matrix <file>]
 //                     [--lenient] [--quarantine <file>] [--max-bad N]
 //                     [--max-bad-frac P] [--trace-out <json>]
 //                     [--metrics-out <json>] [--profile-out <json>]
 //   gsnp_cli profile  --ref <fa> --align <soap> [--dbsnp <file>] [--window N]
-//                     [--out <file>] [--profile-out <json>]
+//                     [--overlap] [--out <file>] [--profile-out <json>]
 //   gsnp_cli profile  --diff <base.json> <other.json>
 //   gsnp_cli profile  --validate <profile.json>
 //   gsnp_cli compare  <a> <b>
@@ -220,9 +220,9 @@ int cmd_call(const Args& args) {
   config.temp_file = out_path.string() + ".tmp";
   config.cancel = &g_interrupt;
   config.window_size = static_cast<u32>(std::stoul(args.get("--window", "0")));
-  // --streams 1 (default) = the serial run; --streams N>=2 = the
-  // overlapped (double-buffered) run, byte-identical output.
-  config.streams = static_cast<u32>(std::stoul(args.get("--streams", "1")));
+  // Serial by default; --overlap = the overlapped (double-buffered) run,
+  // byte-identical output.
+  config.overlapped = args.has("--overlap");
   // Depth-aware batching: split each window into device batches whose
   // planned footprint never exceeds this many bytes (0 = fixed windows).
   config.batch_bytes = std::stoull(args.get("--batch-bytes", "0"));
@@ -277,16 +277,15 @@ int cmd_call(const Args& args) {
   std::printf("%-8s %8.3f   (%llu sites, %llu bytes out)\n", "total",
               report.total(), static_cast<unsigned long long>(report.sites),
               static_cast<unsigned long long>(report.output_bytes));
-  // total sums the stage stopwatches, which overlap in --streams runs;
+  // total sums the stage stopwatches, which overlap in --overlap runs;
   // wall is the engine call's elapsed time.
   std::printf("%-8s %8.3f   (%.0f sites/s)\n", "wall", report.wall_seconds,
               report.wall_seconds > 0.0
                   ? static_cast<double>(report.sites) / report.wall_seconds
                   : 0.0);
-  if (backend->needs_device && report.streams_used >= 2)
-    std::printf("streams  %8u   modeled wall %.3fs vs serial %.3fs (%.2fx)\n",
-                report.streams_used, report.modeled_wall_seconds,
-                report.modeled_serial_seconds,
+  if (backend->needs_device && config.overlapped)
+    std::printf("overlap  modeled wall %.3fs vs serial %.3fs (%.2fx)\n",
+                report.modeled_wall_seconds, report.modeled_serial_seconds,
                 report.modeled_wall_seconds > 0.0
                     ? report.modeled_serial_seconds / report.modeled_wall_seconds
                     : 0.0);
@@ -381,7 +380,7 @@ int cmd_profile(const Args& args) {
   config.output_file = out_path;
   config.temp_file = out_path.string() + ".tmp";
   config.window_size = static_cast<u32>(std::stoul(args.get("--window", "0")));
-  config.streams = static_cast<u32>(std::stoul(args.get("--streams", "1")));
+  config.overlapped = args.has("--overlap");
   config.batch_bytes = std::stoull(args.get("--batch-bytes", "0"));
 
   device::Device dev;
@@ -960,15 +959,16 @@ int main(int argc, char** argv) {
               "[options]\n"
               "  simulate --out DIR [--sites N --depth X --seed S --sam]\n"
               "  call     --ref FA --align SOAP|SAM --out FILE\n"
-              "           [--engine gsnp|gsnp-cpu|gsnp-simd|soapsnp]\n"
+              "           [--engine E]   (E: %s; default gsnp)\n"
               "           [--dbsnp F --window N]\n"
-              "           [--streams N]   (>= 2: overlapped double buffer)\n"
+              "           [--overlap]   (overlapped double buffer)\n"
               "           [--batch-bytes B]   (depth-aware device batching)\n"
               "           [--lenient --quarantine F --max-bad N --max-bad-frac P]\n"
               "           [--trace-out TRACE.json --metrics-out METRICS.json]\n"
               "           [--profile-out PROFILE.json]\n"
               "  profile  --ref FA --align SOAP [--dbsnp F --window N --out FILE]\n"
-              "           [--profile-out PROFILE.json]   (per-kernel table)\n"
+              "           [--overlap] [--profile-out PROFILE.json]\n"
+              "           (per-kernel table)\n"
               "  profile  --diff BASE.json OTHER.json   (Table III-style diff)\n"
               "  profile  --validate PROFILE.json       (schema check)\n"
               "  compare  A B\n"
@@ -993,6 +993,7 @@ int main(int argc, char** argv) {
               "  metrics  --demo [--workdir DIR]   (hermetic sample daemon)\n"
               "  health   --socket SOCK   (readiness; exit 0 iff ready)\n"
               "  shutdown --socket SOCK\n"
-              "  fsck     SPOOL_DIR [--repair --deep]   (spool scrubber)\n");
+              "  fsck     SPOOL_DIR [--repair --deep]   (spool scrubber)\n",
+              core::backend_name_list().c_str());
   return argc == 1 ? 0 : 2;
 }

@@ -14,21 +14,6 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure
 
-# The backend bit-exactness contract at both ends of the dispatch ladder:
-# the tier-1 pass above ran the determinism battery (backend matrix
-# included) at the host's best SIMD level; this second pass forces every
-# gsnp-simd run down to the scalar kernels, so a vectorization bug cannot
-# hide behind "scalar was the level that happened to run" (or vice versa).
-echo "== determinism x2: battery again with GSNP_FORCE_SCALAR=1 =="
-if ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  echo "==============================================================="
-  echo "WARNING: this host has no AVX2 — the default-dispatch determinism"
-  echo "pass above only covered the SSE2/scalar kernels.  Run verify.sh on"
-  echo "an AVX2-capable machine before trusting the gsnp-simd backend."
-  echo "==============================================================="
-fi
-GSNP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -R determinism
-
 echo "== bench_smoke: baseline harness emits schema-valid BENCH_pipeline.json =="
 cmake --build build -j --target bench_smoke >/dev/null
 ./build/bench/bench_smoke --out build/BENCH_pipeline.json \

@@ -7,26 +7,18 @@ namespace gsnp::core {
 
 namespace {
 
-constexpr std::array<BackendInfo, 4> kRegistry{{
+constexpr std::array<BackendInfo, 3> kRegistry{{
     {EngineKind::kSoapsnp, "soapsnp", "soapsnp",
      "SOAPsnp CPU baseline: dense base_occ, Algorithm 1, text output",
-     /*needs_device=*/false, /*sparse=*/false, /*text_output=*/true,
-     /*simd=*/false},
+     /*needs_device=*/false, /*text_output=*/true},
     {EngineKind::kGsnpCpu, "gsnp-cpu", "gsnp_cpu",
      "GSNP algorithm on the host: sparse base_word, new_p_matrix, "
      "compressed I/O",
-     /*needs_device=*/false, /*sparse=*/true, /*text_output=*/false,
-     /*simd=*/false},
+     /*needs_device=*/false, /*text_output=*/false},
     {EngineKind::kGsnp, "gsnp", "gsnp",
      "full GSNP system: device sort + likelihood kernels, device RLE-DICT "
      "output",
-     /*needs_device=*/true, /*sparse=*/true, /*text_output=*/false,
-     /*simd=*/false},
-    {EngineKind::kGsnpSimd, "gsnp-simd", "gsnp_simd",
-     "gsnp-cpu with vectorized likelihood/posterior kernels (AVX2 -> SSE2 "
-     "-> scalar runtime dispatch)",
-     /*needs_device=*/false, /*sparse=*/true, /*text_output=*/false,
-     /*simd=*/true},
+     /*needs_device=*/true, /*text_output=*/false},
 }};
 
 std::string unknown_backend_message(std::string_view name) {
@@ -88,7 +80,6 @@ RunReport run_backend(const BackendInfo& backend, const EngineConfig& config,
   switch (backend.kind) {
     case EngineKind::kSoapsnp: return run_soapsnp(config);
     case EngineKind::kGsnpCpu: return run_gsnp_cpu(config);
-    case EngineKind::kGsnpSimd: return run_gsnp_simd(config);
     case EngineKind::kGsnp: return run_gsnp(config, *dev, model);
   }
   GSNP_CHECK_MSG(false, "bad engine kind");

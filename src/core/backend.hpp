@@ -17,8 +17,7 @@
 //
 // Every backend is held to the same bit-exactness contract (§IV-G): for the
 // same inputs all backends produce byte-identical output streams — the
-// determinism battery's backend matrix enforces it, including gsnp-simd at
-// every dispatch level.
+// golden corpus and the determinism battery enforce it.
 
 #include <optional>
 #include <span>
@@ -30,10 +29,10 @@
 
 namespace gsnp::core {
 
-enum class EngineKind { kSoapsnp, kGsnpCpu, kGsnp, kGsnpSimd };
+enum class EngineKind { kSoapsnp, kGsnpCpu, kGsnp };
 
-/// Stable identifier ("soapsnp", "gsnp_cpu", "gsnp", "gsnp_simd") used in
-/// output filenames and manifests.
+/// Stable identifier ("soapsnp", "gsnp_cpu", "gsnp") used in output
+/// filenames and manifests.
 const char* engine_name(EngineKind kind);
 /// Inverse of engine_name; nullopt for unknown names (corrupt manifests).
 /// Accepts the hyphenated registry spelling too.
@@ -46,9 +45,7 @@ struct BackendInfo {
   const char* id;           ///< filename/manifest identifier ("gsnp_cpu")
   const char* description;  ///< one-line summary for --help / errors
   bool needs_device;        ///< run_backend requires a device::Device
-  bool sparse;              ///< base_word sparse path (vs dense base_occ)
   bool text_output;         ///< SOAPsnp text rows (vs GSNPOUT2 binary)
-  bool simd;                ///< host SIMD dispatch (AVX2 -> SSE2 -> scalar)
 };
 
 /// All registered backends, in registration order.
@@ -60,7 +57,7 @@ const BackendInfo* find_backend(std::string_view name);
 /// Registry entry for an enum value (always exists).
 const BackendInfo& backend_info(EngineKind kind);
 
-/// "soapsnp, gsnp-cpu, gsnp, gsnp-simd" — for error messages and usage text.
+/// "soapsnp, gsnp-cpu, gsnp" — for error messages and usage text.
 std::string backend_name_list();
 
 /// Thrown by require_backend for names the registry does not know; the

@@ -15,7 +15,6 @@
 #include "src/core/new_pmatrix.hpp"
 #include "src/core/output_codec.hpp"
 #include "src/core/posterior.hpp"
-#include "src/core/simd.hpp"
 #include "src/core/window.hpp"
 #include "src/device/stream.hpp"
 #include "src/obs/stream_trace.hpp"
@@ -90,8 +89,6 @@ struct Ledger {
   RunReport& report;
   obs::Tracer* tracer;
   const char* engine;
-  /// gsnp_simd's dispatch level, noted on its kernel stages' spans.
-  const char* simd_level = nullptr;
   /// A cost measured outside a Stage: a device op's modeled seconds.
   void charge(const char* name, double host_sec, double modeled_sec) const {
     if (host_sec > 0.0) report.host.add(name, host_sec);
@@ -106,7 +103,6 @@ struct Ledger {
     if (!tracer) return;
     obs::Metrics& m = tracer->metrics();
     m.add(std::string("runs_") + engine);
-    if (simd_level) m.add(std::string("simd_level_") + simd_level);
     m.add("sites", report.sites);
     m.add("windows", report.windows);
     m.add("records", report.records);
@@ -132,19 +128,13 @@ struct Ledger {
 };
 
 /// One pipeline stage: its wall time less its off-stage time, recorded once.
-/// A kernel stage (likeli_comp, post) runs the backend's dispatched kernels;
-/// a gsnp_simd run notes its backend and SIMD level on that stage's span.
 class Stage {
  public:
-  Stage(const Ledger& ledger, const char* name, bool kernel = false)
+  Stage(const Ledger& ledger, const char* name)
       : ledger_(ledger),
         name_(name),
         span_(ledger.tracer, name, "stage"),
-        off_stage_at_start_(t_off_stage_seconds) {
-    if (!kernel || !ledger.simd_level) return;
-    span_.note("backend", ledger.engine);
-    span_.note("simd", ledger.simd_level);
-  }
+        off_stage_at_start_(t_off_stage_seconds) {}
   ~Stage() {
     const double sec = std::max(
         0.0, timer_.seconds() - (t_off_stage_seconds - off_stage_at_start_));
@@ -203,7 +193,7 @@ void each_site(const SiteBatch& batch, std::size_t grain, F&& fn) {
 /// compute executor.  With `device_calls` the genotype selection came from
 /// the device posterior kernel; only the statistics columns are built here.
 void window_posterior(const EngineConfig& config, const PriorCache& priors,
-                      WindowSlot& slot, simd::SelectFn select,
+                      WindowSlot& slot,
                       const std::vector<PosteriorCall>* device_calls =
                           nullptr) {
   const genome::Reference& ref = *config.reference;
@@ -221,11 +211,13 @@ void window_posterior(const EngineConfig& config, const PriorCache& priors,
         call = (*device_calls)[s];
       } else if (known) {
         // dbSNP priors are site-specific; computed per site.
-        call = select(genotype_log_priors(ref.base(pos), known, config.prior),
-                      slot.type_likely[s]);
+        call = select_genotype(
+            genotype_log_priors(ref.base(pos), known, config.prior),
+            slot.type_likely[s]);
       } else {
         // Novel sites share one of five cached priors.
-        call = select(priors.novel(ref.base(pos)), slot.type_likely[s]);
+        call = select_genotype(priors.novel(ref.base(pos)),
+                               slot.type_likely[s]);
       }
       slot.rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
                                   slot.stats[s], slot.obs.site(s),
@@ -305,9 +297,7 @@ class DenseStages : public StagesBase {
     });
   }
 
-  void post(Slot& slot) {
-    window_posterior(config_, priors_, slot, &select_genotype);
-  }
+  void post(Slot& slot) { window_posterior(config_, priors_, slot); }
   void output(Slot& slot) { writer_->write_window(slot.rows); }
 
   void finish(std::size_t slots) {
@@ -322,21 +312,15 @@ class DenseStages : public StagesBase {
 
 /// GSNP's algorithm on the host: sparse windows from the compressed temp
 /// input, per-array sort, the sparse likelihood on new_p_matrix, host
-/// RLE-DICT output.  gsnp_simd binds the kernels of its dispatch level, so
-/// "forced scalar" gsnp_simd and gsnp_cpu run the very same functions.
+/// RLE-DICT output.
 class HostSparseStages : public StagesBase {
  public:
   struct Slot : WindowSlot {
     BaseWordWindow sparse;
   };
 
-  HostSparseStages(const EngineConfig& config, Ledger& ledger,
-                   const simd::Kernels* simd = nullptr)
-      : StagesBase(config, ledger, EngineConfig::kDefaultGsnpWindow),
-        sparse_site_(simd ? simd->sparse_site : &likelihood_sparse_site),
-        select_(simd ? simd->select_genotype : &select_genotype) {
-    if (simd) ledger.simd_level = simd::level_name(simd->level);
-  }
+  HostSparseStages(const EngineConfig& config, Ledger& ledger)
+      : StagesBase(config, ledger, EngineConfig::kDefaultGsnpWindow) {}
 
   WindowLoader::RecordSource source() const {
     auto reader = std::make_shared<compress::TempInputReader>(config_.temp_file);
@@ -365,15 +349,13 @@ class HostSparseStages : public StagesBase {
       const Stage stage(ledger_, "likeli_sort");
       likelihood_sort_cpu(slot.sparse);
     }
-    const Stage stage(ledger_, "likeli_comp", /*kernel=*/true);
+    const Stage stage(ledger_, "likeli_comp");
     each_site(batch, kSitesPerChunk, [&](u32 s) {
-      slot.type_likely[s] = sparse_site_(slot.sparse.site(s), *npm_);
+      slot.type_likely[s] = likelihood_sparse_site(slot.sparse.site(s), *npm_);
     });
   }
 
-  void post(Slot& slot) {
-    window_posterior(config_, priors_, slot, select_);
-  }
+  void post(Slot& slot) { window_posterior(config_, priors_, slot); }
   void output(Slot& slot) { writer_->write_window(slot.rows, host_rle_); }
 
   void finish(std::size_t slots) {
@@ -384,8 +366,6 @@ class HostSparseStages : public StagesBase {
   }
 
  protected:
-  const simd::SparseSiteFn sparse_site_;
-  const simd::SelectFn select_;
   std::optional<NewPMatrix> npm_;
   std::optional<SnpOutputWriter> writer_;
   const RleDictFn host_rle_ = host_rle_dict();
@@ -409,8 +389,8 @@ class DeviceStages : public HostSparseStages {
         model_(model),
         run_start_(dev.counters()),
         stream_spans_(ledger.tracer, &dev, &model) {
-    if (config.streams < 2) return;
-    pool_.emplace(dev, std::min<u32>(config.streams, 8));
+    if (!config.overlapped) return;
+    pool_.emplace(dev, kLanes);
     pool_->set_listener(&stream_spans_);  // one span per drained op
   }
 
@@ -486,7 +466,7 @@ class DeviceStages : public HostSparseStages {
   }
 
   void post(Slot& slot) {
-    window_posterior(config_, priors_, slot, &select_genotype, &calls_);
+    window_posterior(config_, priors_, slot, &calls_);
     if (pool_) pending_output_ = &slot;
   }
 
@@ -513,16 +493,13 @@ class DeviceStages : public HostSparseStages {
                     model_.seconds(device::counters_delta(
                         pool_->total_stream_counters(), run_delta))
               : ledger_.report.modeled_serial_seconds;
-    if (pool_) ledger_.report.streams_used = pool_->size();
   }
 
  private:
-  /// Stream index per lane; with two streams output shares the copy stream.
-  enum Lane { kCompute, kCopy, kOut };
+  /// An overlapped run's stream per lane: one pool stream each.
+  enum Lane : u32 { kCompute, kCopy, kOut, kLanes };
 
-  device::Stream& stream(Lane lane) {
-    return pool_->stream(std::min<u32>(lane, pool_->size() - 1));
-  }
+  device::Stream& stream(Lane lane) { return pool_->stream(lane); }
 
   /// One device op: overlapped, enqueued on its lane's stream (the compute
   /// lane's next kernel waits for an upload); serial, run and charged at once.
@@ -629,7 +606,7 @@ class DeviceStages : public HostSparseStages {
 
 /// The one window loop: per window, load (cancel check, read, recycle,
 /// count, plan), likelihood over the plan's batches, posterior, output.
-/// Serial (streams <= 1) is its one-slot run on the calling thread.
+/// Serial is its one-slot run on the calling thread.
 /// Overlapped is its two-slot run: window i+1 loads on the prefetch lane and
 /// window i-1 writes on the ordered output lane while window i computes.
 /// Each artifact comes from one stage and concurrent stages touch disjoint
@@ -649,7 +626,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   }
 
   using Slot = typename Stages::Slot;
-  std::vector<Slot> slots(config.streams >= 2 ? 2 : 1);
+  std::vector<Slot> slots(config.overlapped ? 2 : 1);
   WindowLoader loader(stages.source(), report.sites, stages.window_size());
   // One load in flight at a time; false at the end of input.
   const auto load = [&](Slot& slot) {
@@ -701,7 +678,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
     // must not be overwritten until that write retires.
     if (slot.written.valid()) slot.written.wait();
     {
-      const Stage stage(ledger, "post", /*kernel=*/true);
+      const Stage stage(ledger, "post");
       stages.post(slot);
     }
     const auto write = [&, s = &slot, prev = last_write] {
@@ -717,7 +694,6 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   // Join every outstanding write; get() rethrows the first failure.
   for (Slot& slot : slots)
     if (slot.written.valid()) slot.written.get();
-  if (lanes) report.streams_used = config.streams;
   stages.finish(slots.size());
   report.wall_seconds = wall.seconds();
   ledger.record_metrics();
@@ -732,13 +708,6 @@ RunReport run_soapsnp(const EngineConfig& config) {
 
 RunReport run_gsnp_cpu(const EngineConfig& config) {
   return run_windows<HostSparseStages>(config, "gsnp_cpu");
-}
-
-RunReport run_gsnp_simd(const EngineConfig& config) {
-  // Resolve the dispatch level once per run (env override or CPU detection;
-  // see simd.hpp) so every window of one run uses one kernel set.
-  return run_windows<HostSparseStages>(config, "gsnp_simd",
-                                       &simd::active_kernels());
 }
 
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,

@@ -9,11 +9,6 @@
 //                    per-array quicksort, new_p_matrix, compressed temporary
 //                    input and compressed output (host codecs).  Default
 //                    window 256,000 sites.
-//  * run_gsnp_simd — run_gsnp_cpu with the hot per-site kernels (sparse
-//                    likelihood accumulate, posterior sums) dispatched to
-//                    the best vectorized implementation the CPU supports
-//                    (core/simd.hpp: AVX2 -> SSE2 -> scalar).  Bit-identical
-//                    output to run_gsnp_cpu at every dispatch level.
 //  * run_gsnp      — the full system: sparse representation, multipass batch
 //                    bitonic sort + the optimized likelihood kernel on the
 //                    device, device RLE-DICT output compression.  Device work
@@ -21,9 +16,10 @@
 //                    operation counts (see device/perf_model.hpp and
 //                    DESIGN.md); host work is wall-clock.
 //
-// All engines emit identical SnpRow streams (paper §IV-G); only the
-// container format differs (text vs compressed).  Component times use the
-// paper's seven names: cal_p, read, count, likeli, post, output, recycle.
+// These are the paper's three systems (Fig. 12: SOAPsnp, GSNP_CPU, GSNP).
+// All emit identical SnpRow streams (paper §IV-G); only the container
+// format differs (text vs compressed).  Component times use the paper's
+// seven names: cal_p, read, count, likeli, post, output, recycle.
 // Each engine is a small stage bundle run by one window loop (run_windows
 // in engine.cpp), which owns the batch loop, the serial and overlapped
 // modes and the stage accounting; a bundle supplies count, likelihood,
@@ -87,16 +83,16 @@ struct EngineConfig {
   /// drift.  Null = tracing off (zero overhead).
   obs::Tracer* tracer = nullptr;
 
-  /// `streams <= 1` runs the window loop's serial mode: one window slot,
-  /// every stage on the calling thread, and (GSNP) each device op at once.
-  /// `streams >= 2` runs its overlapped mode, the paper's double buffer: two
-  /// slots, with window i+1 loading on a prefetch lane and window i-1
-  /// writing on an ordered output lane while window i computes; the GSNP
-  /// engine also spreads its device ops over min(streams, 8) async streams
-  /// (compute / copy / output) whose modeled timelines overlap.  Both modes
-  /// run the same arithmetic on the same data in the same order, so output
-  /// is byte-identical (tests/test_determinism).
-  u32 streams = 1;
+  /// false runs the window loop's serial mode: one window slot, every
+  /// stage on the calling thread, and (GSNP) each device op at once.  true
+  /// runs its overlapped mode, the paper's double buffer: two slots, with
+  /// window i+1 loading on a prefetch lane and window i-1 writing on an
+  /// ordered output lane while window i computes; the GSNP engine also puts
+  /// its device ops on three async streams (compute, copy, output) whose
+  /// modeled timelines overlap.  Both modes run the same arithmetic on the
+  /// same data in the same order, so output is byte-identical
+  /// (tests/test_determinism).
+  bool overlapped = false;
 
   /// Optional cooperative cancellation.  The engines poll the token at
   /// window boundaries and periodically inside the cal_p streaming pass, and
@@ -114,7 +110,7 @@ struct EngineConfig {
   /// (batches never span a window, and per-site arithmetic is
   /// batch-invariant); device counters differ (more, smaller launches).
   /// Host backends run their per-site loops over the same plan, so
-  /// RunReport::batch is populated for all four backends.  Throws
+  /// RunReport::batch is populated for all three backends.  Throws
   /// BatchBudgetError if a single site cannot fit.
   u64 batch_bytes = 0;
 
@@ -143,9 +139,6 @@ struct RunReport {
   /// per reason), from the cal_p streaming pass.
   IngestStats ingest;
 
-  /// Streams the run used: 1 = serial, else EngineConfig::streams (GSNP
-  /// caps its device streams at 8).
-  u32 streams_used = 1;
   /// Overlap-aware modeled device wall seconds for the whole run: stream
   /// timelines replayed with event dependencies (max across concurrent
   /// streams), plus non-stream device work charged serially.  A serial run
@@ -171,7 +164,6 @@ struct RunReport {
 
 RunReport run_soapsnp(const EngineConfig& config);
 RunReport run_gsnp_cpu(const EngineConfig& config);
-RunReport run_gsnp_simd(const EngineConfig& config);
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
                    const device::PerfModel& model = {});
 

@@ -114,8 +114,7 @@ ChromosomeRunResult run_one_chromosome(const GenomeRunConfig& config,
   // spans nest inside; the notes record what fault handling did.
   obs::Tracer::Scope chrom_span(tracer, "chromosome:" + job.name, "pipeline");
   chrom_span.note("requested", engine_name(kind));
-  if (config.streams >= 2)
-    chrom_span.note("streams", std::to_string(config.streams));
+  if (config.overlapped) chrom_span.note("overlapped", "true");
 
   // -- resume: skip chromosomes whose recorded output still verifies.
   if (config.resume && previous != nullptr &&
@@ -144,7 +143,7 @@ ChromosomeRunResult run_one_chromosome(const GenomeRunConfig& config,
   engine_config.dbsnp = job.dbsnp;
   engine_config.window_size = config.window_size;
   engine_config.prior = config.prior;
-  engine_config.streams = config.streams;
+  engine_config.overlapped = config.overlapped;
   engine_config.batch_bytes = config.batch_bytes;
   engine_config.ingest = config.ingest;
   if (engine_config.ingest.lenient() &&

@@ -75,10 +75,9 @@ struct GenomeRunConfig {
   std::filesystem::path output_dir;
   u32 window_size = 0;  ///< 0 = engine default
   PriorParams prior;
-  /// Passed through to every chromosome's EngineConfig (see there):
-  /// streams <= 1 = serial, streams >= 2 = overlapped.  Output is
-  /// byte-identical either way.
-  u32 streams = 1;
+  /// Passed through to every chromosome's EngineConfig (see there): the
+  /// serial or the overlapped mode.  Output is byte-identical either way.
+  bool overlapped = false;
   /// Depth-aware batching budget in device bytes, passed through to every
   /// chromosome's EngineConfig (see there).  0 = off (fixed windows).
   u64 batch_bytes = 0;

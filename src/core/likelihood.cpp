@@ -24,20 +24,50 @@ std::string unsorted_window_message(std::size_t index, u32 previous,
   return os.str();
 }
 
+/// Asserts in debug builds, then throws UnsortedWindowError.
+[[noreturn]] void throw_unsorted_window(std::size_t index, u32 previous,
+                                        u32 word) {
+  assert(!"likelihood_sparse_site: unsorted base_word window");
+  throw UnsortedWindowError(index, previous, word);
+}
+
+/// Algorithm 4's dep_count: per-(strand, coord) occurrence counts of the
+/// current base.  clear() zeroes only the cells counted since the last
+/// clear, so the kernel keeps one instance per thread and clears it per site
+/// and per base change instead of zeroing all 512 cells.
+class DepthCounts {
+ public:
+  /// Count one occurrence; returns the cell's new count.
+  int next(const AlignedBase& ab) {
+    const u32 cell = static_cast<u32>(ab.strand) * kMaxReadLen + ab.coord;
+    if (counts_[cell] == 0) {
+      if (n_touched_ < kCells) touched_[n_touched_] = static_cast<u16>(cell);
+      ++n_touched_;  // past kCells (u16 wrap-around) clear() zeroes all
+    }
+    return ++counts_[cell];
+  }
+
+  void clear() {
+    if (n_touched_ > kCells) {
+      counts_.fill(0);
+    } else {
+      for (u32 i = 0; i < n_touched_; ++i) counts_[touched_[i]] = 0;
+    }
+    n_touched_ = 0;
+  }
+
+ private:
+  static constexpr u32 kCells = kNumStrands * kMaxReadLen;
+  std::array<u16, kCells> counts_{};
+  std::array<u16, kCells> touched_{};
+  u32 n_touched_ = 0;
+};
+
 }  // namespace
 
 UnsortedWindowError::UnsortedWindowError(std::size_t index, u32 previous,
                                          u32 word)
     : Error(unsorted_window_message(index, previous, word)) {}
-
-namespace detail {
-
-void throw_unsorted_window(std::size_t index, u32 previous, u32 word) {
-  assert(!"likelihood_sparse_site: unsorted base_word window");
-  throw UnsortedWindowError(index, previous, word);
-}
-
-}  // namespace detail
 
 TypeLikely likelihood_dense_site(std::span<const u8> base_occ,
                                  const PMatrix& pm) {
@@ -77,7 +107,7 @@ TypeLikely likelihood_dense_site(std::span<const u8> base_occ,
 TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
                                   const NewPMatrix& npm) {
   TypeLikely type_likely{};
-  thread_local detail::DepthCounts dep_count;
+  thread_local DepthCounts dep_count;
   dep_count.clear();
   const int* penalties = quality_penalties().data();
   const double* flat = npm.flat().data();
@@ -89,7 +119,7 @@ TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
     // The depth-count recycle below only resets on a base *increase*; an
     // out-of-order word (word < its predecessor) would silently reuse stale
     // depth counts, so sortedness is validated rather than assumed.
-    if (word < prev_word) detail::throw_unsorted_window(index, prev_word, word);
+    if (word < prev_word) throw_unsorted_window(index, prev_word, word);
     prev_word = word;
     ++index;
     const AlignedBase ab = base_word_unpack(word);

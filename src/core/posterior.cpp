@@ -28,8 +28,8 @@ bool better(const BaseRank& a, const BaseRank& b) {
   return a.base < b.base;
 }
 
-}  // namespace
-
+/// The selection scan over ten already-summed log posteriors
+/// (prior + likelihood); `lp` points at kNumGenotypes doubles.
 PosteriorCall select_from_log_posteriors(const double* lp) {
   int best_g = 0, second_g = 0;
   double best_lp = -1e300, second_lp = -1e300;
@@ -53,6 +53,8 @@ PosteriorCall select_from_log_posteriors(const double* lp) {
       std::clamp(static_cast<long>(std::lround(gap)), 0L, 99L));
   return call;
 }
+
+}  // namespace
 
 PosteriorCall select_genotype(const GenotypePriors& log_prior,
                               const TypeLikely& type_likely) {

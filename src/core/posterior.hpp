@@ -38,12 +38,6 @@ struct PosteriorCall {
 PosteriorCall select_genotype(const GenotypePriors& log_prior,
                               const TypeLikely& type_likely);
 
-/// The selection scan over ten already-summed log posteriors
-/// (prior + likelihood).  select_genotype and the SIMD backend both funnel
-/// through this so the tie-breaking and quality-rounding rules have exactly
-/// one definition (`lp` points at kNumGenotypes doubles).
-PosteriorCall select_from_log_posteriors(const double* lp);
-
 /// Assemble the full output row given an already-selected genotype call
 /// (host path: select_genotype; GSNP path: the device posterior kernel,
 /// which computes the identical selection).

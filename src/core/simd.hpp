@@ -1,91 +1,16 @@
 #pragma once
-// Vectorized host kernels for the gsnp-simd backend (ROADMAP item 2).
-//
-// The hot loops of the host GSNP engine are lane-parallel over the ten
-// genotypes: the sparse likelihood accumulates one contiguous NewPMatrix row
-// per aligned base (ten adds), the dense path evaluates ten allele-pair
-// probabilities per occurrence, and the posterior sums ten priors with ten
-// likelihoods before the selection scan.  Each kernel here vectorizes those
-// lanes while keeping *per-lane* operation order identical to the scalar
-// reference — so the results are bit-identical to gsnp-cpu, extending the
-// paper's §IV-G consistency property to every dispatch level (enforced by
-// tests/test_likelihood.cpp and the determinism battery's backend matrix).
-//
-// Bit-exactness rules the kernels obey:
-//   * Lane g of a vector accumulator sees exactly the scalar code's addition
-//     sequence for genotype g (vector adds are per-lane independent).
-//   * The likely_update expression keeps the scalar shape
-//     0.5*p1 + 0.5*p2 (mul, mul, add — never fused, never reassociated) and
-//     the shared likely_log10 clamp; log10 itself stays scalar libm.
-//   * All scalar bookkeeping (base_word unpack, depth counts, quality
-//     adjustment, sortedness validation) is the shared scalar code.
-//
-// Dispatch: one binary carries scalar + SSE2 + AVX2 (x86-64) or scalar +
-// NEON (aarch64) kernels; detect_level() picks the best the CPU supports at
-// runtime, overridable by GSNP_FORCE_SCALAR=1 / GSNP_SIMD_LEVEL=<name> for
-// CI and by force_level() for tests.
-
-#include <optional>
-#include <span>
-#include <string_view>
-#include <vector>
-
-#include "src/common/types.hpp"
-#include "src/core/likelihood.hpp"
-#include "src/core/posterior.hpp"
+// A probe of the host CPU's best vector instruction set, for benchmark
+// provenance (`perfbench info`).  No kernel dispatches on it: every backend
+// runs the one scalar kernel set of likelihood.hpp and posterior.hpp.
 
 namespace gsnp::core::simd {
 
-/// Instruction-set tiers the dispatcher knows about, worst to best.
+/// Instruction-set tiers, worst to best.
 enum class Level { kScalar, kSse2, kAvx2, kNeon };
 
 const char* level_name(Level level);
-std::optional<Level> level_from_name(std::string_view name);
 
-/// Can this binary execute `level` kernels on this CPU?
-bool level_supported(Level level);
-/// All supported levels, worst to best (always contains kScalar).
-std::vector<Level> supported_levels();
-
-/// The level the environment asks for: GSNP_FORCE_SCALAR=1 wins, then
-/// GSNP_SIMD_LEVEL=<name> (throws gsnp::Error for an unknown name or a level
-/// this host cannot execute), then the best supported level.
-Level detect_level();
-
-/// detect_level(), unless a test pinned a level via force_level().
+/// The best level __builtin_cpu_supports reports on this host.
 Level active_level();
-
-/// Test seam: pin dispatch to `level` (throws if unsupported); nullopt
-/// restores environment-driven detection.
-void force_level(std::optional<Level> level);
-
-using SparseSiteFn = TypeLikely (*)(std::span<const u32>, const NewPMatrix&);
-using DenseSiteFn = TypeLikely (*)(std::span<const u8>, const PMatrix&);
-using SelectFn = PosteriorCall (*)(const GenotypePriors&, const TypeLikely&);
-
-/// One dispatch level's kernel set.  kScalar's entries are the reference
-/// implementations themselves (likelihood.cpp / posterior.cpp), so forcing
-/// scalar *is* gsnp-cpu, not a copy of it.  Levels without a vectorized
-/// dense kernel fall back to the scalar one (the gsnp-simd engine itself is
-/// sparse; dense vectorization only serves the SOAPsnp-path parity tests).
-struct Kernels {
-  Level level;
-  SparseSiteFn sparse_site;
-  DenseSiteFn dense_site;
-  SelectFn select_genotype;
-};
-
-/// Kernel set for `level` (throws gsnp::Error if unsupported on this host).
-const Kernels& kernels(Level level);
-/// kernels(active_level()).
-const Kernels& active_kernels();
-
-/// Convenience entry points for tests: dispatch one call at `level`.
-TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
-                                  const NewPMatrix& npm, Level level);
-TypeLikely likelihood_dense_site(std::span<const u8> base_occ,
-                                 const PMatrix& pm, Level level);
-PosteriorCall select_genotype(const GenotypePriors& log_prior,
-                              const TypeLikely& type_likely, Level level);
 
 }  // namespace gsnp::core::simd

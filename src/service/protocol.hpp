@@ -72,8 +72,8 @@ struct JobSpec {
   std::string job_id;            ///< "" = daemon assigns "job-<n>"
   std::string tenant = "default";
   std::string engine = "gsnp";   ///< a backend name core::find_backend knows
-                                 ///< ("gsnp", "gsnp-cpu", "gsnp-simd",
-                                 ///< "soapsnp", or the "_" id spellings)
+                                 ///< ("gsnp", "gsnp-cpu", "soapsnp", or the
+                                 ///< "_" id spellings)
   std::vector<ChromosomeSpec> chromosomes;
   /// Where outputs publish; "" = the job's spool directory (`<job dir>/out`).
   std::string output_dir;

@@ -14,7 +14,7 @@ namespace {
 
 TEST(Backend, RegistryListsEveryEngineOnce) {
   const auto registry = backend_registry();
-  ASSERT_EQ(registry.size(), 4u);
+  ASSERT_EQ(registry.size(), 3u);
 
   std::set<std::string> names, ids;
   std::set<EngineKind> kinds;
@@ -28,30 +28,17 @@ TEST(Backend, RegistryListsEveryEngineOnce) {
   EXPECT_TRUE(names.count("soapsnp"));
   EXPECT_TRUE(names.count("gsnp-cpu"));
   EXPECT_TRUE(names.count("gsnp"));
-  EXPECT_TRUE(names.count("gsnp-simd"));
 }
 
 TEST(Backend, CapabilityFlags) {
   EXPECT_FALSE(backend_info(EngineKind::kSoapsnp).needs_device);
-  EXPECT_FALSE(backend_info(EngineKind::kSoapsnp).sparse);
   EXPECT_TRUE(backend_info(EngineKind::kSoapsnp).text_output);
-  EXPECT_FALSE(backend_info(EngineKind::kSoapsnp).simd);
 
   EXPECT_FALSE(backend_info(EngineKind::kGsnpCpu).needs_device);
-  EXPECT_TRUE(backend_info(EngineKind::kGsnpCpu).sparse);
   EXPECT_FALSE(backend_info(EngineKind::kGsnpCpu).text_output);
 
   EXPECT_TRUE(backend_info(EngineKind::kGsnp).needs_device);
-  EXPECT_TRUE(backend_info(EngineKind::kGsnp).sparse);
   EXPECT_FALSE(backend_info(EngineKind::kGsnp).text_output);
-
-  EXPECT_FALSE(backend_info(EngineKind::kGsnpSimd).needs_device);
-  EXPECT_TRUE(backend_info(EngineKind::kGsnpSimd).sparse);
-  EXPECT_TRUE(backend_info(EngineKind::kGsnpSimd).simd);
-  // Exactly one backend carries the SIMD flag.
-  int simd_count = 0;
-  for (const BackendInfo& b : backend_registry()) simd_count += b.simd;
-  EXPECT_EQ(simd_count, 1);
 }
 
 TEST(Backend, FindAcceptsNameAndId) {
@@ -69,8 +56,8 @@ TEST(Backend, FindAcceptsNameAndId) {
 }
 
 TEST(Backend, RequireBackendThrowsListingValidNames) {
-  EXPECT_EQ(&require_backend("gsnp-simd"),
-            &backend_info(EngineKind::kGsnpSimd));
+  EXPECT_EQ(&require_backend("gsnp-cpu"),
+            &backend_info(EngineKind::kGsnpCpu));
   try {
     require_backend("warp-drive");
     FAIL() << "expected UnknownBackendError";
@@ -85,7 +72,7 @@ TEST(Backend, RequireBackendThrowsListingValidNames) {
 TEST(Backend, EngineNameRoundTripsThroughRegistry) {
   // engine_name stays the strict "_" id spelling (filenames, manifests);
   // engine_kind_from_name accepts both spellings via the registry.
-  EXPECT_STREQ(engine_name(EngineKind::kGsnpSimd), "gsnp_simd");
+  EXPECT_STREQ(engine_name(EngineKind::kGsnpCpu), "gsnp_cpu");
   for (const BackendInfo& b : backend_registry()) {
     EXPECT_STREQ(engine_name(b.kind), b.id);
     ASSERT_TRUE(engine_kind_from_name(b.id).has_value());

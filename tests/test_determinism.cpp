@@ -1,14 +1,14 @@
 // The determinism battery (one window loop, every mode and plan).
 //
-// The window loop promises output *byte-identical* across its modes — the
-// serial run (EngineConfig::streams <= 1) and the overlapped run (two window
-// slots, and for GSNP 2..8 device streams) — and across batch plans: fixed
-// windows and the depth-aware batcher.  This file is the contract's
-// enforcement: one matrix runs every backend in every mode under both plans
-// and asserts byte-identical raw output, byte-identical VCF conversion,
-// identical manifest digests and identical device counters, against the
-// serial run of the same plan; batched and fixed serial runs must produce
-// the same artifacts.
+// The window loop promises output *byte-identical* across its two modes —
+// the serial run and the overlapped run (EngineConfig::overlapped: two
+// window slots, and for GSNP three device streams) — and across batch
+// plans: fixed windows and the depth-aware batcher.  This file is the
+// contract's enforcement: one matrix runs every backend in both modes under
+// both plans and asserts byte-identical raw output, byte-identical VCF
+// conversion, identical manifest digests and identical device counters,
+// against the serial run of the same plan; batched and fixed serial runs
+// must produce the same artifacts.
 //
 // A second section pins the end-to-end result against committed golden
 // SHA-256 hashes (tests/corpus/golden/), so a cross-PR behavioral drift is
@@ -23,7 +23,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -35,7 +34,6 @@
 #include "src/core/consistency.hpp"
 #include "src/core/genome_pipeline.hpp"
 #include "src/core/run_manifest.hpp"
-#include "src/core/simd.hpp"
 #include "src/core/vcf.hpp"
 #include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
@@ -57,7 +55,7 @@ std::string read_file_bytes(const fs::path& path) {
 /// One run configuration under test.
 struct PipelineVariant {
   std::string label;
-  u32 streams;
+  bool overlapped;
   /// Depth-aware batching budget (0 = fixed windows).  Small enough values
   /// split every window into several batches.
   u64 batch_bytes = 0;
@@ -120,7 +118,7 @@ class DeterminismBattery : public ::testing::Test {
     config.output_dir =
         dir_ / (std::string(engine_name(kind)) + "_" + v.label);
     config.window_size = window_size_;
-    config.streams = v.streams;
+    config.overlapped = v.overlapped;
     config.batch_bytes = v.batch_bytes;
 
     device::Device dev;  // fresh per run: counters comparable across runs
@@ -219,29 +217,27 @@ class DeterminismBattery : public ::testing::Test {
         << engine_name(kind) << " " << label << ": manifest digest differs";
   }
 
-  /// The matrix: each mode (serial, 2 and 4 streams) under each plan (fixed
-  /// windows, batched) is fully identical — device counters included — to
-  /// the serial run of its plan, and the two serial runs produce the same
-  /// artifacts.  Batching re-shapes the device op stream (per-batch uploads
-  /// and scratch), so only the counters may differ between plans.  With
+  /// The matrix: the overlapped mode under each plan (fixed windows,
+  /// batched) is fully identical — device counters included — to the serial
+  /// run of its plan, and the two serial runs produce the same artifacts.
+  /// Batching re-shapes the device op stream (per-batch uploads and
+  /// scratch), so only the counters may differ between plans.  With
   /// `rerun`, the fixed serial run also reproduces itself.
   void run_matrix(EngineKind kind, bool rerun) {
     // ~1/17th of a 2,048-site window's likelihood footprint: every window in
     // the 6x dataset splits into multiple batches.
     constexpr u64 kBudget = 256 * 1024;
-    const RunFingerprint fixed = run(kind, {"fixed_serial", 1, 0});
+    const RunFingerprint fixed = run(kind, {"fixed_serial", false, 0});
     if (rerun)
-      expect_identical(run(kind, {"fixed_serial_rerun", 1, 0}), fixed, kind,
-                       "serial rerun");
-    const RunFingerprint batched = run(kind, {"batched_serial", 1, kBudget});
+      expect_identical(run(kind, {"fixed_serial_rerun", false, 0}), fixed,
+                       kind, "serial rerun");
+    const RunFingerprint batched =
+        run(kind, {"batched_serial", false, kBudget});
     expect_same_artifacts(batched, fixed, kind, "batched serial");
-    for (const u32 streams : {2u, 4u}) {
-      const std::string s = "_s" + std::to_string(streams);
-      expect_identical(run(kind, {"fixed" + s, streams, 0}), fixed, kind,
-                       "fixed" + s);
-      expect_identical(run(kind, {"batched" + s, streams, kBudget}), batched,
-                       kind, "batched" + s);
-    }
+    expect_identical(run(kind, {"fixed_overlapped", true, 0}), fixed, kind,
+                     "fixed overlapped");
+    expect_identical(run(kind, {"batched_overlapped", true, kBudget}),
+                     batched, kind, "batched overlapped");
   }
 
   fs::path dir_;
@@ -266,14 +262,13 @@ TEST_P(DeterminismMatrix, EveryModeAndPlanMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(Backends, DeterminismMatrix,
                          ::testing::Values(EngineKind::kSoapsnp,
                                            EngineKind::kGsnpCpu,
-                                           EngineKind::kGsnp,
-                                           EngineKind::kGsnpSimd),
+                                           EngineKind::kGsnp),
                          backend_label);
 
 /// The matrix over a skewed-depth dataset: seeded hotspot islands on a 6x
 /// baseline, so batch sizes genuinely float (hundreds of shallow sites per
 /// batch outside the islands, a handful of deep ones inside) while windows,
-/// streams and budgets interact.
+/// modes and budgets interact.
 class HotspotDeterminism : public DeterminismBattery,
                            public ::testing::WithParamInterface<EngineKind> {
  protected:
@@ -375,9 +370,9 @@ class FanOutDeterminism : public DeterminismBattery {
     const bool dense = kind == EngineKind::kSoapsnp;
     jobs_ = {all_jobs_[dense ? 1 : 0]};
     window_size_ = dense ? 2'048 : static_cast<u32>(3 * kCountSitesPerRange);
-    const RunFingerprint fanned = run(kind, {"fan_out", 1});
+    const RunFingerprint fanned = run(kind, {"fan_out", false});
     const RunFingerprint inlined =
-        run(kind, {"inline", 1}, /*run_inline=*/true);
+        run(kind, {"inline", false}, /*run_inline=*/true);
     expect_identical(inlined, fanned, kind, "inline");
   }
 
@@ -396,51 +391,13 @@ TEST_F(FanOutDeterminism, GsnpFanOutMatchesInline) {
   expect_fan_out_matches_inline(EngineKind::kGsnp);
 }
 
-TEST_F(FanOutDeterminism, GsnpSimdFanOutMatchesInline) {
-  expect_fan_out_matches_inline(EngineKind::kGsnpSimd);
-}
-
-/// Restores environment-driven SIMD dispatch even when an ASSERT bails out
-/// of a test mid-way.
-struct ForcedLevel {
-  explicit ForcedLevel(simd::Level level) { simd::force_level(level); }
-  ~ForcedLevel() { simd::force_level(std::nullopt); }
-};
-
-TEST_F(DeterminismBattery, BackendMatrixIsByteIdentical) {
-  // The registry's bit-exactness contract, §IV-G extended to dispatch
-  // levels: gsnp-simd pinned to scalar, SSE2 and AVX2 must produce output
-  // and VCF bytes identical to gsnp-cpu.  (Manifest digests embed the
-  // engine id, so cross-backend identity is asserted on the bytes.)
-  const PipelineVariant v = {"matrix", 1};
-  const RunFingerprint reference = run(EngineKind::kGsnpCpu, v);
-
-  if (!simd::level_supported(simd::Level::kAvx2))
-    std::cerr << "[ WARNING  ] host lacks AVX2 — backend matrix only covers "
-              << "the levels this CPU can execute\n";
-
-  for (const simd::Level level : simd::supported_levels()) {
-    const ForcedLevel forced(level);
-    const RunFingerprint fp = run(EngineKind::kGsnpSimd, v);
-    ASSERT_EQ(fp.output_bytes.size(), reference.output_bytes.size());
-    for (std::size_t c = 0; c < fp.output_bytes.size(); ++c) {
-      EXPECT_EQ(fp.output_bytes[c] == reference.output_bytes[c], true)
-          << "gsnp-simd@" << simd::level_name(level) << ": chromosome " << c
-          << " raw output differs from gsnp-cpu";
-      EXPECT_EQ(fp.vcf_bytes[c] == reference.vcf_bytes[c], true)
-          << "gsnp-simd@" << simd::level_name(level) << ": chromosome " << c
-          << " VCF differs from gsnp-cpu";
-    }
-  }
-}
-
 TEST_F(DeterminismBattery, EnginesAgreeUnderOverlap) {
   // The §IV-G cross-engine guarantee must survive overlap: an overlapped
   // GSNP run and an overlapped SOAPsnp run still call identical rows.
   GenomeRunConfig config;
   config.chromosomes = jobs_;
   config.window_size = 2'048;
-  config.streams = 2;
+  config.overlapped = true;
 
   device::Device dev;
   config.output_dir = dir_ / "cross_gsnp";
@@ -473,14 +430,13 @@ TEST_F(DeterminismBattery, GoldenEndToEndHashes) {
   // Hash every backend's serial raw outputs and VCFs — the same artifacts
   // the matrix above proves every mode and plan reproduces, so pinning
   // serial pins everything.  The registry's bit-exactness contract shows up
-  // directly in the golden file: the .out/.vcf hashes of gsnp, gsnp_cpu and
-  // gsnp_simd are the same hex strings (only the manifests differ, because
-  // they embed the engine id).
+  // directly in the golden file: the .out/.vcf hashes of gsnp and gsnp_cpu
+  // are the same hex strings (only the manifests differ, because they
+  // embed the engine id).
   std::map<std::string, std::string> actual;
   for (const EngineKind kind :
-       {EngineKind::kGsnp, EngineKind::kSoapsnp, EngineKind::kGsnpCpu,
-        EngineKind::kGsnpSimd}) {
-    const RunFingerprint fp = run(kind, {"golden", 1});
+       {EngineKind::kGsnp, EngineKind::kSoapsnp, EngineKind::kGsnpCpu}) {
+    const RunFingerprint fp = run(kind, {"golden", false});
     for (std::size_t c = 0; c < fp.output_bytes.size(); ++c) {
       const std::string base =
           std::string(engine_name(kind)) + "/" + jobs_[c].name;

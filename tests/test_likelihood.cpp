@@ -14,8 +14,6 @@
 #include "src/core/likelihood.hpp"
 #include "src/core/new_pmatrix.hpp"
 #include "src/core/pmatrix.hpp"
-#include "src/core/posterior.hpp"
-#include "src/core/simd.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -219,83 +217,6 @@ TEST_F(Likelihood, UnsortedWindowIsRejected) {
 #else
   EXPECT_DEATH(likelihood_sparse_site(words, *npm_), "sorted");
 #endif
-}
-
-TEST_F(Likelihood, SimdSparseMatchesScalarBitExact) {
-  for (const simd::Level level : simd::supported_levels()) {
-    for (u64 seed = 300; seed < 330; ++seed) {
-      const auto obs = random_site(seed, static_cast<int>(1 + seed % 50));
-      std::vector<u32> words;
-      for (const auto& ab : obs) words.push_back(base_word_pack(ab));
-      std::sort(words.begin(), words.end());
-      const TypeLikely scalar = likelihood_sparse_site(words, *npm_);
-      const TypeLikely vec = simd::likelihood_sparse_site(words, *npm_, level);
-      for (int g = 0; g < kNumGenotypes; ++g)
-        ASSERT_EQ(scalar[g], vec[g])
-            << simd::level_name(level) << " seed " << seed << " g " << g;
-    }
-  }
-}
-
-TEST_F(Likelihood, SimdSparseRejectsUnsortedToo) {
-  // The vectorized kernels share the scalar sortedness validation.
-  std::vector<u32> words = {base_word_pack({3, 40, 9, Strand::kForward}),
-                            base_word_pack({0, 40, 2, Strand::kForward})};
-  ASSERT_GT(words[0], words[1]);
-#ifdef NDEBUG
-  for (const simd::Level level : simd::supported_levels())
-    EXPECT_THROW(simd::likelihood_sparse_site(words, *npm_, level),
-                 UnsortedWindowError)
-        << simd::level_name(level);
-#endif
-}
-
-TEST_F(Likelihood, SimdDenseMatchesScalarBitExact) {
-  for (const simd::Level level : simd::supported_levels()) {
-    for (u64 seed = 400; seed < 420; ++seed) {
-      const auto obs = random_site(seed, static_cast<int>(1 + seed % 60));
-      BaseOccWindow window(1);
-      for (const auto& ab : obs) window.add(0, ab);
-      const TypeLikely scalar = likelihood_dense_site(window.site(0), *pm_);
-      const TypeLikely vec =
-          simd::likelihood_dense_site(window.site(0), *pm_, level);
-      for (int g = 0; g < kNumGenotypes; ++g)
-        ASSERT_EQ(scalar[g], vec[g])
-            << simd::level_name(level) << " seed " << seed << " g " << g;
-    }
-  }
-}
-
-TEST_F(Likelihood, SimdSelectMatchesScalarBitExact) {
-  Rng rng(555);
-  for (int trial = 0; trial < 200; ++trial) {
-    GenotypePriors prior;
-    TypeLikely likely;
-    for (int g = 0; g < kNumGenotypes; ++g) {
-      prior[g] = -10.0 * rng.uniform_double();
-      likely[g] = -50.0 * rng.uniform_double();
-    }
-    const PosteriorCall scalar = select_genotype(prior, likely);
-    for (const simd::Level level : simd::supported_levels()) {
-      const PosteriorCall vec = simd::select_genotype(prior, likely, level);
-      EXPECT_EQ(scalar.best, vec.best) << simd::level_name(level);
-      EXPECT_EQ(scalar.second, vec.second) << simd::level_name(level);
-      EXPECT_EQ(scalar.quality, vec.quality) << simd::level_name(level);
-    }
-  }
-}
-
-TEST_F(Likelihood, SimdLevelNamesRoundTrip) {
-  for (const simd::Level level : simd::supported_levels()) {
-    const auto back = simd::level_from_name(simd::level_name(level));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, level);
-  }
-  EXPECT_FALSE(simd::level_from_name("warp9").has_value());
-  // Scalar is always supported and always in the list.
-  EXPECT_TRUE(simd::level_supported(simd::Level::kScalar));
-  EXPECT_FALSE(simd::supported_levels().empty());
-  EXPECT_EQ(simd::supported_levels().front(), simd::Level::kScalar);
 }
 
 TEST_F(Likelihood, CpuSortMatchesStdSortPerSite) {

@@ -20,7 +20,6 @@
 #include "src/common/timer.hpp"
 #include "src/core/backend.hpp"
 #include "src/core/engine.hpp"
-#include "src/core/simd.hpp"
 #include "src/device/device.hpp"
 #include "src/device/perf_model.hpp"
 #include "src/genome/synthetic.hpp"
@@ -336,7 +335,7 @@ TEST_F(TracedEngines, SitesPerSecGaugeUsesTheCallsWallTime) {
   Tracer tracer;
   config_.tracer = &tracer;
   config_.output_file = dir_ / "out.bin";
-  config_.streams = 2;
+  config_.overlapped = true;
   const Timer stopwatch;
   const core::RunReport report = core::run_gsnp_cpu(config_);
   const double outer = stopwatch.seconds();
@@ -352,11 +351,11 @@ TEST_F(TracedEngines, SitesPerSecGaugeUsesTheCallsWallTime) {
 /// device's modeled seconds carried by stage spans in every mode.
 class TracedEngineMatrix
     : public TracedEngines,
-      public ::testing::WithParamInterface<std::tuple<const char*, u32, u64>> {
+      public ::testing::WithParamInterface<std::tuple<const char*, bool, u64>> {
 };
 
 TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
-  const auto [name, streams, batch_bytes] = GetParam();
+  const auto [name, overlapped, batch_bytes] = GetParam();
   const core::BackendInfo* backend = core::find_backend(name);
   ASSERT_NE(backend, nullptr) << name;
   Tracer tracer;
@@ -364,14 +363,13 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
   config_.output_file = dir_ / "out";
   // SOAPsnp holds a 128 KiB matrix per site in each of its window slots.
   config_.window_size = 2'048;
-  config_.streams = streams;
+  config_.overlapped = overlapped;
   config_.batch_bytes = batch_bytes;
   std::optional<device::Device> dev;
   if (backend->needs_device) dev.emplace();
   const core::RunReport report =
       core::run_backend(*backend, config_, dev ? &*dev : nullptr);
   ASSERT_GT(report.windows, 1u);
-  EXPECT_EQ(report.streams_used, streams);
   expect_breakdown_matches(report, tracer);
   std::string engine = name;
   std::replace(engine.begin(), engine.end(), '-', '_');
@@ -388,28 +386,6 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
           << row;
       EXPECT_NEAR(breakdown.at(row), report.component(row), 1e-9) << row;
     }
-  }
-
-  // gsnp_simd notes its backend and dispatch level on the kernel stages.
-  if (engine == "gsnp_simd") {
-    const std::string level =
-        core::simd::level_name(core::simd::active_level());
-    EXPECT_EQ(tracer.metrics().counter("simd_level_" + level), 1u);
-    const auto has_note = [](const SpanRecord& span, const char* key,
-                             const std::string& value) {
-      return std::find(span.args.begin(), span.args.end(),
-                       std::pair<std::string, std::string>(key, value)) !=
-             span.args.end();
-    };
-    int noted = 0;
-    for (const auto& span : tracer.spans()) {
-      if (span.category != "stage") continue;
-      const bool kernel = span.name == "likeli_comp" || span.name == "post";
-      EXPECT_EQ(has_note(span, "backend", "gsnp_simd"), kernel) << span.name;
-      EXPECT_EQ(has_note(span, "simd", level), kernel) << span.name;
-      noted += kernel;
-    }
-    EXPECT_GT(noted, 0);
   }
 
   // The exports round-trip with the same stage totals.
@@ -461,7 +437,7 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
     }
   }
   EXPECT_EQ(batches, report.batch.batches);
-  if (streams <= 1) {
+  if (!overlapped) {
     EXPECT_EQ(measured, batches);
   } else {
     EXPECT_GT(measured, 0u);
@@ -471,14 +447,13 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, TracedEngineMatrix,
-    ::testing::Combine(::testing::Values("soapsnp", "gsnp-cpu", "gsnp-simd",
-                                         "gsnp"),
-                       ::testing::Values(1u, 2u),
+    ::testing::Combine(::testing::Values("soapsnp", "gsnp-cpu", "gsnp"),
+                       ::testing::Bool(),
                        ::testing::Values(u64{0}, u64{256 * 1024})),
     [](const auto& info) {
       std::string label = std::get<0>(info.param);
       std::replace(label.begin(), label.end(), '-', '_');
-      label += std::get<1>(info.param) > 1 ? "_overlapped" : "_serial";
+      label += std::get<1>(info.param) ? "_overlapped" : "_serial";
       label += std::get<2>(info.param) > 0 ? "_batched" : "_fixed";
       return label;
     });

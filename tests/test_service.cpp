@@ -15,6 +15,7 @@
 #include <fstream>
 #include <thread>
 
+#include "src/common/atomic_file.hpp"
 #include "src/common/error.hpp"
 #include "src/core/genome_pipeline.hpp"
 #include "src/obs/eventlog.hpp"
@@ -24,6 +25,7 @@
 #include "src/reads/simulator.hpp"
 #include "src/service/daemon.hpp"
 #include "src/service/dispatch.hpp"
+#include "src/service/journal.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/socket.hpp"
 
@@ -827,6 +829,70 @@ TEST_F(ServiceFixture, GracefulShutdownParksJobsForResume) {
     EXPECT_TRUE(status.resumed);
     EXPECT_EQ(status.manifest_digest, serial_digest(spec, dir_ / "serial"));
   }
+}
+
+TEST_F(ServiceFixture, RecoverRejectsRetiredBackendTypedAndRunsTheRest) {
+  // A spool journaled before the gsnp-simd backend was retired.  recover()
+  // hands each unfinished job to admission, which rejects the unknown name
+  // with the typed invalid_argument and leaves its journal for the
+  // operator; the gsnp-cpu job beside it still resumes to done.  A done
+  // gsnp-simd job is history: it stays queryable and is never rerun.
+  const fs::path jobs = dir_ / "spool" / "jobs";
+  std::string done_digest;
+  {
+    JobSpec spec = make_spec({1}, "simd-done");
+    spec.engine = "gsnp-cpu";
+    Daemon daemon(daemon_config("spool"));
+    daemon.submit(spec);
+    ASSERT_TRUE(daemon.wait_job("simd-done", 60.0));
+    done_digest = daemon.status("simd-done").manifest_digest;
+  }
+  const std::vector<u8> text = read_bytes(jobs / "simd-done" / "job.json");
+  JobJournal retired = parse_job_journal(std::string(text.begin(), text.end()));
+  ASSERT_EQ(retired.state, JobState::kDone);
+  retired.spec.engine = "gsnp-simd";
+  write_file_atomic(jobs / "simd-done" / "job.json",
+                    encode_job_journal(retired));
+
+  for (const char* engine : {"gsnp-simd", "gsnp-cpu"}) {
+    JobJournal journal;
+    journal.id = std::string("old-") + engine;
+    journal.state = JobState::kInterrupted;
+    journal.spec = make_spec({2}, journal.id);
+    journal.spec.engine = engine;
+    fs::create_directories(jobs / journal.id);
+    write_file_atomic(jobs / journal.id / "job.json",
+                      encode_job_journal(journal));
+  }
+
+  Daemon daemon(daemon_config("spool"));
+  EXPECT_EQ(daemon.recover(), 1u);
+  ASSERT_TRUE(daemon.wait_job("old-gsnp-cpu", 120.0));
+  const JobStatus resumed = daemon.status("old-gsnp-cpu");
+  EXPECT_EQ(resumed.state, JobState::kDone) << resumed.error;
+  EXPECT_TRUE(resumed.resumed);
+
+  EXPECT_EQ(daemon.stats().rejected_invalid_argument, 1u);
+  EXPECT_EQ(daemon.metrics().counter("jobs_rejected_invalid_argument"), 1u);
+  EXPECT_THROW(daemon.status("old-gsnp-simd"), ServiceError);
+  EXPECT_TRUE(fs::exists(jobs / "old-gsnp-simd" / "job.json"));
+  std::size_t rejected = 0;
+  for (const obs::JobEvent& ev :
+       obs::read_event_log(dir_ / "spool" / "events.jsonl")) {
+    if (ev.event != "rejected") continue;
+    ++rejected;
+    EXPECT_EQ(ev.job_id, "old-gsnp-simd");
+    EXPECT_EQ(ev.backend, "gsnp-simd");
+    EXPECT_EQ(ev.reason, "invalid_argument");
+    for (const auto& info : gsnp::core::backend_registry())
+      EXPECT_NE(ev.error.find(info.name), std::string::npos) << info.name;
+  }
+  EXPECT_EQ(rejected, 1u);
+
+  const JobStatus history = daemon.status("simd-done");
+  EXPECT_EQ(history.state, JobState::kDone);
+  EXPECT_EQ(history.engine, "gsnp-simd");
+  EXPECT_EQ(history.manifest_digest, done_digest);
 }
 
 // ---- sidecar namespacing for shared output dirs -----------------------------------
