@@ -8,7 +8,7 @@
 //                     [--engine gsnp|gsnp-cpu|soapsnp]
 //                     [--dbsnp <file>]
 //                     [--window N] [--overlap] [--batch-bytes B]
-//                     [--save-matrix <file>]
+//                     [--save-matrix <file>] [--load-matrix <file>]
 //                     [--lenient] [--quarantine <file>] [--max-bad N]
 //                     [--max-bad-frac P] [--trace-out <json>]
 //                     [--metrics-out <json>] [--profile-out <json>]
@@ -32,12 +32,15 @@
 //   gsnp_cli health   --socket <path>
 //   gsnp_cli shutdown --socket <path>
 //
+// Each verb rejects a flag it does not take with exit code 2 (the table in
+// verbs() lists every verb's flags).
 // Truth files are what `simulate` writes: "pos ref genotype" per line.
 // Long runs handle SIGINT/SIGTERM cooperatively: `call` discards its staged
 // `.part` output (the published file is only ever renamed into place whole)
 // and `serve` parks unfinished jobs as "interrupted" so the next daemon's
 // recovery resumes them.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -46,6 +49,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "src/common/atomic_file.hpp"
@@ -114,10 +118,32 @@ class Args {
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
   const std::vector<std::string>& positional() const { return positional_; }
+  /// The first flag (in name order) not in `known`; "" when all are known.
+  std::string unknown_flag(const std::vector<std::string_view>& known) const {
+    for (const auto& entry : values_)
+      if (std::find(known.begin(), known.end(), entry.first) == known.end())
+        return entry.first;
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+};
+
+/// A file that lives as long as the scope: removed on every exit (a path
+/// that was renamed away or never created is left alone).
+class ScratchFile {
+ public:
+  explicit ScratchFile(fs::path file = {}) : path(std::move(file)) {}
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+  ~ScratchFile() {
+    std::error_code ec;
+    if (!path.empty()) fs::remove(path, ec);
+  }
+
+  fs::path path;
 };
 
 int cmd_simulate(const Args& args) {
@@ -190,15 +216,18 @@ int cmd_call(const Args& args) {
 
   // SAM input: convert to the SOAP format the engines consume.  The
   // conversion applies the same ingest policy; a converted file is fully
-  // validated, so the engine pass below sees only clean records.
+  // validated, so the engine pass below sees only clean records.  The
+  // converted copy lives as long as the call.
+  ScratchFile converted;
   if (align_path.extension() == ".sam") {
-    const fs::path converted = out_path.string() + ".soap";
+    converted.path = out_path.string() + ".soap";
     IngestStats sam_stats;
-    const u64 n = reads::sam_to_soap(align_path, converted, ingest, &sam_stats);
+    const u64 n =
+        reads::sam_to_soap(align_path, converted.path, ingest, &sam_stats);
     std::printf("converted %llu SAM records (%s)\n",
                 static_cast<unsigned long long>(n),
                 sam_stats.summary().c_str());
-    align_path = converted;
+    align_path = converted.path;
   }
 
   std::optional<genome::DbSnpTable> dbsnp;
@@ -206,11 +235,12 @@ int cmd_call(const Args& args) {
     dbsnp = genome::read_dbsnp_file(args.get("--dbsnp", ""), {}, nullptr,
                                     refs[0].size());
 
-  // Stage the output and publish it atomically at the end: an interrupt
-  // (SIGINT/SIGTERM) mid-run discards the staging file instead of leaving a
-  // torn `.part` where the caller expects a complete output.
+  // Stage the output and publish it atomically at the end: a failed or
+  // interrupted (SIGINT/SIGTERM) run discards the staging file instead of
+  // leaving a torn `.part` where the caller expects a complete output.
   install_signal_handlers();
-  const fs::path staged_out = out_path.string() + ".part";
+  const ScratchFile staged(out_path.string() + ".part");
+  const fs::path& staged_out = staged.path;
 
   core::EngineConfig config;
   config.alignment_file = align_path;
@@ -261,9 +291,6 @@ int cmd_call(const Args& args) {
     }
     report = core::run_backend(*backend, config, dev ? &*dev : nullptr);
   } catch (const CancelledError& e) {
-    std::error_code ec;
-    fs::remove(staged_out, ec);
-    fs::remove(config.temp_file, ec);
     std::fprintf(stderr,
                  "call: %s — staged output discarded, nothing published\n",
                  e.what());
@@ -535,24 +562,14 @@ int cmd_verify(const Args& args) {
   }
   int rc = 0;
   for (const std::string& path : args.positional()) {
-    char magic[8] = {};
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (!in.good()) {
-        std::printf("%-40s FAIL (cannot open)\n", path.c_str());
-        rc = 1;
-        continue;
-      }
-      in.read(magic, sizeof(magic));
-    }
     try {
-      if (std::memcmp(magic, core::kOutputMagic, sizeof(magic)) == 0) {
+      if (compress::has_magic(path, core::kOutputMagic)) {
         // Reading every window checks each frame's CRC.
         std::string seq_name;
         const auto rows = core::read_snp_compressed_file(path, seq_name);
         std::printf("%-40s OK (snp output, %zu rows)\n", path.c_str(),
                     rows.size());
-      } else if (std::memcmp(magic, compress::kTempMagic, sizeof(magic)) == 0) {
+      } else if (compress::has_magic(path, compress::kTempMagic)) {
         compress::TempInputReader reader(path);
         u64 records = 0;
         while (reader.next()) ++records;
@@ -925,29 +942,75 @@ int cmd_fsck(const Args& args) {
   return report.all_recoverable() ? 0 : 1;
 }
 
+/// A verb, its handler, and every flag it takes: any other flag exits 2.
+struct Verb {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+/// The gsnpd client verbs' flags (make_client) plus the verb's own.
+std::vector<std::string_view> client_flags(
+    std::initializer_list<std::string_view> own) {
+  std::vector<std::string_view> flags = {"--socket", "--timeout",
+                                         "--attempts"};
+  flags.insert(flags.end(), own.begin(), own.end());
+  return flags;
+}
+
+const std::vector<Verb>& verbs() {
+  static const std::vector<Verb> table = {
+      {"simulate", cmd_simulate,
+       {"--out", "--sites", "--depth", "--seed", "--snp-rate", "--name",
+        "--sam"}},
+      {"call", cmd_call,
+       {"--ref", "--align", "--out", "--engine", "--dbsnp", "--window",
+        "--overlap", "--batch-bytes", "--save-matrix", "--load-matrix",
+        "--lenient", "--quarantine", "--max-bad", "--max-bad-frac",
+        "--trace-out", "--metrics-out", "--profile-out"}},
+      {"profile", cmd_profile,
+       {"--ref", "--align", "--dbsnp", "--window", "--overlap",
+        "--batch-bytes", "--out", "--profile-out", "--diff", "--validate"}},
+      {"compare", cmd_compare, {}},
+      {"eval", cmd_eval, {"--calls", "--truth", "--min-q"}},
+      {"stats", cmd_stats, {"--align", "--sites"}},
+      {"vcf", cmd_vcf, {"--calls", "--out", "--min-q", "--all-sites"}},
+      {"verify", cmd_verify, {}},
+      {"manifest", cmd_manifest, {}},
+      {"serve", cmd_serve,
+       {"--socket", "--spool", "--workers", "--queue", "--quota",
+        "--max-payload-mb", "--batch-bytes", "--max-device-mb", "--retries",
+        "--backoff", "--jitter", "--no-fsck", "--deep-fsck",
+        "--fs-fault-plan", "--max-frame-mb", "--idle-timeout"}},
+      {"submit", cmd_submit,
+       client_flags({"--ref", "--align", "--name", "--dbsnp", "--engine",
+                     "--tenant", "--out", "--window", "--batch-bytes",
+                     "--deadline", "--job", "--wait"})},
+      {"status", cmd_status, client_flags({"--job", "--stats"})},
+      {"cancel", cmd_cancel, client_flags({"--job"})},
+      {"metrics", cmd_metrics,
+       client_flags({"--demo", "--workdir", "--engine"})},
+      {"health", cmd_health, client_flags({})},
+      {"shutdown", cmd_shutdown, client_flags({})},
+      {"fsck", cmd_fsck, {"--repair", "--deep"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2) {
+  for (const Verb& verb : verbs()) {
+    if (argc < 2 || std::strcmp(argv[1], verb.name) != 0) continue;
     const Args args(argc, argv, 2);
+    const std::string unknown = args.unknown_flag(verb.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "%s: unknown flag %s\n", verb.name,
+                   unknown.c_str());
+      return 2;
+    }
     try {
-      if (std::strcmp(argv[1], "simulate") == 0) return cmd_simulate(args);
-      if (std::strcmp(argv[1], "call") == 0) return cmd_call(args);
-      if (std::strcmp(argv[1], "profile") == 0) return cmd_profile(args);
-      if (std::strcmp(argv[1], "compare") == 0) return cmd_compare(args);
-      if (std::strcmp(argv[1], "eval") == 0) return cmd_eval(args);
-      if (std::strcmp(argv[1], "stats") == 0) return cmd_stats(args);
-      if (std::strcmp(argv[1], "vcf") == 0) return cmd_vcf(args);
-      if (std::strcmp(argv[1], "verify") == 0) return cmd_verify(args);
-      if (std::strcmp(argv[1], "manifest") == 0) return cmd_manifest(args);
-      if (std::strcmp(argv[1], "serve") == 0) return cmd_serve(args);
-      if (std::strcmp(argv[1], "submit") == 0) return cmd_submit(args);
-      if (std::strcmp(argv[1], "status") == 0) return cmd_status(args);
-      if (std::strcmp(argv[1], "cancel") == 0) return cmd_cancel(args);
-      if (std::strcmp(argv[1], "metrics") == 0) return cmd_metrics(args);
-      if (std::strcmp(argv[1], "health") == 0) return cmd_health(args);
-      if (std::strcmp(argv[1], "shutdown") == 0) return cmd_shutdown(args);
-      if (std::strcmp(argv[1], "fsck") == 0) return cmd_fsck(args);
+      return verb.run(args);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gsnp_cli: %s\n", e.what());
       return 1;
@@ -958,16 +1021,18 @@ int main(int argc, char** argv) {
               "serve|submit|status|cancel|metrics|health|shutdown|fsck> "
               "[options]\n"
               "  simulate --out DIR [--sites N --depth X --seed S --sam]\n"
+              "           [--snp-rate R --name CHR]\n"
               "  call     --ref FA --align SOAP|SAM --out FILE\n"
               "           [--engine E]   (E: %s; default gsnp)\n"
               "           [--dbsnp F --window N]\n"
               "           [--overlap]   (overlapped double buffer)\n"
               "           [--batch-bytes B]   (depth-aware device batching)\n"
+              "           [--save-matrix F --load-matrix F]   (p_matrix reuse)\n"
               "           [--lenient --quarantine F --max-bad N --max-bad-frac P]\n"
               "           [--trace-out TRACE.json --metrics-out METRICS.json]\n"
               "           [--profile-out PROFILE.json]\n"
               "  profile  --ref FA --align SOAP [--dbsnp F --window N --out FILE]\n"
-              "           [--overlap] [--profile-out PROFILE.json]\n"
+              "           [--overlap --batch-bytes B --profile-out PROFILE.json]\n"
               "           (per-kernel table)\n"
               "  profile  --diff BASE.json OTHER.json   (Table III-style diff)\n"
               "  profile  --validate PROFILE.json       (schema check)\n"
@@ -978,22 +1043,26 @@ int main(int argc, char** argv) {
               "  verify   FILE...   (check container frame CRCs)\n"
               "  manifest MANIFEST.json   (per-chromosome run + ingest table)\n"
               "  serve    --socket SOCK --spool DIR [--workers N --queue N]\n"
-              "           [--quota N --max-payload-mb M --retries N]\n"
+              "           [--quota N --max-payload-mb M]\n"
+              "           [--retries N --backoff S --jitter F]\n"
               "           [--batch-bytes B --max-device-mb M]   (admission budget)\n"
               "           [--no-fsck --deep-fsck --fs-fault-plan JSON]\n"
               "           [--max-frame-mb M --idle-timeout S]\n"
               "           (client verbs below also take --timeout S"
               " --attempts N)\n"
               "  submit   --socket SOCK --ref FA --align SOAP [--name CHR]\n"
+              "           [--dbsnp F --out DIR --job ID]\n"
               "           [--engine E --tenant T --deadline S --wait]\n"
               "           [--window N --batch-bytes B]\n"
               "  status   --socket SOCK [--job ID | --stats]\n"
               "  cancel   --socket SOCK --job ID\n"
               "  metrics  --socket SOCK   (Prometheus text exposition)\n"
-              "  metrics  --demo [--workdir DIR]   (hermetic sample daemon)\n"
+              "  metrics  --demo [--workdir DIR --engine E]   (hermetic sample"
+              " daemon)\n"
               "  health   --socket SOCK   (readiness; exit 0 iff ready)\n"
               "  shutdown --socket SOCK\n"
-              "  fsck     SPOOL_DIR [--repair --deep]   (spool scrubber)\n",
+              "  fsck     SPOOL_DIR [--repair --deep]   (spool scrubber)\n"
+              "A flag the verb does not take exits 2.\n",
               core::backend_name_list().c_str());
   return argc == 1 ? 0 : 2;
 }

@@ -13,8 +13,8 @@
 //    the whole-genome JSON manifest for observability.
 //  * QuarantineWriter — the sidecar file of skipped records (FORMATS.md §11).
 //
-// Resource guards (max line bytes, max read length, position caps) live in
-// IngestPolicy / ParseContext so every parser enforces the same limits.
+// Resource guards (kMaxLineBytes, kMaxReadLen, kMaxIngestPosition) are
+// constants, so every parser enforces the same limits.
 
 #include <array>
 #include <filesystem>
@@ -40,8 +40,8 @@ enum class IngestReason : u8 {
   kBadField,            ///< enum-like field out of domain (strand, bases, ...)
   kPositionOutOfRange,  ///< pos not 1-based, absurd, or past the reference end
   kSortOrderViolation,  ///< input not coordinate-sorted
-  kLineTooLong,         ///< line exceeds IngestPolicy::max_line_bytes
-  kReadTooLong,         ///< read length exceeds IngestPolicy::max_read_length
+  kLineTooLong,         ///< line exceeds kMaxLineBytes
+  kReadTooLong,         ///< read length exceeds kMaxReadLen
   kBadHeader,           ///< malformed header line
   kCount
 };
@@ -76,9 +76,12 @@ enum class IngestMode { kStrict, kLenient };
 /// Positions beyond this are rejected outright (no genome comes close; the
 /// cap keeps pos+length arithmetic far from u64 overflow downstream).
 inline constexpr u64 kMaxIngestPosition = u64{1} << 48;
+/// Longer lines are rejected in both modes (kLineTooLong).  Reads are capped
+/// at kMaxReadLen bases (kReadTooLong): a read's cycles must fit base_word's
+/// 8-bit coordinate and the p_matrix.
+inline constexpr u64 kMaxLineBytes = u64{1} << 20;
 
-/// How a loader treats malformed records, and the resource limits it
-/// enforces on every line of untrusted input.
+/// How a loader treats malformed records.
 struct IngestPolicy {
   IngestMode mode = IngestMode::kStrict;
 
@@ -89,10 +92,6 @@ struct IngestPolicy {
   u64 max_bad_records = 100'000;
   double max_bad_fraction = 0.5;
   u64 fraction_grace_records = 1'000;
-
-  // Resource guards, applied in both modes.
-  u64 max_line_bytes = u64{1} << 20;
-  u32 max_read_length = static_cast<u32>(kMaxReadLen);
 
   /// Lenient mode: where skipped records are written ("" = nowhere).
   std::filesystem::path quarantine_file;
@@ -164,12 +163,18 @@ void quarantine_record(const IngestPolicy& policy, IngestStats& stats,
 struct ParseContext {
   std::string file = "<memory>";
   u64 line_no = 0;
-  u32 max_read_length = static_cast<u32>(kMaxReadLen);
   u64 reference_length = 0;  ///< 0 = unknown (skip the bounds check)
 
   [[noreturn]] void fail(std::string field, IngestReason reason,
                          const std::string& detail) const {
     throw ParseError(file, line_no, std::move(field), reason, detail);
+  }
+  /// The line guard every loader applies before parsing a line.
+  void check_line_length(std::string_view line) const {
+    if (line.size() > kMaxLineBytes)
+      fail("line", IngestReason::kLineTooLong,
+           std::to_string(line.size()) + " bytes > the " +
+               std::to_string(kMaxLineBytes) + "-byte line cap");
   }
 };
 

@@ -1,12 +1,9 @@
 #include "src/compress/temp_input.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/bitio.hpp"
-#include "src/common/crc32.hpp"
 #include "src/common/error.hpp"
-#include "src/common/fs_fault.hpp"
 #include "src/common/phred.hpp"
 #include "src/compress/codecs.hpp"
 
@@ -185,17 +182,8 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
 
 TempInputWriter::TempInputWriter(const std::filesystem::path& path,
                                  std::string chr_name, u32 chunk_records)
-    : out_(path, std::ios::binary), path_(path),
-      chr_name_(std::move(chr_name)), chunk_records_(chunk_records) {
+    : frames_(path, kTempMagic, chr_name), chunk_records_(chunk_records) {
   GSNP_CHECK(chunk_records_ > 0);
-  GSNP_CHECK_MSG(out_.good(), "cannot open temp input file " << path);
-  std::string header(kTempMagic, sizeof(kTempMagic));
-  std::vector<u8> len;
-  varint_append(len, chr_name_.size());
-  header.append(reinterpret_cast<const char*>(len.data()), len.size());
-  header.append(chr_name_);
-  fsfault::write(out_, path_, header);
-  bytes_ = header.size();
 }
 
 void TempInputWriter::add(const reads::AlignmentRecord& rec) {
@@ -204,84 +192,23 @@ void TempInputWriter::add(const reads::AlignmentRecord& rec) {
 }
 
 void TempInputWriter::flush_chunk() {
-  if (buffer_.records() == 0) return;
-  const std::vector<u8> chunk = buffer_.encode();
-  std::vector<u8> prefix;
-  varint_append(prefix, chunk.size());
-  const u32 crc = crc32(chunk.data(), chunk.size());
-  const u8 crc_le[4] = {static_cast<u8>(crc), static_cast<u8>(crc >> 8),
-                        static_cast<u8>(crc >> 16), static_cast<u8>(crc >> 24)};
-  std::string record;
-  record.reserve(prefix.size() + chunk.size() + sizeof(crc_le));
-  record.append(reinterpret_cast<const char*>(prefix.data()), prefix.size());
-  record.append(reinterpret_cast<const char*>(chunk.data()), chunk.size());
-  record.append(reinterpret_cast<const char*>(crc_le), sizeof(crc_le));
-  fsfault::write(out_, path_, record);
-  bytes_ += record.size();
+  if (buffer_.records() > 0) frames_.write(buffer_.encode());
 }
 
 u64 TempInputWriter::finish() {
   flush_chunk();
-  out_.flush();
-  fsfault::check_stream(out_, path_, "flush");
-  out_.close();
-  return bytes_;
+  return frames_.finish();
 }
 
 TempInputReader::TempInputReader(const std::filesystem::path& path)
-    : in_(path, std::ios::binary) {
-  GSNP_CHECK_MSG(in_.good(), "cannot open temp input file " << path);
-  char magic[sizeof(kTempMagic)];
-  in_.read(magic, sizeof(magic));
-  GSNP_CHECK_MSG(in_.gcount() == sizeof(magic) &&
-                     std::memcmp(magic, kTempMagic, sizeof(magic)) == 0,
-                 "bad magic in " << path);
-  u64 name_len = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = in_.get();
-    GSNP_CHECK_MSG(c != EOF, "truncated temp input header");
-    name_len |= static_cast<u64>(c & 0x7F) << shift;
-    if (!(c & 0x80)) break;
-    shift += 7;
-  }
-  chr_name_.resize(name_len);
-  in_.read(chr_name_.data(), static_cast<std::streamsize>(name_len));
-  GSNP_CHECK(in_.gcount() == static_cast<std::streamsize>(name_len));
-}
-
-bool TempInputReader::load_chunk() {
-  u64 chunk_size = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = in_.get();
-    if (c == EOF) return false;
-    chunk_size |= static_cast<u64>(c & 0x7F) << shift;
-    if (!(c & 0x80)) break;
-    shift += 7;
-  }
-  GSNP_CHECK_MSG(chunk_size <= (1ULL << 32), "implausible chunk size");
-  std::vector<u8> buf(chunk_size);
-  in_.read(reinterpret_cast<char*>(buf.data()),
-           static_cast<std::streamsize>(chunk_size));
-  GSNP_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(chunk_size),
-                 "truncated temp input chunk");
-  u8 crc_le[4];
-  in_.read(reinterpret_cast<char*>(crc_le), sizeof(crc_le));
-  GSNP_CHECK_MSG(in_.gcount() == sizeof(crc_le), "truncated chunk CRC");
-  const u32 stored_crc =
-      static_cast<u32>(crc_le[0]) | (static_cast<u32>(crc_le[1]) << 8) |
-      (static_cast<u32>(crc_le[2]) << 16) | (static_cast<u32>(crc_le[3]) << 24);
-  GSNP_CHECK_MSG(crc32(buf.data(), buf.size()) == stored_crc,
-                 "temp input chunk CRC mismatch (corrupt file)");
-  chunk_ = decode_alignment_chunk(buf, chr_name_);
-  cursor_ = 0;
-  return true;
-}
+    : frames_(path, kTempMagic) {}
 
 std::optional<reads::AlignmentRecord> TempInputReader::next() {
   while (cursor_ >= chunk_.size()) {
-    if (!load_chunk()) return std::nullopt;
+    std::vector<u8> frame;
+    if (!frames_.next(frame)) return std::nullopt;
+    chunk_ = decode_alignment_chunk(frame, frames_.name());
+    cursor_ = 0;
   }
   return std::move(chunk_[cursor_++]);
 }

@@ -14,21 +14,19 @@
 //   dict lengths, strand/pair bit arrays, RLE-DICT hit counts,
 //   2-bit packed bases + sparse 'N' exceptions, RLE-DICT qualities.
 //
-// File layout: 8-byte magic, varint(name length), name bytes, then chunks of
-// [varint chunk bytes][chunk payload][4-byte LE CRC-32 of the payload].
-// Container version 2 ("GSNPTMP2") added the trailing chunk CRC so a corrupt
-// temporary file fails fast instead of feeding garbage records to read_site;
-// version-1 files are rejected by the magic check.
+// The file is a frame container (compress/container.hpp) with the magic
+// "GSNPTMP2", one frame per chunk, so a corrupt or truncated temporary file
+// fails fast instead of feeding garbage records to read_site.
 
 #include <filesystem>
-#include <span>
-#include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/types.hpp"
 #include "src/compress/codecs.hpp"
+#include "src/compress/container.hpp"
 #include "src/reads/alignment.hpp"
 
 namespace gsnp::compress {
@@ -77,12 +75,9 @@ class TempInputWriter {
  private:
   void flush_chunk();
 
-  std::ofstream out_;
-  std::filesystem::path path_;  ///< for fault routing + error messages
-  std::string chr_name_;
+  FrameWriter frames_;
   u32 chunk_records_;
   ChunkColumns buffer_;
-  u64 bytes_ = 0;
 };
 
 /// Streaming reader yielding records in file order.
@@ -93,10 +88,7 @@ class TempInputReader {
   std::optional<reads::AlignmentRecord> next();
 
  private:
-  bool load_chunk();
-
-  std::ifstream in_;
-  std::string chr_name_;
+  FrameReader frames_;
   std::vector<reads::AlignmentRecord> chunk_;
   std::size_t cursor_ = 0;
 };

@@ -1,10 +1,8 @@
 #include "src/core/consistency.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
-#include "src/common/error.hpp"
+#include "src/compress/container.hpp"
 #include "src/core/output_codec.hpp"
 
 namespace gsnp::core {
@@ -36,12 +34,7 @@ ConsistencyReport compare_rows(const std::vector<SnpRow>& a,
 
 std::vector<SnpRow> read_snp_output(const std::filesystem::path& path,
                                     std::string& seq_name) {
-  std::ifstream probe(path, std::ios::binary);
-  GSNP_CHECK_MSG(probe.good(), "cannot open " << path);
-  char magic[sizeof(kOutputMagic)] = {};
-  probe.read(magic, sizeof(magic));
-  probe.close();
-  if (std::memcmp(magic, kOutputMagic, sizeof(kOutputMagic)) == 0)
+  if (compress::has_magic(path, kOutputMagic))
     return read_snp_compressed_file(path, seq_name);
   return read_snp_text_file(path, seq_name);
 }

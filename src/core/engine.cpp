@@ -212,7 +212,7 @@ void window_posterior(const EngineConfig& config, const PriorCache& priors,
       } else if (known) {
         // dbSNP priors are site-specific; computed per site.
         call = select_genotype(
-            genotype_log_priors(ref.base(pos), known, config.prior),
+            genotype_log_priors(ref.base(pos), known, PriorParams{}),
             slot.type_likely[s]);
       } else {
         // Novel sites share one of five cached priors.
@@ -244,7 +244,7 @@ class StagesBase {
         ledger_(ledger),
         window_size_(config.window_size ? config.window_size
                                         : default_window),
-        priors_(config.prior) {}
+        priors_(PriorParams{}) {}
 
   const EngineConfig& config_;
   Ledger& ledger_;
@@ -321,6 +321,14 @@ class HostSparseStages : public StagesBase {
 
   HostSparseStages(const EngineConfig& config, Ledger& ledger)
       : StagesBase(config, ledger, EngineConfig::kDefaultGsnpWindow) {}
+  /// The temp input lives as long as the call: run_windows destroys the
+  /// bundle last, after the reader, when the call returns or unwinds.
+  ~HostSparseStages() {
+    std::error_code ec;
+    std::filesystem::remove(config_.temp_file, ec);
+  }
+  HostSparseStages(const HostSparseStages&) = delete;
+  HostSparseStages& operator=(const HostSparseStages&) = delete;
 
   WindowLoader::RecordSource source() const {
     auto reader = std::make_shared<compress::TempInputReader>(config_.temp_file);

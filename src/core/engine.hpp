@@ -36,7 +36,6 @@
 #include "src/common/ingest.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/batcher.hpp"
-#include "src/core/prior.hpp"
 #include "src/device/device.hpp"
 #include "src/device/perf_model.hpp"
 #include "src/genome/dbsnp.hpp"
@@ -57,9 +56,10 @@ struct EngineConfig {
   const genome::Reference* reference = nullptr;
   const genome::DbSnpTable* dbsnp = nullptr;  ///< optional prior file
   std::filesystem::path output_file;
-  std::filesystem::path temp_file;  ///< GSNP/GSNP_CPU compressed temp input
-  u32 window_size = 0;              ///< 0 = engine default
-  PriorParams prior;
+  /// GSNP/GSNP_CPU compressed temp input, removed when the call returns or
+  /// unwinds.
+  std::filesystem::path temp_file;
+  u32 window_size = 0;  ///< 0 = engine default
 
   /// How the alignment-file loaders treat malformed input: strict (default,
   /// first bad record aborts with a ParseError) or lenient (skip into the
@@ -96,9 +96,9 @@ struct EngineConfig {
 
   /// Optional cooperative cancellation.  The engines poll the token at
   /// window boundaries and periodically inside the cal_p streaming pass, and
-  /// unwind with CancelledError — the output/temp writers are abandoned
-  /// mid-file, so the caller owns cleanup of the partial `.part` artifacts
-  /// (the genome pipeline removes them; the CLI unlinks on interrupt).
+  /// unwind with CancelledError — the output writer is abandoned mid-file,
+  /// so the caller owns cleanup of the partial `.part` output (the genome
+  /// pipeline removes it on cancel; the CLI on every exit).
   /// Null = never cancelled (zero overhead beyond one branch per window).
   const CancelToken* cancel = nullptr;
 

@@ -142,7 +142,6 @@ ChromosomeRunResult run_one_chromosome(const GenomeRunConfig& config,
   engine_config.reference = job.reference;
   engine_config.dbsnp = job.dbsnp;
   engine_config.window_size = config.window_size;
-  engine_config.prior = config.prior;
   engine_config.overlapped = config.overlapped;
   engine_config.batch_bytes = config.batch_bytes;
   engine_config.ingest = config.ingest;
@@ -224,12 +223,12 @@ ChromosomeRunResult run_one_chromosome(const GenomeRunConfig& config,
       }
     }
   } catch (const CancelledError&) {
-    // Clean unwind: discard the torn staging/temp artifacts so an interrupt
-    // never leaves `.part` litter; published outputs are untouched and the
-    // caller journals the interruption before rethrowing.
+    // Clean unwind: discard the torn staging output so an interrupt never
+    // leaves `.part` litter (the engine removed its temp input); published
+    // outputs are untouched and the caller journals the interruption before
+    // rethrowing.
     std::error_code ec;
     std::filesystem::remove(engine_config.output_file, ec);
-    std::filesystem::remove(engine_config.temp_file, ec);
     chrom_span.note("outcome", "cancelled");
     throw;
   }

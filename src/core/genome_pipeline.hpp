@@ -74,7 +74,6 @@ struct GenomeRunConfig {
   std::vector<ChromosomeJob> chromosomes;
   std::filesystem::path output_dir;
   u32 window_size = 0;  ///< 0 = engine default
-  PriorParams prior;
   /// Passed through to every chromosome's EngineConfig (see there): the
   /// serial or the overlapped mode.  Output is byte-identical either way.
   bool overlapped = false;
@@ -103,7 +102,8 @@ struct GenomeRunConfig {
   /// Optional cooperative cancellation (deadlines, SIGINT, shutdown): polled
   /// at chromosome/attempt boundaries, inside backoff sleeps (sliced), and
   /// at every engine window.  On cancellation the pipeline removes the torn
-  /// `.part`/temp files of the in-flight chromosome, records it as
+  /// `.part` of the in-flight chromosome (the engine removes its temp
+  /// input on every exit), records it as
   /// "interrupted" in the manifest, and rethrows CancelledError — completed
   /// chromosomes stay published and verified, so `resume` picks up exactly
   /// where the run stopped.
@@ -160,7 +160,7 @@ struct ChromosomeRunResult {
 /// Run a single chromosome under `config`'s policies: resume verification
 /// against `previous` (may be null), retry with jittered backoff, CPU
 /// degradation, atomic output publish, checkpoint hooks.  Throws
-/// CancelledError on cancellation (after removing the torn `.part`/temp);
+/// CancelledError on cancellation (after removing the torn `.part`);
 /// non-device errors (corrupt input, broken invariants) propagate directly.
 /// Thread-safe across distinct chromosomes of one config provided each
 /// worker uses its own Device.

@@ -1,10 +1,8 @@
 #include "src/core/output_codec.hpp"
 
 #include <array>
-#include <cstring>
 
 #include "src/common/bitio.hpp"
-#include "src/common/crc32.hpp"
 #include "src/common/error.hpp"
 #include "src/common/fs_fault.hpp"
 #include "src/common/parallel.hpp"
@@ -237,102 +235,21 @@ std::vector<SnpRow> decompress_snp_window(std::span<const u8> data) {
 
 SnpOutputWriter::SnpOutputWriter(const std::filesystem::path& path,
                                  std::string seq_name)
-    : out_(path, std::ios::binary), path_(path) {
-  GSNP_CHECK_MSG(out_.good(), "cannot open output file " << path);
-  std::string header(kOutputMagic, sizeof(kOutputMagic));
-  std::vector<u8> len;
-  varint_append(len, seq_name.size());
-  header.append(reinterpret_cast<const char*>(len.data()), len.size());
-  header.append(seq_name);
-  fsfault::write(out_, path_, header);
-  bytes_ = header.size();
-}
+    : frames_(path, kOutputMagic, seq_name) {}
 
 void SnpOutputWriter::write_window(std::span<const SnpRow> rows,
                                    const RleDictFn& rle_dict) {
-  const std::vector<u8> frame = compress_snp_window(rows, rle_dict);
-  std::vector<u8> size_prefix;
-  varint_append(size_prefix, frame.size());
-  const u32 crc = crc32(frame.data(), frame.size());
-  const u8 crc_le[4] = {static_cast<u8>(crc), static_cast<u8>(crc >> 8),
-                        static_cast<u8>(crc >> 16), static_cast<u8>(crc >> 24)};
-  // One fault-checked write per window: either the whole [size][frame][crc]
-  // record goes out or a typed FsFaultError fires (a short-write fault can
-  // still truncate mid-record on disk — the reader's CRC catches it).
-  std::string record;
-  record.reserve(size_prefix.size() + frame.size() + sizeof(crc_le));
-  record.append(reinterpret_cast<const char*>(size_prefix.data()),
-                size_prefix.size());
-  record.append(reinterpret_cast<const char*>(frame.data()), frame.size());
-  record.append(reinterpret_cast<const char*>(crc_le), sizeof(crc_le));
-  fsfault::write(out_, path_, record);
-  bytes_ += record.size();
+  frames_.write(compress_snp_window(rows, rle_dict));
 }
 
-u64 SnpOutputWriter::finish() {
-  out_.flush();
-  fsfault::check_stream(out_, path_, "flush");
-  out_.close();
-  return bytes_;
-}
-
-namespace {
-
-/// Read one varint directly from a stream (frame sizes in file headers).
-bool stream_varint(std::istream& in, u64& value) {
-  value = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = in.get();
-    if (c == EOF) return false;
-    value |= static_cast<u64>(c & 0x7F) << shift;
-    if (!(c & 0x80)) return true;
-    shift += 7;
-    GSNP_CHECK_MSG(shift < 64, "varint too long in stream");
-  }
-}
-
-/// Read the trailing 4-byte little-endian frame CRC-32.
-bool stream_crc32(std::istream& in, u32& crc) {
-  u8 le[4];
-  in.read(reinterpret_cast<char*>(le), sizeof(le));
-  if (in.gcount() != sizeof(le)) return false;
-  crc = static_cast<u32>(le[0]) | (static_cast<u32>(le[1]) << 8) |
-        (static_cast<u32>(le[2]) << 16) | (static_cast<u32>(le[3]) << 24);
-  return true;
-}
-
-}  // namespace
+u64 SnpOutputWriter::finish() { return frames_.finish(); }
 
 SnpOutputReader::SnpOutputReader(const std::filesystem::path& path)
-    : in_(path, std::ios::binary) {
-  GSNP_CHECK_MSG(in_.good(), "cannot open compressed output " << path);
-  char magic[sizeof(kOutputMagic)];
-  in_.read(magic, sizeof(magic));
-  GSNP_CHECK_MSG(
-      in_.gcount() == sizeof(magic) &&
-          std::memcmp(magic, kOutputMagic, sizeof(magic)) == 0,
-      "bad magic in " << path);
-  u64 name_len = 0;
-  GSNP_CHECK(stream_varint(in_, name_len));
-  seq_name_.resize(name_len);
-  in_.read(seq_name_.data(), static_cast<std::streamsize>(name_len));
-  GSNP_CHECK(in_.gcount() == static_cast<std::streamsize>(name_len));
-}
+    : frames_(path, kOutputMagic) {}
 
 bool SnpOutputReader::next_window(std::vector<SnpRow>& rows) {
-  u64 frame_size = 0;
-  if (!stream_varint(in_, frame_size)) return false;
-  GSNP_CHECK_MSG(frame_size <= (1ULL << 32), "implausible frame size");
-  std::vector<u8> frame(frame_size);
-  in_.read(reinterpret_cast<char*>(frame.data()),
-           static_cast<std::streamsize>(frame_size));
-  GSNP_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(frame_size),
-                 "truncated frame");
-  u32 stored_crc = 0;
-  GSNP_CHECK_MSG(stream_crc32(in_, stored_crc), "truncated frame CRC");
-  GSNP_CHECK_MSG(crc32(frame.data(), frame.size()) == stored_crc,
-                 "SNP output frame CRC mismatch (corrupt file)");
+  std::vector<u8> frame;
+  if (!frames_.next(frame)) return false;
   rows = decompress_snp_window(frame);
   return true;
 }
@@ -385,58 +302,21 @@ std::vector<SnpRow> read_snp_compressed_file(
 
 std::vector<SnpRow> read_snp_range(const std::filesystem::path& path, u64 lo,
                                    u64 hi, std::string& seq_name) {
-  std::ifstream in(path, std::ios::binary);
-  GSNP_CHECK_MSG(in.good(), "cannot open compressed output " << path);
-  {
-    char magic[sizeof(kOutputMagic)];
-    in.read(magic, sizeof(magic));
-    GSNP_CHECK_MSG(in.gcount() == sizeof(magic) &&
-                       std::memcmp(magic, kOutputMagic, sizeof(magic)) == 0,
-                   "bad magic in " << path);
-    u64 name_len = 0;
-    GSNP_CHECK(stream_varint(in, name_len));
-    seq_name.resize(name_len);
-    in.read(seq_name.data(), static_cast<std::streamsize>(name_len));
-    GSNP_CHECK(in.gcount() == static_cast<std::streamsize>(name_len));
-  }
-
+  compress::FrameReader frames(path, kOutputMagic);
+  seq_name = frames.name();
   std::vector<SnpRow> result;
-  u64 frame_size = 0;
-  while (stream_varint(in, frame_size)) {
-    GSNP_CHECK_MSG(frame_size <= (1ULL << 32), "implausible frame size");
-    // Peek the frame header: varint row count, varint start position.
-    // Two varints are at most 20 bytes.
-    const std::size_t peek_len =
-        static_cast<std::size_t>(std::min<u64>(frame_size, 20));
-    std::vector<u8> head(peek_len);
-    in.read(reinterpret_cast<char*>(head.data()),
-            static_cast<std::streamsize>(peek_len));
-    GSNP_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(peek_len),
-                   "truncated frame");
+  std::vector<u8> frame;
+  // A frame leads with two varints, row count and start position: at most
+  // 20 bytes.  Frames outside [lo, hi) are skipped unread and unchecked.
+  while (frames.peek(20, frame)) {
     std::size_t pos = 0;
-    const u64 n = varint_read(head, pos);
-    const u64 start = n == 0 ? 0 : varint_read(head, pos);
-
-    const bool overlaps = n > 0 && start < hi && start + n > lo;
-    if (!overlaps) {
-      // Skip the rest of the payload plus its trailing CRC without
-      // reading (the CRC is only verified on frames we decompress).
-      in.seekg(static_cast<std::streamoff>(frame_size - peek_len + 4),
-               std::ios::cur);
+    const u64 n = varint_read(frame, pos);
+    const u64 start = n == 0 ? 0 : varint_read(frame, pos);
+    if (n == 0 || start >= hi || start + n <= lo) {
+      frames.skip_rest();
       continue;
     }
-    // Read the remainder and decompress just this window.
-    std::vector<u8> frame(frame_size);
-    std::copy(head.begin(), head.end(), frame.begin());
-    in.read(reinterpret_cast<char*>(frame.data() + peek_len),
-            static_cast<std::streamsize>(frame_size - peek_len));
-    GSNP_CHECK_MSG(in.gcount() ==
-                       static_cast<std::streamsize>(frame_size - peek_len),
-                   "truncated frame");
-    u32 stored_crc = 0;
-    GSNP_CHECK_MSG(stream_crc32(in, stored_crc), "truncated frame CRC");
-    GSNP_CHECK_MSG(crc32(frame.data(), frame.size()) == stored_crc,
-                   "SNP output frame CRC mismatch (corrupt file)");
+    frames.read_rest(frame);
     for (SnpRow& row : decompress_snp_window(frame)) {
       if (row.pos >= lo && row.pos < hi) result.push_back(std::move(row));
     }

@@ -13,15 +13,12 @@
 //   col 15    : rank-sum p on the 1e-4 grid, dictionary-quantized
 //   col 17    : dbSNP flag, sparse
 //
-// File layout: 8-byte magic, varint(name length), name bytes, then frames of
-// [varint frame bytes][frame payload][4-byte LE CRC-32 of the payload] until
-// EOF.  Each frame is one window.  Container version 2 ("GSNPOUT2") added
-// the trailing frame CRC so corruption is caught at read time instead of
-// decoding to garbage rows; version-1 files are rejected by the magic check.
-// Decompression is a sequential in-memory pass per window — the access
-// pattern downstream tools use (paper §V-B last paragraph); SnpOutputReader
-// is that tool API.  Range queries still skip non-overlapping frames without
-// reading them (the CRC is only checked on frames actually decompressed).
+// The file is a frame container (compress/container.hpp) with the magic
+// "GSNPOUT2"; each frame is one window.  Decompression is a sequential
+// in-memory pass per window — the access pattern downstream tools use
+// (paper §V-B last paragraph); SnpOutputReader is that tool API.  Range
+// queries still skip non-overlapping frames without reading them (the CRC
+// is only checked on frames actually decompressed).
 //
 // The RLE-DICT step is pluggable so the GSNP engine can route those six
 // columns through the device kernels (compress::device_encode_rle_dict)
@@ -34,6 +31,7 @@
 #include <vector>
 
 #include "src/common/types.hpp"
+#include "src/compress/container.hpp"
 #include "src/core/snp_row.hpp"
 
 namespace gsnp::core {
@@ -65,9 +63,7 @@ class SnpOutputWriter {
   u64 finish();
 
  private:
-  std::ofstream out_;
-  std::filesystem::path path_;  ///< for fault routing + error messages
-  u64 bytes_ = 0;
+  compress::FrameWriter frames_;
 };
 
 /// Streaming reader (the decompression API shipped with GSNP).
@@ -75,14 +71,13 @@ class SnpOutputReader {
  public:
   explicit SnpOutputReader(const std::filesystem::path& path);
 
-  const std::string& seq_name() const { return seq_name_; }
+  const std::string& seq_name() const { return frames_.name(); }
 
   /// Read and decompress the next window; false at EOF.
   bool next_window(std::vector<SnpRow>& rows);
 
  private:
-  std::ifstream in_;
-  std::string seq_name_;
+  compress::FrameReader frames_;
 };
 
 /// Plain-text output (the SOAPsnp format), one row per line.

@@ -23,8 +23,7 @@ void write_vcf_header(std::ostream& out, const std::string& seq_name,
       << "##FORMAT=<ID=GT,Number=1,Type=String,Description=\"Genotype\">\n"
       << "##FORMAT=<ID=GQ,Number=1,Type=Integer,Description=\"Consensus "
          "quality\">\n"
-      << "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t"
-      << options.sample_name << '\n';
+      << "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tSAMPLE\n";
 }
 
 std::string format_vcf_line(const std::string& seq_name, const SnpRow& row,

@@ -20,7 +20,6 @@ namespace gsnp::core {
 struct VcfOptions {
   int min_quality = 0;        ///< emit only calls with consensus quality >= this
   bool include_ref_sites = false;  ///< also emit hom-ref sites (gVCF-style)
-  std::string sample_name = "SAMPLE";
 };
 
 /// Write the VCF header (fileformat, INFO/FORMAT declarations, contig).

@@ -574,7 +574,6 @@ class Device {
   /// around each op; 0 = default synchronous queue).  Stamped into
   /// LaunchInfo::stream_id so profilers can key rows by (kernel, stream).
   void set_current_stream(u32 stream_id) { current_stream_ = stream_id; }
-  u32 current_stream() const { return current_stream_; }
 
   const DeviceCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = DeviceCounters{}; }
@@ -594,11 +593,9 @@ class Device {
   /// counting across the device's whole lifetime, so a plan can target the
   /// Nth operation of a multi-chromosome run deterministically.
   void set_fault_plan(const FaultPlan& plan) { spec_.fault = plan; }
-  const FaultPlan& fault_plan() const { return spec_.fault; }
   u64 alloc_count() const { return alloc_seq_; }
   u64 launch_count() const { return launch_seq_; }
   u64 h2d_count() const { return h2d_seq_; }
-  u64 d2h_count() const { return d2h_seq_; }
 
  private:
   template <typename T>

@@ -147,10 +147,7 @@ DbSnpTable read_dbsnp(std::istream& in, const std::string& label,
   while (std::getline(in, line)) {
     ++ctx.line_no;
     try {
-      if (line.size() > policy.max_line_bytes)
-        ctx.fail("line", IngestReason::kLineTooLong,
-                 std::to_string(line.size()) + " bytes > max_line_bytes=" +
-                     std::to_string(policy.max_line_bytes));
+      ctx.check_line_length(line);
       const auto body = trim(line);
       if (body.empty() || body.front() == '#') continue;
       KnownSnpEntry e = parse_dbsnp_line(body, ctx, seq_name);

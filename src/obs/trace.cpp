@@ -89,11 +89,6 @@ void Metrics::clear() {
   histograms_.clear();
 }
 
-Metrics& Metrics::process() {
-  static Metrics instance;
-  return instance;
-}
-
 // ---- Tracer ---------------------------------------------------------------
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}

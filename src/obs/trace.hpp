@@ -92,9 +92,6 @@ class Metrics {
   std::map<std::string, Histogram::Snapshot> histograms() const;
   void clear();
 
-  /// The process-wide registry (long-lived daemons; tests use instances).
-  static Metrics& process();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, u64> counters_;

@@ -66,10 +66,10 @@ AlignmentRecord parse_alignment(std::string_view line,
   const u32 length = parse_int_ctx<u32>(fields[5], ctx, "read length");
   if (length == 0)
     ctx.fail("read length", IngestReason::kBadField, "zero-length read");
-  if (length > ctx.max_read_length)
+  if (length > kMaxReadLen)
     ctx.fail("read length", IngestReason::kReadTooLong,
              std::to_string(length) + " exceeds the " +
-                 std::to_string(ctx.max_read_length) + "-base limit");
+                 std::to_string(kMaxReadLen) + "-base limit");
   rec.length = static_cast<u16>(length);
   if (fields[6] != "+" && fields[6] != "-")
     ctx.fail("strand", IngestReason::kBadField,
@@ -125,7 +125,6 @@ AlignmentReader::AlignmentReader(const std::filesystem::path& path,
       quarantine_(policy_.quarantine_file) {
   GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
   ctx_.file = path.string();
-  ctx_.max_read_length = policy_.max_read_length;
   ctx_.reference_length = reference_length;
 }
 
@@ -133,10 +132,7 @@ std::optional<AlignmentRecord> AlignmentReader::next() {
   while (std::getline(in_, line_)) {
     ++ctx_.line_no;
     try {
-      if (line_.size() > policy_.max_line_bytes)
-        ctx_.fail("line", IngestReason::kLineTooLong,
-                  std::to_string(line_.size()) + " bytes > max_line_bytes=" +
-                      std::to_string(policy_.max_line_bytes));
+      ctx_.check_line_length(line_);
       const auto body = trim(line_);
       if (body.empty()) continue;
       AlignmentRecord rec = parse_alignment(body, ctx_);

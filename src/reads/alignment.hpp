@@ -12,8 +12,8 @@
 //   read_id  seq  qual  hit_count  pair_tag  length  strand(+/-)  chr  pos
 //
 // Parsing is hardened against malformed aligner output: every field is
-// validated (overflow-checked integers, read length capped at
-// IngestPolicy::max_read_length, quality characters in the Sanger range,
+// validated (overflow-checked integers, read length capped at kMaxReadLen,
+// lines at kMaxLineBytes, quality characters in the Sanger range,
 // positions bounded by the reference when its length is known, coordinate
 // sort order enforced) and failures raise gsnp::ParseError with file/line/
 // field/reason.  AlignmentReader can run lenient (skip + quarantine, bounded
@@ -74,8 +74,6 @@ class AlignmentReader {
   std::optional<AlignmentRecord> next();
 
   const IngestStats& stats() const { return stats_; }
-  /// 1-based number of the last line read.
-  u64 line_number() const { return ctx_.line_no; }
 
  private:
   std::ifstream in_;

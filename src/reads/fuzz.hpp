@@ -32,7 +32,7 @@ enum class MutationKind : u8 {
   kZeroPos,       ///< set the position field to 0 (positions are 1-based)
   kUnsortPos,     ///< set the position field to 1 (breaks sort order)
   kGarbage,       ///< replace the line with random binary bytes
-  kOversizeLine,  ///< pad the line past IngestPolicy::max_line_bytes
+  kOversizeLine,  ///< pad the line with FuzzOptions::oversize_bytes
   kCount
 };
 
@@ -44,8 +44,8 @@ const char* mutation_name(MutationKind kind);
 struct FuzzOptions {
   u64 seed = 1;
   double rate = 0.2;  ///< fraction of record lines mutated
-  /// Bytes appended by kOversizeLine; pair with a policy whose
-  /// max_line_bytes is smaller to exercise the line-length guard cheaply.
+  /// Bytes appended by kOversizeLine.  The default stays below
+  /// kMaxLineBytes, so the padded line fails on the field it lengthens.
   u64 oversize_bytes = 8192;
 };
 

@@ -127,10 +127,10 @@ std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
     ctx.fail("CIGAR", IngestReason::kCigarOverflow,
              "match run " + std::to_string(match_len) +
                  " overflows the 16-bit read length");
-  if (match_len > ctx.max_read_length)
+  if (match_len > kMaxReadLen)
     ctx.fail("CIGAR", IngestReason::kReadTooLong,
              "match run " + std::to_string(match_len) + " exceeds the " +
-                 std::to_string(ctx.max_read_length) + "-base limit");
+                 std::to_string(kMaxReadLen) + "-base limit");
 
   AlignmentRecord rec;
   rec.read_id = std::string(fields[0]);
@@ -225,17 +225,13 @@ SamReader::SamReader(const std::filesystem::path& path, IngestPolicy policy)
       quarantine_(policy_.quarantine_file) {
   GSNP_CHECK_MSG(in_.good(), "cannot open SAM file " << path);
   ctx_.file = path.string();
-  ctx_.max_read_length = policy_.max_read_length;
 }
 
 std::optional<AlignmentRecord> SamReader::next() {
   while (std::getline(in_, line_)) {
     ++ctx_.line_no;
     try {
-      if (line_.size() > policy_.max_line_bytes)
-        ctx_.fail("line", IngestReason::kLineTooLong,
-                  std::to_string(line_.size()) + " bytes > max_line_bytes=" +
-                      std::to_string(policy_.max_line_bytes));
+      ctx_.check_line_length(line_);
       const auto body = trim(line_);
       if (body.empty() || body.front() == '@') continue;
       auto rec = parse_sam_record(body, ctx_);

@@ -85,8 +85,6 @@ class SamReader {
   /// for stats().records_unsupported).
   u64 skipped() const { return stats_.records_unsupported; }
   const IngestStats& stats() const { return stats_; }
-  /// 1-based number of the last line read (header lines included).
-  u64 line_number() const { return ctx_.line_no; }
 
  private:
   std::ifstream in_;

@@ -110,15 +110,13 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   for (const char* name : kDaemonCounters) metrics_.add(name, 0);
   for (const char* name : kDaemonGauges) metrics_.set_gauge(name, 0.0);
   for (const char* name : kDaemonHistograms) metrics_.histogram(name);
-  if (config_.event_log) {
-    try {
-      events_ = std::make_unique<obs::EventLog>(config_.spool_dir /
-                                                "events.jsonl");
-    } catch (const Error&) {
-      // An unopenable flight recorder must not ground the plane; jobs run,
-      // the loss is counted.
-      metrics_.add("eventlog_write_failures");
-    }
+  try {
+    events_ = std::make_unique<obs::EventLog>(config_.spool_dir /
+                                              "events.jsonl");
+  } catch (const Error&) {
+    // An unopenable flight recorder must not ground the plane; jobs run,
+    // the loss is counted.
+    metrics_.add("eventlog_write_failures");
   }
   update_spool_gauge();
   devices_.reserve(config_.workers);

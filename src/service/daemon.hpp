@@ -92,10 +92,6 @@ struct DaemonConfig {
   /// decisions are made against a verified spool instead of crash litter.
   bool fsck_on_recover = true;
   bool fsck_deep_verify = false;  ///< per-frame container CRCs during fsck
-  /// Structured job event log at `<spool>/events.jsonl` (obs/eventlog.hpp):
-  /// every lifecycle transition appends one fsynced JSONL record.  Append
-  /// failures are survivable (counted, never fatal to the job).
-  bool event_log = true;
 
   /// Chaos hooks (null in production).  `fault_arm` runs on the worker
   /// thread right before a chromosome attempt, with the device that attempt
@@ -277,7 +273,7 @@ class Daemon {
   std::atomic<bool> crashed_{false};
   FsckReport last_fsck_;  ///< written by recover() before jobs re-admit
 
-  std::unique_ptr<obs::EventLog> events_;  ///< null when disabled/unopenable
+  std::unique_ptr<obs::EventLog> events_;  ///< null when unopenable
 
   std::vector<std::unique_ptr<device::Device>> devices_;
   std::atomic<std::size_t> next_worker_slot_{0};

@@ -106,12 +106,6 @@ const char* fsck_verdict_name(FsckVerdict verdict) {
   return kVerdictNames[index];
 }
 
-std::optional<FsckVerdict> fsck_verdict_from_name(std::string_view name) {
-  for (int i = 0; i < kVerdictCount; ++i)
-    if (name == kVerdictNames[i]) return static_cast<FsckVerdict>(i);
-  return std::nullopt;
-}
-
 u64 FsckReport::count(FsckVerdict verdict) const {
   u64 n = 0;
   for (const FsckJobReport& job : jobs)

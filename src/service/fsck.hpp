@@ -30,9 +30,7 @@
 // restarted onto a mauled spool starts from a scrubbed one.
 
 #include <filesystem>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -48,7 +46,6 @@ enum class FsckVerdict : u8 {
 };
 
 const char* fsck_verdict_name(FsckVerdict verdict);
-std::optional<FsckVerdict> fsck_verdict_from_name(std::string_view name);
 
 struct FsckOptions {
   bool repair = false;       ///< apply the safe repairs described above

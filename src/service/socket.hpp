@@ -90,8 +90,6 @@ class LineServer {
 
   const std::filesystem::path& path() const { return path_; }
   const ServerOptions& options() const { return options_; }
-  /// Replies written so far (chaos plans index into this counter).
-  i64 replies_served() const { return replies_.load(); }
 
  private:
   void accept_loop();

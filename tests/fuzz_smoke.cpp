@@ -265,6 +265,88 @@ TEST_F(FuzzSmoke, StrictModeAbortPinpointsFileLineReason) {
   }
 }
 
+TEST_F(FuzzSmoke, LineCapRejectsLongerLinesInEveryLoader) {
+  // kMaxLineBytes is the longest line a loader takes: a line one byte longer
+  // is line_too_long at its line number, strict or lenient, in SOAP, SAM and
+  // dbSNP input.  (The fuzzer's oversize mutation stays below the cap.)
+  const auto padded = [](std::string line, u64 bytes) {
+    line.insert(0, bytes - line.size(), 'x');  // a longer first field
+    return line;
+  };
+  // Strict: the long line aborts with its reason and line.  Lenient: it
+  // alone is quarantined, under that reason and line.
+  const auto check = [&](const fs::path& file, u64 line, u64 good,
+                         const auto& load) {
+    SCOPED_TRACE(file.filename().string());
+    try {
+      load(file, IngestPolicy::make_strict());
+      ADD_FAILURE() << "no ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.reason(), IngestReason::kLineTooLong);
+      EXPECT_EQ(e.line(), line);
+    }
+    const fs::path quarantine = file.string() + ".quarantine";
+    const IngestStats stats =
+        load(file, IngestPolicy::make_lenient(quarantine));
+    EXPECT_EQ(stats.records_ok, good);
+    EXPECT_EQ(stats.records_quarantined, 1u);
+    EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(
+                  IngestReason::kLineTooLong)],
+              1u);
+    std::ifstream in(quarantine);
+    const std::string contents((std::istreambuf_iterator<char>(in)), {});
+    EXPECT_NE(contents.find(file.string() + ":" + std::to_string(line) +
+                            "\tline_too_long\t"),
+              std::string::npos);
+  };
+
+  // SOAP: a record exactly at the cap parses; one byte over does not.
+  const std::string soap = "r1\tACGTA\tIIIII\t1\ta\t5\t+\tchrQ\t100";
+  {
+    std::ofstream out(dir_ / "cap.soap");
+    out << padded(soap, kMaxLineBytes) << '\n'
+        << soap << '\n'
+        << padded(soap, kMaxLineBytes + 1) << '\n'
+        << soap << '\n';
+  }
+  check(dir_ / "cap.soap", 3, 3, [](const fs::path& f, IngestPolicy p) {
+    reads::AlignmentReader reader(f, std::move(p));
+    while (reader.next()) {
+    }
+    return reader.stats();
+  });
+
+  // SAM: header lines count toward the line number.
+  const std::string sam = "r1\t0\tchrQ\t100\t60\t5M\t*\t0\t0\tACGTA\tIIIII";
+  {
+    std::ofstream out(dir_ / "cap.sam");
+    out << "@HD\tVN:1.6\tSO:coordinate\n"
+        << sam << '\n'
+        << padded(sam, kMaxLineBytes + 1) << '\n'
+        << sam << '\n';
+  }
+  check(dir_ / "cap.sam", 3, 2, [](const fs::path& f, IngestPolicy p) {
+    reads::SamReader reader(f, std::move(p));
+    while (reader.next()) {
+    }
+    return reader.stats();
+  });
+
+  // dbSNP.
+  {
+    std::ofstream out(dir_ / "cap.dbsnp");
+    out << "# seq pos freqA freqC freqG freqT validated\n"
+        << "chrD\t10\t0.9\t0.1\t0\t0\t1\n"
+        << "chrD\t20\t0.9\t0.1\t0\t0\t1" << std::string(kMaxLineBytes, ' ')
+        << "\nchrD\t30\t0.9\t0.1\t0\t0\t1\n";
+  }
+  check(dir_ / "cap.dbsnp", 3, 2, [](const fs::path& f, IngestPolicy p) {
+    IngestStats stats;
+    genome::read_dbsnp_file(f, p, &stats);
+    return stats;
+  });
+}
+
 TEST_F(FuzzSmoke, CorpusRegression) {
   // Every checked-in corpus file: ok_* parse cleanly under strict; all others
   // throw ParseError under strict; every file is safe under lenient.

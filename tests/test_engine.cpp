@@ -302,6 +302,50 @@ TEST(NonAcgtReadBases, EveryBackendSkipsThemByteIdentically) {
   fs::remove_all(dir);
 }
 
+TEST(TempInput, LivesOnlyAsLongAsItsCall) {
+  // The GSNP engines own their temp input: it is gone when the call
+  // returns, when a device fault unwinds it and when it is cancelled.
+  const fs::path dir = fs::temp_directory_path() / "gsnp_temp_lifetime_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  genome::GenomeSpec gspec;
+  gspec.length = 6'000;
+  const genome::Reference ref = genome::generate_reference(gspec);
+  const genome::Diploid individual(ref, {});
+  reads::ReadSimSpec rspec;
+  rspec.depth = 5.0;
+  reads::write_alignment_file(dir / "a.soap",
+                              reads::simulate_reads(individual, rspec));
+
+  EngineConfig config;
+  config.alignment_file = dir / "a.soap";
+  config.reference = &ref;
+  config.temp_file = dir / "a.tmp";
+  config.output_file = dir / "out.snp";
+  config.window_size = 2'048;
+
+  EXPECT_GT(run_gsnp_cpu(config).temp_bytes, 0u);
+  EXPECT_FALSE(fs::exists(config.temp_file)) << "gsnp-cpu";
+
+  device::Device dev;
+  EXPECT_GT(run_gsnp(config, dev).temp_bytes, 0u);
+  EXPECT_FALSE(fs::exists(config.temp_file)) << "gsnp";
+
+  device::DeviceSpec faulty;
+  faulty.fault.fail_launch_at = 0;
+  faulty.fault.fault_count = -1;
+  device::Device broken(faulty);
+  EXPECT_THROW(run_gsnp(config, broken), device::DeviceFaultError);
+  EXPECT_FALSE(fs::exists(config.temp_file)) << "device fault";
+
+  CancelToken cancel;
+  cancel.cancel(CancelReason::kSignal);
+  config.cancel = &cancel;
+  EXPECT_THROW(run_gsnp_cpu(config), CancelledError);
+  EXPECT_FALSE(fs::exists(config.temp_file)) << "cancelled";
+  fs::remove_all(dir);
+}
+
 // ---- consistency module itself --------------------------------------------------
 
 TEST(Consistency, DetectsMismatches) {

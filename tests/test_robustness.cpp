@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/compress/temp_input.hpp"
@@ -59,6 +60,11 @@ class CorruptionFixture : public ::testing::Test {
     config.output_file = dir_ / "out.snp";
     config.window_size = 1'024;
     run_gsnp_cpu(config);
+    // The engine removes its temp input when the call ends; the temp file
+    // tests corrupt one written from the same records.
+    compress::TempInputWriter temp(dir_ / "a.tmp", ref_.name());
+    for (const reads::AlignmentRecord& rec : records_) temp.add(rec);
+    temp.finish();
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -77,6 +83,52 @@ TEST_F(CorruptionFixture, TruncatedOutputRaises) {
     std::string name;
     EXPECT_THROW(read_snp_compressed_file(dir_ / "cut.snp", name), Error)
         << "fraction " << fraction;
+  }
+}
+
+/// The offset of every frame size varint longer than one byte in a
+/// container image whose header names `name` (one-byte name length).
+std::vector<std::size_t> multibyte_size_offsets(const std::vector<u8>& bytes,
+                                                const std::string& name) {
+  std::vector<std::size_t> offsets;
+  std::size_t pos = 8 + 1 + name.size();
+  while (pos < bytes.size()) {
+    const std::size_t at = pos;
+    const u64 size = varint_read(bytes, pos);
+    if (pos - at > 1) offsets.push_back(at);
+    pos += size + 4;
+  }
+  return offsets;
+}
+
+TEST_F(CorruptionFixture, CutInsideAFrameSizeRaises) {
+  // A file that ends after the first byte of a multi-byte frame size is
+  // truncated, not a shorter file: both containers raise.
+  const auto snp = read_bytes(dir_ / "out.snp");
+  const auto snp_cuts = multibyte_size_offsets(snp, ref_.name());
+  ASSERT_FALSE(snp_cuts.empty());
+  for (const std::size_t at : snp_cuts) {
+    write_bytes(dir_ / "cut.snp", std::span(snp).first(at + 1));
+    std::string name;
+    EXPECT_THROW(read_snp_compressed_file(dir_ / "cut.snp", name), Error)
+        << "cut at " << at + 1;
+    EXPECT_THROW(read_snp_range(dir_ / "cut.snp", 0, ref_.size(), name), Error)
+        << "cut at " << at + 1;
+  }
+
+  const auto tmp = read_bytes(dir_ / "a.tmp");
+  const auto tmp_cuts = multibyte_size_offsets(tmp, ref_.name());
+  ASSERT_FALSE(tmp_cuts.empty());
+  for (const std::size_t at : tmp_cuts) {
+    write_bytes(dir_ / "cut.tmp", std::span(tmp).first(at + 1));
+    EXPECT_THROW(
+        {
+          compress::TempInputReader reader(dir_ / "cut.tmp");
+          while (reader.next()) {
+          }
+        },
+        Error)
+        << "cut at " << at + 1;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "src/reads/simulator.hpp"
 #include "src/service/daemon.hpp"
 #include "src/service/dispatch.hpp"
+#include "src/service/fsck.hpp"
 #include "src/service/journal.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/socket.hpp"
@@ -534,6 +535,24 @@ TEST_F(ServiceFixture, CompletedJobMatchesSerialRunByteForByte) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.chromosomes_done, 3u);
   EXPECT_EQ(daemon.metrics().counter("jobs_completed"), 1u);
+}
+
+TEST_F(ServiceFixture, DoneJobLeavesACleanSpool) {
+  // A finished job leaves nothing for the scrubber: no temp input, no
+  // staging file, so a non-repairing fsck reports every job clean.
+  const DaemonConfig config = daemon_config("spool");
+  Daemon daemon(config);
+  JobSpec spec = make_spec({0, 1});
+  spec.engine = "gsnp-cpu";
+  const std::string cpu_id = daemon.submit(spec);
+  const std::string gsnp_id = daemon.submit(make_spec({2}));
+  for (const std::string& id : {cpu_id, gsnp_id}) {
+    ASSERT_TRUE(daemon.wait_job(id, 120.0));
+    ASSERT_EQ(daemon.status(id).state, JobState::kDone) << id;
+  }
+  const FsckReport report = fsck_spool(config.spool_dir);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_TRUE(report.all_clean()) << report.summary();
 }
 
 TEST_F(ServiceFixture, InjectedDeviceFaultDegradesNotFails) {
