@@ -8,6 +8,9 @@
 # leaves_only_output  a SAM call on the gsnp engine and a SOAP call on
 #                     gsnp-cpu each leave their output file and nothing
 #                     else: no converted `.soap`, no temp `.tmp`, no `.part`.
+# boolean_flags       a boolean flag never takes the next token as its
+#                     value: `fsck --repair SPOOL` and `fsck --deep SPOOL`
+#                     check an empty spool like `fsck SPOOL --repair`.
 
 function(run_cli expected_rc)
   execute_process(COMMAND "${GSNP_CLI}" ${ARGN}
@@ -22,9 +25,18 @@ endfunction()
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}/out")
-run_cli(0 simulate --out sim --sites 20000 --depth 5 --seed 3 --sam)
 
-if(CHECK STREQUAL "unknown_flag")
+if(CHECK STREQUAL "boolean_flags")
+  file(MAKE_DIRECTORY "${WORK}/spool")
+  run_cli(0 fsck --repair spool)
+  run_cli(0 fsck --deep spool)
+  run_cli(0 fsck spool --repair --deep)
+else()
+  run_cli(0 simulate --out sim --sites 20000 --depth 5 --seed 3 --sam)
+endif()
+
+if(CHECK STREQUAL "boolean_flags")
+elseif(CHECK STREQUAL "unknown_flag")
   run_cli(2 call --ref sim/ref.fa --align sim/align.soap --out out/o.snp
           --streams 2)
   if(NOT cli_stderr MATCHES "unknown flag --streams")

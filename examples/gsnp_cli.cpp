@@ -95,17 +95,22 @@ void install_signal_handlers() {
   std::signal(SIGTERM, handle_interrupt);
 }
 
-/// Minimal --flag value parser.
+/// Minimal --flag value parser.  A flag in `switches` is boolean and never
+/// takes a value; any other flag takes the next token unless that is a flag.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first,
+       const std::vector<std::string_view>& switches) {
     for (int i = first; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) == 0) {
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        const bool boolean =
+            std::find(switches.begin(), switches.end(), arg) != switches.end();
+        if (!boolean && i + 1 < argc &&
+            std::string(argv[i + 1]).rfind("--", 0) != 0) {
           values_[arg] = argv[++i];
         } else {
-          values_[arg] = "1";  // boolean flag
+          values_[arg] = "1";
         }
       } else {
         positional_.push_back(arg);
@@ -946,7 +951,8 @@ int cmd_fsck(const Args& args) {
 struct Verb {
   const char* name;
   int (*run)(const Args&);
-  std::vector<std::string_view> flags;
+  std::vector<std::string_view> flags;          ///< flags that take a value
+  std::vector<std::string_view> switches = {};  ///< boolean flags
 };
 
 /// The gsnpd client verbs' flags (make_client) plus the verb's own.
@@ -961,38 +967,42 @@ std::vector<std::string_view> client_flags(
 const std::vector<Verb>& verbs() {
   static const std::vector<Verb> table = {
       {"simulate", cmd_simulate,
-       {"--out", "--sites", "--depth", "--seed", "--snp-rate", "--name",
-        "--sam"}},
+       {"--out", "--sites", "--depth", "--seed", "--snp-rate", "--name"},
+       {"--sam"}},
       {"call", cmd_call,
        {"--ref", "--align", "--out", "--engine", "--dbsnp", "--window",
-        "--overlap", "--batch-bytes", "--save-matrix", "--load-matrix",
-        "--lenient", "--quarantine", "--max-bad", "--max-bad-frac",
-        "--trace-out", "--metrics-out", "--profile-out"}},
+        "--batch-bytes", "--save-matrix", "--load-matrix", "--quarantine",
+        "--max-bad", "--max-bad-frac", "--trace-out", "--metrics-out",
+        "--profile-out"},
+       {"--overlap", "--lenient"}},
       {"profile", cmd_profile,
-       {"--ref", "--align", "--dbsnp", "--window", "--overlap",
-        "--batch-bytes", "--out", "--profile-out", "--diff", "--validate"}},
+       {"--ref", "--align", "--dbsnp", "--window", "--batch-bytes", "--out",
+        "--profile-out", "--diff", "--validate"},
+       {"--overlap"}},
       {"compare", cmd_compare, {}},
       {"eval", cmd_eval, {"--calls", "--truth", "--min-q"}},
       {"stats", cmd_stats, {"--align", "--sites"}},
-      {"vcf", cmd_vcf, {"--calls", "--out", "--min-q", "--all-sites"}},
+      {"vcf", cmd_vcf, {"--calls", "--out", "--min-q"}, {"--all-sites"}},
       {"verify", cmd_verify, {}},
       {"manifest", cmd_manifest, {}},
       {"serve", cmd_serve,
        {"--socket", "--spool", "--workers", "--queue", "--quota",
         "--max-payload-mb", "--batch-bytes", "--max-device-mb", "--retries",
-        "--backoff", "--jitter", "--no-fsck", "--deep-fsck",
-        "--fs-fault-plan", "--max-frame-mb", "--idle-timeout"}},
+        "--backoff", "--jitter", "--fs-fault-plan", "--max-frame-mb",
+        "--idle-timeout"},
+       {"--no-fsck", "--deep-fsck"}},
       {"submit", cmd_submit,
        client_flags({"--ref", "--align", "--name", "--dbsnp", "--engine",
                      "--tenant", "--out", "--window", "--batch-bytes",
-                     "--deadline", "--job", "--wait"})},
-      {"status", cmd_status, client_flags({"--job", "--stats"})},
+                     "--deadline", "--job"}),
+       {"--wait"}},
+      {"status", cmd_status, client_flags({"--job"}), {"--stats"}},
       {"cancel", cmd_cancel, client_flags({"--job"})},
-      {"metrics", cmd_metrics,
-       client_flags({"--demo", "--workdir", "--engine"})},
+      {"metrics", cmd_metrics, client_flags({"--workdir", "--engine"}),
+       {"--demo"}},
       {"health", cmd_health, client_flags({})},
       {"shutdown", cmd_shutdown, client_flags({})},
-      {"fsck", cmd_fsck, {"--repair", "--deep"}},
+      {"fsck", cmd_fsck, {}, {"--repair", "--deep"}},
   };
   return table;
 }
@@ -1002,8 +1012,10 @@ const std::vector<Verb>& verbs() {
 int main(int argc, char** argv) {
   for (const Verb& verb : verbs()) {
     if (argc < 2 || std::strcmp(argv[1], verb.name) != 0) continue;
-    const Args args(argc, argv, 2);
-    const std::string unknown = args.unknown_flag(verb.flags);
+    const Args args(argc, argv, 2, verb.switches);
+    std::vector<std::string_view> known = verb.flags;
+    known.insert(known.end(), verb.switches.begin(), verb.switches.end());
+    const std::string unknown = args.unknown_flag(known);
     if (!unknown.empty()) {
       std::fprintf(stderr, "%s: unknown flag %s\n", verb.name,
                    unknown.c_str());

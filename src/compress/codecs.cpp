@@ -263,25 +263,33 @@ std::vector<u32> decode_exceptions(std::span<const u32> predicted,
 
 // ---- quantized doubles ---------------------------------------------------------
 
-void encode_quantized(std::span<const double> column, double scale,
-                      std::vector<u8>& out) {
+u32 quantize_value(double value, double scale) {
+  const double scaled = value * scale;
+  const auto v = static_cast<u32>(std::llround(scaled));
+  GSNP_CHECK_MSG(std::abs(scaled - static_cast<double>(v)) < 1e-6,
+                 "encode_quantized: value " << value << " not on the 1/"
+                                            << scale << " grid");
+  return v;
+}
+
+void encode_quantized_ints(std::span<const u32> ints, double scale,
+                           std::vector<u8>& out) {
   GSNP_CHECK(scale > 0.0);
   // The scale is stored as a u64 reinterpretation for exactness.
   u64 scale_bits;
   static_assert(sizeof(scale_bits) == sizeof(scale));
   std::memcpy(&scale_bits, &scale, sizeof(scale));
   varint_append(out, scale_bits);
-  std::vector<u32> ints(column.size());
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    const double scaled = column[i] * scale;
-    const auto v = static_cast<u32>(std::llround(scaled));
-    GSNP_CHECK_MSG(std::abs(scaled - static_cast<double>(v)) < 1e-6,
-                   "encode_quantized: value " << column[i]
-                                              << " not on the 1/" << scale
-                                              << " grid");
-    ints[i] = v;
-  }
   encode_dict(ints, out);
+}
+
+void encode_quantized(std::span<const double> column, double scale,
+                      std::vector<u8>& out) {
+  GSNP_CHECK(scale > 0.0);
+  std::vector<u32> ints(column.size());
+  for (std::size_t i = 0; i < column.size(); ++i)
+    ints[i] = quantize_value(column[i], scale);
+  encode_quantized_ints(ints, scale, out);
 }
 
 std::vector<double> decode_quantized(std::span<const u8> data,

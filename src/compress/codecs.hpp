@@ -155,6 +155,11 @@ std::vector<u32> decode_exceptions(std::span<const u32> predicted,
 /// scale is part of the frame.
 void encode_quantized(std::span<const double> column, double scale,
                       std::vector<u8>& out);
+/// One value's u32 on the 1/scale grid; throws when it is off the grid.
+u32 quantize_value(double value, double scale);
+/// encode_quantized of a column whose values are already quantize_value'd.
+void encode_quantized_ints(std::span<const u32> ints, double scale,
+                           std::vector<u8>& out);
 std::vector<double> decode_quantized(std::span<const u8> data,
                                      std::size_t& pos);
 

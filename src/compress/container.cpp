@@ -37,7 +37,7 @@ FrameWriter::FrameWriter(const std::filesystem::path& path, const Magic& magic,
   put(header);
 }
 
-void FrameWriter::write(std::span<const u8> payload) {
+std::vector<u8> make_frame(std::span<const u8> payload) {
   std::vector<u8> frame;
   frame.reserve(10 + payload.size() + kCrcBytes);
   varint_append(frame, payload.size());
@@ -45,8 +45,14 @@ void FrameWriter::write(std::span<const u8> payload) {
   const u32 crc = crc32(payload.data(), payload.size());
   for (u64 i = 0; i < kCrcBytes; ++i)
     frame.push_back(static_cast<u8>(crc >> (8 * i)));
-  put(frame);
+  return frame;
 }
+
+void FrameWriter::write(std::span<const u8> payload) {
+  put(make_frame(payload));
+}
+
+void FrameWriter::write_frame(std::span<const u8> frame) { put(frame); }
 
 u64 FrameWriter::finish() {
   out_.flush();
@@ -55,7 +61,7 @@ u64 FrameWriter::finish() {
   return bytes_;
 }
 
-void FrameWriter::put(const std::vector<u8>& bytes) {
+void FrameWriter::put(std::span<const u8> bytes) {
   fsfault::write(out_, path_,
                  std::string_view(reinterpret_cast<const char*>(bytes.data()),
                                   bytes.size()));

@@ -32,6 +32,11 @@ using Magic = char[8];
 /// opened.
 bool has_magic(const std::filesystem::path& path, const Magic& magic);
 
+/// One frame's bytes as written: varint payload bytes, the payload, then
+/// its CRC-32 as 4 little-endian bytes.  Any thread can build one, e.g.
+/// next to the payload's encode on the compute executor.
+std::vector<u8> make_frame(std::span<const u8> payload);
+
 /// Writes the header on open, then one fault-checked write per frame.
 class FrameWriter {
  public:
@@ -42,11 +47,13 @@ class FrameWriter {
   /// either the whole frame goes out or a typed FsFaultError fires (a
   /// short-write fault can still tear it on disk; the reader catches that).
   void write(std::span<const u8> payload);
+  /// Append a make_frame result the same way.
+  void write_frame(std::span<const u8> frame);
   /// Flush and close; returns the bytes written, header included.
   u64 finish();
 
  private:
-  void put(const std::vector<u8>& bytes);
+  void put(std::span<const u8> bytes);
 
   std::ofstream out_;
   std::filesystem::path path_;  ///< for fault routing and error messages

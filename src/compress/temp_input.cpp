@@ -9,7 +9,7 @@
 
 namespace gsnp::compress {
 
-void ChunkColumns::add(const reads::AlignmentRecord& rec) {
+void ChunkColumns::add(const reads::AlignmentView& rec) {
   // Positions: sorted input -> non-negative deltas.
   if (lengths_.empty()) {
     varint_append(positions_, rec.pos);
@@ -26,14 +26,15 @@ void ChunkColumns::add(const reads::AlignmentRecord& rec) {
 
   // Bases: concatenated 2-bit codes, 'N' (any non-ACGT letter) packed as 0
   // and listed separately.
+  packed_bases_.resize((n_bases_ + rec.seq.size() + 3) / 4);
+  u8* const packed = packed_bases_.data();
   for (const char c : rec.seq) {
     u8 b = base_from_char(c);
     if (b >= kNumBases) {
       n_positions_.push_back(n_bases_);
       b = 0;
     }
-    if ((n_bases_ & 3) == 0) packed_bases_.push_back(0);
-    packed_bases_.back() |= static_cast<u8>(b << ((n_bases_ & 3) * 2));
+    packed[n_bases_ >> 2] |= static_cast<u8>(b << ((n_bases_ & 3) * 2));
     ++n_bases_;
   }
 
@@ -88,7 +89,7 @@ std::vector<u8> ChunkColumns::encode() {
 std::vector<u8> encode_alignment_chunk(
     std::span<const reads::AlignmentRecord> records) {
   ChunkColumns columns;
-  for (const auto& rec : records) columns.add(rec);
+  for (const auto& rec : records) columns.add(reads::view_of(rec));
   return columns.encode();
 }
 
@@ -187,7 +188,7 @@ TempInputWriter::TempInputWriter(const std::filesystem::path& path,
 }
 
 void TempInputWriter::add(const reads::AlignmentRecord& rec) {
-  buffer_.add(rec);
+  buffer_.add(reads::view_of(rec));
   if (buffer_.records() >= chunk_records_) flush_chunk();
 }
 

@@ -31,12 +31,16 @@
 
 namespace gsnp::compress {
 
+/// Records per chunk (one frame each).  Chunk boundaries fall every
+/// kTempChunkRecords records of the file, however the records were read.
+inline constexpr u32 kTempChunkRecords = 4096;
+
 /// One chunk's columns, staged record by record without copying records:
 /// varint positions, lengths, strand/pair flags, hit counts, 2-bit packed
 /// bases with the 'N' positions, and the quality runs.
 class ChunkColumns {
  public:
-  void add(const reads::AlignmentRecord& rec);
+  void add(const reads::AlignmentView& rec);
   u64 records() const { return lengths_.size(); }
   /// The chunk payload (format above); leaves the columns empty.
   std::vector<u8> encode();
@@ -66,7 +70,7 @@ inline constexpr char kTempMagic[8] = {'G', 'S', 'N', 'P', 'T', 'M', 'P', '2'};
 class TempInputWriter {
  public:
   TempInputWriter(const std::filesystem::path& path, std::string chr_name,
-                  u32 chunk_records = 4096);
+                  u32 chunk_records = kTempChunkRecords);
 
   void add(const reads::AlignmentRecord& rec);
   /// Flush the tail chunk and return total bytes written.

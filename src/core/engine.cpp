@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/compress/container.hpp"
 #include "src/compress/device_rledict.hpp"
 #include "src/compress/temp_input.hpp"
 #include "src/core/kernels.hpp"
@@ -20,6 +22,7 @@
 #include "src/obs/stream_trace.hpp"
 #include "src/obs/trace.hpp"
 #include "src/reads/alignment.hpp"
+#include "src/reads/simulator.hpp"
 #include "src/sortnet/multipass.hpp"
 
 namespace gsnp::core {
@@ -31,42 +34,6 @@ double RunReport::total() const {
 }
 
 namespace {
-
-/// The cal_p_matrix pass: stream the alignment text file once, accumulate
-/// the recalibration counts (unique hits vs the reference base), and — for
-/// the GSNP engines — write the compressed temporary input alongside
-/// (paper §V-A).  A reloaded matrix skips the counting, not the pass.
-PMatrix cal_p_pass(const EngineConfig& config, bool write_temp,
-                   RunReport& report) {
-  const genome::Reference& ref = *config.reference;
-  const bool reuse_matrix = !config.p_matrix_in.empty();
-  reads::AlignmentReader reader(config.alignment_file, config.ingest,
-                                ref.size());
-  std::optional<compress::TempInputWriter> temp;
-  if (write_temp) {
-    GSNP_CHECK_MSG(!config.temp_file.empty(),
-                   "GSNP engines need config.temp_file");
-    temp.emplace(config.temp_file, ref.name());
-  }
-
-  PMatrixCounter counter;
-  while (auto rec = reader.next()) {
-    if ((++report.records & 0xFFF) == 0) check_cancel(config.cancel, "cal_p");
-    if (temp) temp->add(*rec);
-    if (reuse_matrix || rec->hit_count != 1) continue;
-    reads::for_each_observation(
-        *rec, 0, ref.size(), [&](u64 p, const reads::SiteObservation& so) {
-          const u8 r = ref.base(p);
-          if (r < kNumBases) counter.add(so.quality, so.coord, r, so.base);
-        });
-  }
-  report.ingest = reader.stats();
-  if (temp) report.temp_bytes = temp->finish();
-  PMatrix pm = reuse_matrix ? read_p_matrix(config.p_matrix_in)
-                            : finalize_p_matrix(counter);
-  if (!config.p_matrix_out.empty()) write_p_matrix(config.p_matrix_out, pm);
-  return pm;
-}
 
 /// Seconds this thread spent, inside its open stage, on work that stage does
 /// not own: the device simulator (modeled from counters, not measured) and
@@ -149,6 +116,104 @@ class Stage {
   const double off_stage_at_start_;
   Timer timer_;  // the stage, then finishes the span
 };
+
+/// The cal_p_matrix pass (paper §V-A): read the alignment file once,
+/// count the recalibration observations (unique hits vs the reference base)
+/// and, for the GSNP engines, write the compressed temporary input.  The
+/// file comes in block-parallel batches (reads::AlignmentBatchReader, stage
+/// cal_p_parse).  Each batch then makes one executor pass (cal_p_encode):
+/// one task per kTempChunkRecords chunk encodes and frames its temp chunk,
+/// chunk boundaries being the file's own, and one task per kCountRecords
+/// records counts their unique hits into its slot's `u32` shard, so a batch
+/// of a few chunks still fills every slot; the caller writes the frames in
+/// order.  Then the shards fold into the counter and the p_matrix is
+/// finalized (cal_p_tables).  A reloaded matrix skips the counting, not the
+/// pass.
+PMatrix cal_p_pass(const EngineConfig& config, bool write_temp,
+                   const Ledger& ledger) {
+  using compress::kTempChunkRecords;
+  constexpr std::size_t kCountRecords = 1024;
+  const genome::Reference& ref = *config.reference;
+  const bool count = config.p_matrix_in.empty();
+  reads::AlignmentBatchReader reader(config.alignment_file, config.ingest,
+                                     ref.size(), kTempChunkRecords,
+                                     config.cancel);
+  std::optional<compress::FrameWriter> temp;
+  if (write_temp) {
+    GSNP_CHECK_MSG(!config.temp_file.empty(),
+                   "GSNP engines need config.temp_file");
+    temp.emplace(config.temp_file, compress::kTempMagic, ref.name());
+  }
+
+  // A record adds at most one count to a cell, each of its bases having
+  // its own cycle, so a u32 shard cannot overflow before 2^32 records.
+  PMatrixCounter counter;
+  std::vector<std::vector<u32>> shards(compute_slots());
+  u64 unfolded = 0;  // records counted into the shards since their fold
+  std::vector<std::vector<u8>> frames;
+  for (;;) {
+    std::span<const reads::AlignmentView> batch;
+    {
+      const Stage stage(ledger, "cal_p_parse");
+      batch = reader.next();
+    }
+    if (batch.empty()) break;
+    const Stage stage(ledger, "cal_p_encode");
+    if (unfolded + batch.size() > std::numeric_limits<u32>::max()) {
+      counter.absorb(shards);
+      unfolded = 0;
+    }
+    unfolded += batch.size();
+    const auto records = [&](std::size_t i, std::size_t n) {
+      return batch.subspan(i * n, std::min(n, batch.size() - i * n));
+    };
+    frames.resize(temp ? (batch.size() + kTempChunkRecords - 1) /
+                             kTempChunkRecords
+                       : 0);
+    const std::size_t ranges =
+        count ? (batch.size() + kCountRecords - 1) / kCountRecords : 0;
+    parallel_for(frames.size() + ranges, 1, [&](std::size_t begin,
+                                                std::size_t end,
+                                                std::size_t slot) {
+      for (std::size_t t = begin; t < end; ++t) {
+        if (t < frames.size()) {
+          compress::ChunkColumns columns;
+          for (const reads::AlignmentView& rec : records(t, kTempChunkRecords))
+            columns.add(rec);
+          frames[t] = compress::make_frame(columns.encode());
+          continue;
+        }
+        std::vector<u32>& shard = shards[slot];
+        if (shard.empty()) shard.assign(PMatrix::kSize, 0);
+        for (const reads::AlignmentView& rec :
+             records(t - frames.size(), kCountRecords)) {
+          if (rec.hit_count != 1) continue;
+          reads::for_each_observation(
+              rec, 0, ref.size(),
+              [&](u64 p, const reads::SiteObservation& so) {
+                const u8 r = ref.base(p);
+                if (r < kNumBases)
+                  ++shard[PMatrix::index(so.quality, so.coord, r, so.base)];
+              });
+        }
+      }
+    });
+    for (std::vector<u8>& frame : frames) {
+      temp->write_frame(frame);
+      std::vector<u8>().swap(frame);
+    }
+  }
+  ledger.report.records = reader.records();
+  ledger.report.ingest = reader.stats();
+  if (temp) ledger.report.temp_bytes = temp->finish();
+
+  const Stage stage(ledger, "cal_p_tables");
+  if (count) counter.absorb(shards);
+  PMatrix pm = count ? finalize_p_matrix(counter)
+                     : read_p_matrix(config.p_matrix_in);
+  if (!config.p_matrix_out.empty()) write_p_matrix(config.p_matrix_out, pm);
+  return pm;
+}
 
 /// One window in flight: what run_windows loads, plans, computes and writes.
 /// Each stage bundle extends it with its own representation of the window.
@@ -274,7 +339,7 @@ class DenseStages : public StagesBase {
   }
 
   void cal_p() {
-    pm_ = cal_p_pass(config_, /*write_temp=*/false, ledger_.report);
+    pm_ = cal_p_pass(config_, /*write_temp=*/false, ledger_);
     writer_.emplace(config_.output_file, config_.reference->name());
   }
 
@@ -337,8 +402,11 @@ class HostSparseStages : public StagesBase {
 
   /// cal_p includes the temp file and the new score tables (Table IV note).
   void cal_p() {
-    pm_ = cal_p_pass(config_, /*write_temp=*/true, ledger_.report);
-    npm_.emplace(pm_);
+    pm_ = cal_p_pass(config_, /*write_temp=*/true, ledger_);
+    {
+      const Stage stage(ledger_, "cal_p_tables");
+      npm_.emplace(pm_);
+    }
     writer_.emplace(config_.output_file, config_.reference->name());
   }
 
@@ -364,7 +432,7 @@ class HostSparseStages : public StagesBase {
   }
 
   void post(Slot& slot) { window_posterior(config_, priors_, slot); }
-  void output(Slot& slot) { writer_->write_window(slot.rows, host_rle_); }
+  void output(Slot& slot) { writer_->write_window(slot.rows); }
 
   void finish(std::size_t slots) {
     ledger_.report.output_bytes = writer_->finish();
@@ -376,7 +444,6 @@ class HostSparseStages : public StagesBase {
  protected:
   std::optional<NewPMatrix> npm_;
   std::optional<SnpOutputWriter> writer_;
-  const RleDictFn host_rle_ = host_rle_dict();
   u64 max_words_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/core/output_codec.hpp"
 
 #include <array>
+#include <memory>
 
 #include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
@@ -96,71 +97,147 @@ void encode_sparse_segments(std::span<const SnpRow> rows, Segments& encoded) {
   dbsnp.finish(encoded[kDbsnp]);
 }
 
-/// The segments that stay on the calling thread.  The five RLE-DICT columns,
-/// gathered in one pass into contiguous columns (a device rle_dict uploads
-/// them), are encoded in column order.  Then the two quantized columns,
-/// whose dictionary coding allocates column-sized scratch that on a worker
-/// would stay in that thread's heap.
-void encode_caller_segments(std::span<const SnpRow> rows,
-                            const RleDictFn& rle_dict, Segments& encoded) {
-  const std::size_t n = rows.size();
-  {
-    std::vector<u32> quality(n), avg_q(n), uniq(n), all(n), depth(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const SnpRow& r = rows[i];
-      quality[i] = r.quality;
-      avg_q[i] = r.best_avg_quality;
-      uniq[i] = r.best_uniq_count;
-      all[i] = r.best_all_count;
-      depth[i] = r.depth;
-    }
-    rle_dict(quality, encoded[kQuality]);
-    rle_dict(avg_q, encoded[kBestAvgQ]);
-    rle_dict(uniq, encoded[kBestUniq]);
-    rle_dict(all, encoded[kBestAll]);
-    rle_dict(depth, encoded[kDepth]);
+/// The five RLE-DICT columns (cols 5, 7, 8, 9 and 14) by segment.
+constexpr Segment kRleSegments[] = {kQuality, kBestAvgQ, kBestUniq, kBestAll,
+                                    kDepth};
+constexpr std::size_t kRleColumns = std::size(kRleSegments);
+using RleColumns = std::array<std::vector<u32>, kRleColumns>;
+
+/// The RLE-DICT columns, gathered in one pass over the rows.
+void gather_rle_columns(std::span<const SnpRow> rows, RleColumns& columns) {
+  for (std::vector<u32>& column : columns) column.resize(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SnpRow& r = rows[i];
+    columns[0][i] = r.quality;
+    columns[1][i] = r.best_avg_quality;
+    columns[2][i] = r.best_uniq_count;
+    columns[3][i] = r.best_all_count;
+    columns[4][i] = r.depth;
   }
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].rank_sum_p;
-  compress::encode_quantized(x, 1e4, encoded[kRankSumP]);  // the 1e-4 grid
-  for (std::size_t i = 0; i < n; ++i) x[i] = rows[i].copy_number;
-  compress::encode_quantized(x, 1e2, encoded[kCopyNumber]);  // the 1e-2 grid
 }
 
-}  // namespace
+/// The quantized columns: col 15 (rank-sum p) on the 1e-4 grid, col 16
+/// (copy number) on the 1e-2 grid.
+constexpr double kRankSumScale = 1e4;
+constexpr double kCopyNumberScale = 1e2;
 
-std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
-                                    const RleDictFn& rle_dict) {
+/// The frame: row count, start position (cols 1-2: positions are
+/// consecutive), then the segments in frame order.
+std::vector<u8> join_segments(std::span<const SnpRow> rows,
+                              const Segments& encoded) {
   std::vector<u8> out;
   varint_append(out, rows.size());
-  if (rows.empty()) return out;
-
-  // Cols 1-2: positions are consecutive — store the start only.
   varint_append(out, rows.front().pos);
-
-  // Each segment is encoded into its own buffer; the buffers are joined in
-  // frame order.  Chunk 0, which the executor always runs on the calling
-  // thread, encodes the caller's segments, so a device-backed rle_dict
-  // launches its kernels from the caller in the serial sequence.  Chunks 1
-  // and 2 feed the other segments from one pass over the rows each and
-  // allocate only their output.  A window below kSitesPerChunk rows runs as
-  // one inline chunk.
-  constexpr std::size_t kChunks = 3;
-  Segments encoded;
-  parallel_for(kChunks, rows.size() < kSitesPerChunk ? kChunks : 1,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 for (std::size_t c = begin; c < end; ++c) {
-                   if (c == 0) encode_caller_segments(rows, rle_dict, encoded);
-                   if (c == 1) encode_base_segments(rows, encoded);
-                   if (c == 2) encode_sparse_segments(rows, encoded);
-                 }
-               });
   std::size_t bytes = out.size();
   for (const std::vector<u8>& e : encoded) bytes += e.size();
   out.reserve(bytes);
   for (const std::vector<u8>& e : encoded)
     out.insert(out.end(), e.begin(), e.end());
   return out;
+}
+
+/// The frame of an empty window: its row count alone.
+std::vector<u8> empty_frame() {
+  std::vector<u8> out;
+  varint_append(out, 0);
+  return out;
+}
+
+/// A window below kSitesPerChunk rows encodes as one inline chunk.
+std::size_t segment_grain(std::size_t rows, std::size_t tasks) {
+  return rows < kSitesPerChunk ? tasks : 1;
+}
+
+}  // namespace
+
+std::vector<u8> compress_snp_window(std::span<const SnpRow> rows) {
+  if (rows.empty()) return empty_frame();
+  // The caller allocates the seven columns (a column allocated on a worker
+  // would stay in that thread's heap) and executor chunks fill them from
+  // the rows, the quantized ones as grid integers.  Then each segment
+  // group is one executor task.
+  const std::size_t n = rows.size();
+  constexpr std::size_t kRankSumColumn = kRleColumns;
+  constexpr std::size_t kCopyNumberColumn = kRleColumns + 1;
+  std::array<std::unique_ptr<u32[]>, kRleColumns + 2> columns;
+  for (auto& column : columns)
+    column = std::make_unique_for_overwrite<u32[]>(n);
+  parallel_for(n, kSitesPerChunk, [&](std::size_t begin, std::size_t end,
+                                      std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const SnpRow& r = rows[i];
+      columns[0][i] = r.quality;
+      columns[1][i] = r.best_avg_quality;
+      columns[2][i] = r.best_uniq_count;
+      columns[3][i] = r.best_all_count;
+      columns[4][i] = r.depth;
+      columns[kRankSumColumn][i] =
+          compress::quantize_value(r.rank_sum_p, kRankSumScale);
+      columns[kCopyNumberColumn][i] =
+          compress::quantize_value(r.copy_number, kCopyNumberScale);
+    }
+  });
+  const auto column = [&](std::size_t c) {
+    return std::span<const u32>(columns[c].get(), n);
+  };
+  constexpr std::size_t kTasks = 4 + kRleColumns;
+  Segments encoded;
+  parallel_for(kTasks, segment_grain(n, kTasks),
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::size_t t = begin; t < end; ++t) {
+                   if (t == 0) encode_base_segments(rows, encoded);
+                   if (t == 1) encode_sparse_segments(rows, encoded);
+                   if (t == 2)
+                     compress::encode_quantized_ints(column(kRankSumColumn),
+                                                     kRankSumScale,
+                                                     encoded[kRankSumP]);
+                   if (t == 3)
+                     compress::encode_quantized_ints(column(kCopyNumberColumn),
+                                                     kCopyNumberScale,
+                                                     encoded[kCopyNumber]);
+                   if (t >= 4)
+                     compress::encode_rle_dict(column(t - 4),
+                                               encoded[kRleSegments[t - 4]]);
+                 }
+               });
+  return join_segments(rows, encoded);
+}
+
+std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
+                                    const RleDictFn& rle_dict) {
+  if (rows.empty()) return empty_frame();
+  // Chunk 0, which the executor always runs on the calling thread, gathers
+  // the five RLE-DICT columns and encodes them in column order, so a
+  // device-backed rle_dict launches its kernels from the caller in the
+  // serial sequence; then the two quantized columns.  Chunks 1 and 2 feed
+  // the other segments from one pass over the rows each and allocate only
+  // their output.
+  constexpr std::size_t kChunks = 3;
+  Segments encoded;
+  parallel_for(
+      kChunks, segment_grain(rows.size(), kChunks),
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t c = begin; c < end; ++c) {
+          if (c == 1) encode_base_segments(rows, encoded);
+          if (c == 2) encode_sparse_segments(rows, encoded);
+          if (c != 0) continue;
+          {
+            RleColumns rle;
+            gather_rle_columns(rows, rle);
+            for (std::size_t k = 0; k < kRleColumns; ++k)
+              rle_dict(rle[k], encoded[kRleSegments[k]]);
+          }
+          std::vector<double> x(rows.size());
+          for (std::size_t i = 0; i < rows.size(); ++i)
+            x[i] = rows[i].rank_sum_p;
+          compress::encode_quantized(x, kRankSumScale, encoded[kRankSumP]);
+          for (std::size_t i = 0; i < rows.size(); ++i)
+            x[i] = rows[i].copy_number;
+          compress::encode_quantized(x, kCopyNumberScale,
+                                     encoded[kCopyNumber]);
+        }
+      });
+  return join_segments(rows, encoded);
 }
 
 std::vector<SnpRow> decompress_snp_window(std::span<const u8> data) {
@@ -236,6 +313,10 @@ std::vector<SnpRow> decompress_snp_window(std::span<const u8> data) {
 SnpOutputWriter::SnpOutputWriter(const std::filesystem::path& path,
                                  std::string seq_name)
     : frames_(path, kOutputMagic, seq_name) {}
+
+void SnpOutputWriter::write_window(std::span<const SnpRow> rows) {
+  frames_.write(compress_snp_window(rows));
+}
 
 void SnpOutputWriter::write_window(std::span<const SnpRow> rows,
                                    const RleDictFn& rle_dict) {

@@ -20,9 +20,12 @@
 // queries still skip non-overlapping frames without reading them (the CRC
 // is only checked on frames actually decompressed).
 //
-// The RLE-DICT step is pluggable so the GSNP engine can route those six
-// columns through the device kernels (compress::device_encode_rle_dict)
-// while producing byte-identical files to the host path.
+// Each column is encoded into its own buffer on the compute executor, and
+// the buffers are joined in frame order.  The RLE-DICT step is pluggable so
+// the GSNP engine can route those columns through the device kernels
+// (compress::device_encode_rle_dict) while producing byte-identical files
+// to the host path; a pluggable encoder runs on the calling thread, in
+// column order.
 
 #include <filesystem>
 #include <fstream>
@@ -43,7 +46,11 @@ using RleDictFn =
 /// The default host RLE-DICT encoder (compress::encode_rle_dict).
 RleDictFn host_rle_dict();
 
-/// Compress one window of rows into a self-contained frame payload.
+/// Compress one window of rows into a self-contained frame payload with the
+/// host codecs, every column group an executor task.
+std::vector<u8> compress_snp_window(std::span<const SnpRow> rows);
+/// The same frame with `rle_dict` encoding the five RLE-DICT columns on the
+/// calling thread, in column order.
 std::vector<u8> compress_snp_window(std::span<const SnpRow> rows,
                                     const RleDictFn& rle_dict);
 
@@ -58,6 +65,7 @@ class SnpOutputWriter {
  public:
   SnpOutputWriter(const std::filesystem::path& path, std::string seq_name);
 
+  void write_window(std::span<const SnpRow> rows);
   void write_window(std::span<const SnpRow> rows, const RleDictFn& rle_dict);
   /// Flush and report total bytes written.
   u64 finish();

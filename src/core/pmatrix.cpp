@@ -5,9 +5,23 @@
 #include <fstream>
 
 #include "src/common/error.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/phred.hpp"
 
 namespace gsnp::core {
+
+void PMatrixCounter::absorb(std::span<std::vector<u32>> shards) {
+  parallel_for(PMatrix::kSize, u64{1} << 14,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 for (std::vector<u32>& shard : shards) {
+                   if (shard.empty()) continue;
+                   for (std::size_t i = begin; i < end; ++i) {
+                     counts_[i] += shard[i];
+                     shard[i] = 0;
+                   }
+                 }
+               });
+}
 
 PMatrix finalize_p_matrix(const PMatrixCounter& counter, double pseudocount) {
   GSNP_CHECK(pseudocount > 0.0);

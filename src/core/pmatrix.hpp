@@ -16,6 +16,7 @@
 // 8 MB because it sizes the quality axis at 256 levels — see DESIGN.md).
 
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -57,6 +58,12 @@ class PMatrixCounter {
   void add(int q, int coord, int ref_base, int obs_base) {
     ++counts_[PMatrix::index(q, coord, ref_base, obs_base)];
   }
+
+  /// Fold in, on the compute executor, every non-empty shard of
+  /// PMatrix::kSize counts, and zero them.  A parallel pass counts into one
+  /// `u32` shard per executor slot that ran; `u64` adds commute, so the
+  /// folded totals are one serial pass's.
+  void absorb(std::span<std::vector<u32>> shards);
 
   const std::vector<u64>& counts() const { return counts_; }
 

@@ -1,9 +1,13 @@
 #include "src/reads/alignment.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/phred.hpp"
 #include "src/common/strings.hpp"
 
@@ -18,7 +22,7 @@ bool valid_seq_char(char c) {
   return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');
 }
 
-void check_seq_qual(const std::string& seq, const std::string& qual,
+void check_seq_qual(std::string_view seq, std::string_view qual,
                     const ParseContext& ctx) {
   for (const char c : seq)
     if (!valid_seq_char(c))
@@ -36,7 +40,34 @@ void check_seq_qual(const std::string& seq, const std::string& qual,
                    " outside the Sanger range");
 }
 
+/// `view`'s fields, which lie inside a line at `from`, for the same line
+/// at `to`.
+void relocate(AlignmentView& view, const char* from, char* to) {
+  for (std::string_view* field :
+       {&view.read_id, &view.seq, &view.qual, &view.chr_name})
+    *field = std::string_view(to + (field->data() - from), field->size());
+}
+
 }  // namespace
+
+AlignmentRecord to_record(const AlignmentView& view) {
+  AlignmentRecord rec;
+  rec.read_id = std::string(view.read_id);
+  rec.seq = std::string(view.seq);
+  rec.qual = std::string(view.qual);
+  rec.hit_count = view.hit_count;
+  rec.pair_tag = view.pair_tag;
+  rec.length = view.length;
+  rec.strand = view.strand;
+  rec.chr_name = std::string(view.chr_name);
+  rec.pos = view.pos;
+  return rec;
+}
+
+AlignmentView view_of(const AlignmentRecord& rec) {
+  return {rec.read_id, rec.seq,    rec.qual,     rec.hit_count, rec.pair_tag,
+          rec.length,  rec.strand, rec.chr_name, rec.pos};
+}
 
 std::string format_alignment(const AlignmentRecord& rec) {
   std::ostringstream os;
@@ -47,17 +78,25 @@ std::string format_alignment(const AlignmentRecord& rec) {
   return os.str();
 }
 
-AlignmentRecord parse_alignment(std::string_view line,
-                                const ParseContext& ctx) {
-  const auto fields = split(trim(line), '\t');
-  if (fields.size() < 9)
+AlignmentView parse_alignment_view(std::string_view line,
+                                   const ParseContext& ctx) {
+  // The nine fields; the ninth ends at the next tab, if any.
+  std::array<std::string_view, 9> fields;
+  std::size_t n = 0;
+  for (std::size_t start = 0; n < fields.size();) {
+    const std::size_t tab = line.find('\t', start);
+    fields[n++] = line.substr(
+        start, tab == std::string_view::npos ? tab : tab - start);
+    if (tab == std::string_view::npos) break;
+    start = tab + 1;
+  }
+  if (n < fields.size())
     ctx.fail("record", IngestReason::kTruncatedRecord,
-             "expected 9 tab-separated fields, got " +
-                 std::to_string(fields.size()));
-  AlignmentRecord rec;
-  rec.read_id = std::string(fields[0]);
-  rec.seq = std::string(fields[1]);
-  rec.qual = std::string(fields[2]);
+             "expected 9 tab-separated fields, got " + std::to_string(n));
+  AlignmentView rec;
+  rec.read_id = fields[0];
+  rec.seq = fields[1];
+  rec.qual = fields[2];
   rec.hit_count = parse_int_ctx<u32>(fields[3], ctx, "hit count");
   if (fields[4].size() != 1)
     ctx.fail("pair tag", IngestReason::kBadField,
@@ -75,7 +114,7 @@ AlignmentRecord parse_alignment(std::string_view line,
     ctx.fail("strand", IngestReason::kBadField,
              "'" + std::string(fields[6]) + "'");
   rec.strand = fields[6] == "+" ? Strand::kForward : Strand::kReverse;
-  rec.chr_name = std::string(fields[7]);
+  rec.chr_name = fields[7];
   const u64 pos1 = parse_int_ctx<u64>(fields[8], ctx, "position");
   if (pos1 < 1)
     ctx.fail("position", IngestReason::kPositionOutOfRange,
@@ -97,13 +136,27 @@ AlignmentRecord parse_alignment(std::string_view line,
              "seq/qual lengths " + std::to_string(rec.seq.size()) + "/" +
                  std::to_string(rec.qual.size()) +
                  " do not match declared length " +
-                 std::to_string(rec.length) + " in '" + rec.read_id + "'");
+                 std::to_string(rec.length) + " in '" +
+                 std::string(rec.read_id) + "'");
   check_seq_qual(rec.seq, rec.qual, ctx);
   return rec;
 }
 
+AlignmentRecord parse_alignment(std::string_view line,
+                                const ParseContext& ctx) {
+  return to_record(parse_alignment_view(trim(line), ctx));
+}
+
 AlignmentRecord parse_alignment(std::string_view line) {
   return parse_alignment(line, ParseContext{});
+}
+
+std::optional<AlignmentView> parse_alignment_line(std::string_view line,
+                                                  const ParseContext& ctx) {
+  ctx.check_line_length(line);
+  const std::string_view body = trim(line);
+  if (body.empty()) return std::nullopt;
+  return parse_alignment_view(body, ctx);
 }
 
 void write_alignments(std::ostream& out,
@@ -118,43 +171,61 @@ void write_alignment_file(const std::filesystem::path& path,
   write_alignments(out, recs);
 }
 
-AlignmentReader::AlignmentReader(const std::filesystem::path& path,
-                                 IngestPolicy policy, u64 reference_length)
-    : in_(path),
-      policy_(std::move(policy)),
-      quarantine_(policy_.quarantine_file) {
-  GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
-  ctx_.file = path.string();
+// ---- the file-order stitch -------------------------------------------------
+
+AlignmentStitch::AlignmentStitch(std::string file, IngestPolicy policy,
+                                 u64 reference_length)
+    : policy_(std::move(policy)), quarantine_(policy_.quarantine_file) {
+  ctx_.file = std::move(file);
   ctx_.reference_length = reference_length;
 }
 
-std::optional<AlignmentRecord> AlignmentReader::next() {
-  while (std::getline(in_, line_)) {
-    ++ctx_.line_no;
-    try {
-      ctx_.check_line_length(line_);
-      const auto body = trim(line_);
-      if (body.empty()) continue;
-      AlignmentRecord rec = parse_alignment(body, ctx_);
-      if (any_record_ && rec.chr_name != chr_name_)
-        ctx_.fail("sequence name", IngestReason::kBadField,
-                  "file mixes sequences '" + chr_name_ + "' and '" +
-                      rec.chr_name + "'");
-      if (any_record_ && rec.pos < last_pos_)
-        ctx_.fail("position", IngestReason::kSortOrderViolation,
-                  "position " + std::to_string(rec.pos + 1) +
-                      " after position " + std::to_string(last_pos_ + 1) +
-                      " — input must be coordinate-sorted");
-      chr_name_ = rec.chr_name;
-      last_pos_ = rec.pos;
-      any_record_ = true;
-      ++stats_.records_ok;
-      return rec;
-    } catch (const ParseError& err) {
-      if (!policy_.lenient()) throw;
-      quarantine_record(policy_, stats_, &quarantine_, err, line_);
+const AlignmentView* AlignmentStitch::keep(std::string_view line,
+                                           u64 line_no,
+                                           const AlignmentView* parsed) {
+  ctx_.line_no = line_no;
+  try {
+    const AlignmentView* rec = parsed;
+    if (!rec) {
+      const std::optional<AlignmentView> view =
+          parse_alignment_line(line, ctx_);
+      if (!view) return nullptr;
+      parsed_ = *view;
+      rec = &parsed_;
     }
+    if (any_record_ && rec->chr_name != chr_name_)
+      ctx_.fail("sequence name", IngestReason::kBadField,
+                "file mixes sequences '" + chr_name_ + "' and '" +
+                    std::string(rec->chr_name) + "'");
+    if (any_record_ && rec->pos < last_pos_)
+      ctx_.fail("position", IngestReason::kSortOrderViolation,
+                "position " + std::to_string(rec->pos + 1) +
+                    " after position " + std::to_string(last_pos_ + 1) +
+                    " — input must be coordinate-sorted");
+    if (!any_record_) chr_name_ = std::string(rec->chr_name);
+    last_pos_ = rec->pos;
+    any_record_ = true;
+    ++stats_.records_ok;
+    return rec;
+  } catch (const ParseError& err) {
+    if (!policy_.lenient()) throw;
+    quarantine_record(policy_, stats_, &quarantine_, err, line);
+    return nullptr;
   }
+}
+
+// ---- streaming reader ------------------------------------------------------
+
+AlignmentReader::AlignmentReader(const std::filesystem::path& path,
+                                 IngestPolicy policy, u64 reference_length)
+    : in_(path), stitch_(path.string(), std::move(policy), reference_length) {
+  GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
+}
+
+std::optional<AlignmentRecord> AlignmentReader::next() {
+  while (std::getline(in_, line_))
+    if (const AlignmentView* rec = stitch_.keep(line_, ++line_no_))
+      return to_record(*rec);
   return std::nullopt;
 }
 
@@ -164,6 +235,156 @@ std::vector<AlignmentRecord> read_alignment_file(
   std::vector<AlignmentRecord> recs;
   while (auto rec = reader.next()) recs.push_back(std::move(*rec));
   return recs;
+}
+
+// ---- block-parallel batch reader -------------------------------------------
+
+AlignmentBatchReader::AlignmentBatchReader(const std::filesystem::path& path,
+                                           IngestPolicy policy,
+                                           u64 reference_length,
+                                           std::size_t whole,
+                                           const CancelToken* cancel)
+    : in_(path, std::ios::binary),
+      whole_(whole),
+      cancel_(cancel),
+      stitch_(path.string(), std::move(policy), reference_length) {
+  GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
+  GSNP_CHECK(whole_ > 0);
+  block_ctx_ = stitch_.context();
+}
+
+std::span<const AlignmentView> AlignmentBatchReader::next() {
+  carry(handed_, parsed_end_);
+  for (;;) {
+    if (eof_ && size_ == carry_) {  // every line is stitched: the rest
+      handed_ = kept_.size();
+      parsed_end_ = size_;
+      return kept_;
+    }
+    parsed_end_ = fill();
+    parse(carry_, parsed_end_);
+    stitch();
+    handed_ = eof_ && parsed_end_ == size_
+                  ? kept_.size()
+                  : kept_.size() / whole_ * whole_;
+    if (handed_ > 0) return {kept_.data(), handed_};
+    carry(0, parsed_end_);  // not one whole group yet: read on
+  }
+}
+
+std::size_t AlignmentBatchReader::fill() {
+  std::size_t want = size_ + kAlignmentBatchBytes;
+  for (;;) {
+    if (want > capacity_) {
+      // Grow, with room for the next carry, moving the carried records'
+      // views with their bytes.
+      const std::size_t capacity = want + kAlignmentBatchBytes / 2;
+      std::unique_ptr<char[]> grown(new char[capacity]);
+      if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
+      for (AlignmentView& view : kept_)
+        relocate(view, buf_.get(), grown.get());
+      buf_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    in_.read(buf_.get() + size_, static_cast<std::streamsize>(want - size_));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    GSNP_CHECK_MSG(!in_.bad(), "read failed on " << block_ctx_.file);
+    eof_ = size_ + got < want;
+    size_ += got;
+    if (eof_) return size_;
+    // The bytes to parse end at the last line end past the carried lines.
+    for (std::size_t i = size_; i > carry_; --i)
+      if (buf_[i - 1] == '\n') return i;
+    want = size_ + kAlignmentBatchBytes;  // one line longer than a batch
+  }
+}
+
+void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
+  const char* const buf = buf_.get();
+  blocks_.clear();
+  for (std::size_t start = begin; start < end;) {
+    blocks_.push_back(start);
+    start = end;
+    if (end - blocks_.back() > kAlignmentBlockBytes) {
+      const char* at = buf + blocks_.back() + kAlignmentBlockBytes - 1;
+      if (const void* nl = std::memchr(at, '\n', buf + end - at))
+        start = static_cast<const char*>(nl) - buf + 1;
+    }
+  }
+  blocks_.push_back(end);
+  const std::size_t nblocks = blocks_.size() - 1;
+  // Count each block's lines, then parse each into its slice of lines_,
+  // which the caller sizes (a worker's allocation would stay in its heap).
+  first_line_.assign(nblocks + 1, 0);
+  parallel_for(nblocks, 1, [&](std::size_t first, std::size_t last,
+                               std::size_t) {
+    for (std::size_t b = first; b < last; ++b) {
+      const char* const stop = buf + blocks_[b + 1];
+      first_line_[b + 1] = static_cast<std::size_t>(
+          std::count(buf + blocks_[b], stop, '\n') + (stop[-1] != '\n'));
+    }
+  });
+  for (std::size_t b = 0; b < nblocks; ++b)
+    first_line_[b + 1] += first_line_[b];
+  lines_.resize(first_line_[nblocks]);
+  parallel_for(nblocks, 1, [&](std::size_t first, std::size_t last,
+                               std::size_t) {
+    for (std::size_t b = first; b < last; ++b) {
+      const char* p = buf + blocks_[b];
+      const char* const stop = buf + blocks_[b + 1];
+      for (std::size_t i = first_line_[b]; p < stop; ++i) {
+        const void* nl = std::memchr(p, '\n', stop - p);
+        const char* const line_end = nl ? static_cast<const char*>(nl) : stop;
+        ParsedLine& parsed = lines_[i];
+        parsed.line = std::string_view(p, line_end - p);
+        try {
+          const auto view = parse_alignment_line(parsed.line, block_ctx_);
+          parsed.parse = view ? Parse::kOk : Parse::kBlank;
+          if (view) parsed.view = *view;
+        } catch (const ParseError&) {
+          parsed.parse = Parse::kFailed;
+        }
+        p = line_end + (nl ? 1 : 0);
+      }
+    }
+  });
+}
+
+void AlignmentBatchReader::stitch() {
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    const ParsedLine& line = lines_[i];
+    if (line.parse == Parse::kBlank) continue;
+    const AlignmentView* rec =
+        stitch_.keep(line.line, next_line_ + i,
+                     line.parse == Parse::kOk ? &line.view : nullptr);
+    if (!rec) continue;
+    kept_.push_back(*rec);
+    if ((++records_ & 0xFFF) == 0) check_cancel(cancel_, "cal_p");
+  }
+  next_line_ += lines_.size();
+}
+
+void AlignmentBatchReader::carry(std::size_t kept, std::size_t tail) {
+  // A record's views span its line from the read id to the sequence name.
+  // They move toward the front in file order, so none overwrites bytes
+  // still to move.
+  std::size_t out = 0;
+  for (std::size_t i = kept; i < kept_.size(); ++i) {
+    AlignmentView& view = kept_[i];
+    const char* const from = view.read_id.data();
+    const std::size_t bytes =
+        static_cast<std::size_t>(view.chr_name.data() - from) +
+        view.chr_name.size();
+    char* const to = buf_.get() + out;
+    std::memmove(to, from, bytes);
+    relocate(view, from, to);
+    out += bytes;
+  }
+  kept_.erase(kept_.begin(), kept_.begin() + static_cast<std::ptrdiff_t>(kept));
+  if (size_ > tail)
+    std::memmove(buf_.get() + out, buf_.get() + tail, size_ - tail);
+  size_ = out + (size_ - tail);
+  carry_ = out;
 }
 
 }  // namespace gsnp::reads

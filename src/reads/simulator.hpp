@@ -86,12 +86,12 @@ inline bool observe_site(const AlignmentRecord& rec, u64 site_pos,
                                rec.strand, out);
 }
 
-/// Walk `rec` once in reference order over the positions it covers inside
-/// [lo, hi), calling fn(site_pos, observation) for each A/C/G/T base (the
-/// observe_site of each position, without re-deriving the read per call).
-template <typename Fn>
-void for_each_observation(const AlignmentRecord& rec, u64 lo, u64 hi,
-                          Fn&& fn) {
+/// Walk `rec` (an AlignmentRecord or AlignmentView) once in reference order
+/// over the positions it covers inside [lo, hi), calling fn(site_pos,
+/// observation) for each A/C/G/T base (the observe_site of each position,
+/// without re-deriving the read per call).
+template <typename Record, typename Fn>
+void for_each_observation(const Record& rec, u64 lo, u64 hi, Fn&& fn) {
   lo = std::max(lo, rec.pos);
   hi = std::min<u64>(hi, rec.pos + rec.length);
   const char* const seq = rec.seq.data();

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "src/common/parallel.hpp"
 #include "src/common/phred.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/adjust.hpp"
@@ -168,6 +172,74 @@ TEST(NewPMatrix, EqualsLikelyUpdateExpression) {
       }
     }
   }
+}
+
+TEST(NewPMatrix, EqualsAnAllRowsReferenceBitForBit) {
+  // The table computes a (q, coord) row only when its p_matrix inputs
+  // differ from the previous coord's, and copies the row otherwise.  Against
+  // a plain likely_log10 over every row: calibration data in scattered rows
+  // (never at q < 10 or q >= 40, so whole quality levels have none), runs
+  // of identical data rows, and a hand-set zero cell.
+  PMatrixCounter counter;
+  Rng rng(17);
+  for (int i = 0; i < 3000; ++i)
+    counter.add(10 + static_cast<int>(rng.uniform(30)),
+                static_cast<int>(rng.uniform(kMaxReadLen)),
+                static_cast<int>(rng.uniform(4)),
+                static_cast<int>(rng.uniform(4)));
+  for (int coord = 50; coord < 60; ++coord) counter.add(20, coord, 1, 2);
+  counter.add(25, 0, 0, 0);
+  counter.add(25, kMaxReadLen - 1, 3, 3);
+  PMatrix pm = finalize_p_matrix(counter);
+  pm.at(30, 7, 2, 1) = 0.0;
+  pm.at(30, 7, 3, 1) = 0.0;
+
+  std::vector<double> reference(NewPMatrix::kSize);
+  for (int q = 0; q < kQualityLevels; ++q)
+    for (int coord = 0; coord < kMaxReadLen; ++coord)
+      for (int obs = 0; obs < kNumBases; ++obs) {
+        int combo = 0;
+        for (int a1 = 0; a1 < kNumBases; ++a1)
+          for (int a2 = a1; a2 < kNumBases; ++a2)
+            reference[NewPMatrix::index(q, coord, obs, combo++)] =
+                likely_log10(pm.at(q, coord, a1, obs),
+                             pm.at(q, coord, a2, obs));
+      }
+  const auto expect_reference = [&](const NewPMatrix& npm) {
+    ASSERT_EQ(npm.flat().size(), reference.size());
+    EXPECT_EQ(std::memcmp(npm.flat().data(), reference.data(),
+                          reference.size() * sizeof(double)),
+              0);
+  };
+  expect_reference(NewPMatrix(pm));
+  const InlineComputeScope one_thread;
+  expect_reference(NewPMatrix(pm));
+}
+
+TEST(PMatrixCounter, AbsorbFoldsShardsAndZeroesThem) {
+  // Shards folded after each batch give the counts of one serial pass;
+  // empty shards (slots that never ran) are skipped.
+  PMatrixCounter serial, sharded;
+  std::vector<std::vector<u32>> shards(3);
+  shards[0].assign(PMatrix::kSize, 0);
+  shards[2].assign(PMatrix::kSize, 0);
+  Rng rng(5);
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 5000; ++i) {
+      const int q = static_cast<int>(rng.uniform(kQualityLevels));
+      const int c = static_cast<int>(rng.uniform(kMaxReadLen));
+      const int a = static_cast<int>(rng.uniform(4));
+      const int o = static_cast<int>(rng.uniform(4));
+      serial.add(q, c, a, o);
+      ++shards[i % 2 == 0 ? 0 : 2][PMatrix::index(q, c, a, o)];
+    }
+    sharded.absorb(shards);
+    for (const std::vector<u32>& shard : {shards[0], shards[2]})
+      EXPECT_EQ(std::count(shard.begin(), shard.end(), 0u),
+                static_cast<std::ptrdiff_t>(PMatrix::kSize));
+  }
+  EXPECT_TRUE(shards[1].empty());
+  EXPECT_EQ(sharded.counts(), serial.counts());
 }
 
 TEST(NewPMatrix, TenValuesPerCell) {

@@ -67,6 +67,7 @@ struct PipelineVariant {
 struct RunFingerprint {
   std::vector<std::string> output_bytes;
   std::vector<std::string> vcf_bytes;
+  std::vector<u64> temp_bytes;
   std::string manifest_digest;
   device::DeviceCounters counters;
 };
@@ -133,6 +134,8 @@ class DeterminismBattery : public ::testing::Test {
     }();
 
     RunFingerprint fp;
+    for (const RunReport& chromosome : report.per_chromosome)
+      fp.temp_bytes.push_back(chromosome.temp_bytes);
     for (const fs::path& out : report.output_files) {
       fp.output_bytes.push_back(read_file_bytes(out));
       std::string seq_name;
@@ -168,6 +171,8 @@ class DeterminismBattery : public ::testing::Test {
           << engine_name(kind) << " " << label << ": chromosome " << c
           << " VCF differs from serial";
     }
+    EXPECT_EQ(a.temp_bytes, b.temp_bytes)
+        << engine_name(kind) << " " << label << ": temp input size differs";
     EXPECT_EQ(a.manifest_digest, b.manifest_digest)
         << engine_name(kind) << " " << label << ": manifest digest differs";
     if (kind == EngineKind::kGsnp) {
@@ -213,6 +218,8 @@ class DeterminismBattery : public ::testing::Test {
           << engine_name(kind) << " " << label << ": chromosome " << c
           << " VCF differs from fixed-window";
     }
+    EXPECT_EQ(a.temp_bytes, b.temp_bytes)
+        << engine_name(kind) << " " << label << ": temp input size differs";
     EXPECT_EQ(a.manifest_digest, b.manifest_digest)
         << engine_name(kind) << " " << label << ": manifest digest differs";
   }
@@ -326,11 +333,13 @@ INSTANTIATE_TEST_SUITE_P(Backends, HotspotDeterminism,
 /// Fan-out vs inline: the serial run from the test thread,
 /// where every window stage and device launch fans out on the compute
 /// executor, and under an InlineComputeScope, where the executor runs each
-/// of them inline, must produce the same bytes, digests and device counters.
-/// Windows span several count ranges and many site chunks, so every stage
-/// really splits.  SOAPsnp keeps a 2,048-site window (each site holds a
-/// 128 KiB dense matrix): there its dense likelihood loop splits, and count
-/// and posterior stay one chunk.
+/// of them inline, must produce the same bytes, digests, temp input sizes
+/// and device counters.  Windows span several count ranges and many site
+/// chunks, so every stage really splits.  SOAPsnp keeps a 2,048-site window
+/// (each site holds a 128 KiB dense matrix): there its dense likelihood loop
+/// splits, and count and posterior stay one chunk.  `gsnp-cpu` reads a
+/// deeper copy of the long chromosome whose text spans three cal_p batches,
+/// so a temp chunk straddles each batch edge.
 class FanOutDeterminism : public DeterminismBattery {
  protected:
   void SetUp() override {
@@ -338,9 +347,16 @@ class FanOutDeterminism : public DeterminismBattery {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     // A long chromosome for the sparse engines (two full windows of three
-    // count ranges each, then a short one) and a short one for SOAPsnp.
-    const struct { const char* name; u64 length; u64 seed; } specs[] = {
-        {"chrF", 6 * kCountSitesPerRange + 5'000, 140}, {"chrFs", 8'192, 150}};
+    // count ranges each, then a short one), the same at 40x for gsnp-cpu,
+    // and a short one for SOAPsnp.
+    const struct {
+      const char* name;
+      u64 length;
+      u64 seed;
+      double depth;
+    } specs[] = {{"chrF", 6 * kCountSitesPerRange + 5'000, 140, 6.0},
+                 {"chrFs", 8'192, 150, 6.0},
+                 {"chrFd", 6 * kCountSitesPerRange + 5'000, 160, 40.0}};
     for (const auto& spec : specs) {
       genome::GenomeSpec gspec;
       gspec.name = spec.name;
@@ -353,7 +369,7 @@ class FanOutDeterminism : public DeterminismBattery {
       pspec.seed = specs[c].seed + 1;
       const genome::Diploid individual(refs_[c], plant_snps(refs_[c], pspec));
       reads::ReadSimSpec rspec;
-      rspec.depth = 6.0;
+      rspec.depth = specs[c].depth;
       rspec.seed = specs[c].seed + 2;
       const fs::path align = dir_ / (refs_[c].name() + ".soap");
       reads::write_alignment_file(align,
@@ -364,11 +380,15 @@ class FanOutDeterminism : public DeterminismBattery {
       job.reference = &refs_[c];
       all_jobs_.push_back(job);
     }
+    ASSERT_GT(fs::file_size(all_jobs_[2].alignment_file),
+              2 * reads::kAlignmentBatchBytes);
   }
 
   void expect_fan_out_matches_inline(EngineKind kind) {
     const bool dense = kind == EngineKind::kSoapsnp;
-    jobs_ = {all_jobs_[dense ? 1 : 0]};
+    jobs_ = {all_jobs_[dense                         ? 1
+                       : kind == EngineKind::kGsnpCpu ? 2
+                                                      : 0]};
     window_size_ = dense ? 2'048 : static_cast<u32>(3 * kCountSitesPerRange);
     const RunFingerprint fanned = run(kind, {"fan_out", false});
     const RunFingerprint inlined =

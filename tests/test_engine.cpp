@@ -346,6 +346,35 @@ TEST(TempInput, LivesOnlyAsLongAsItsCall) {
   fs::remove_all(dir);
 }
 
+TEST(StageSum, SerialHostComponentsSumToTheCallsWall) {
+  // Every fan-out of a serial gsnp-cpu call (cal_p's batches, the window
+  // stages, the output columns) runs inside a stage, so the seven
+  // components account for the call's own wall time within 5 %.
+  const fs::path dir = fs::temp_directory_path() / "gsnp_stage_sum_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  genome::GenomeSpec gspec;
+  gspec.name = "chrW";
+  gspec.length = 200'000;
+  const genome::Reference ref = genome::generate_reference(gspec);
+  const genome::Diploid individual(ref, plant_snps(ref, {}));
+  reads::ReadSimSpec rspec;
+  rspec.depth = 10.0;
+  reads::write_alignment_file(dir / "a.soap",
+                              reads::simulate_reads(individual, rspec));
+  EngineConfig config;
+  config.alignment_file = dir / "a.soap";
+  config.reference = &ref;
+  config.output_file = dir / "out.snp";
+  config.temp_file = dir / "a.tmp";
+  const RunReport report = run_gsnp_cpu(config);
+  EXPECT_GT(report.wall_seconds, 0.0);
+  EXPECT_NEAR(report.total(), report.wall_seconds, 0.05 * report.wall_seconds)
+      << "components sum to " << report.total() << " s of a "
+      << report.wall_seconds << " s call";
+  fs::remove_all(dir);
+}
+
 // ---- consistency module itself --------------------------------------------------
 
 TEST(Consistency, DetectsMismatches) {

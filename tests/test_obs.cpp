@@ -388,6 +388,15 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
     }
   }
 
+  // cal_p's parts are measured host rows on every backend: cal_p_parse
+  // (block parse and stitch), cal_p_encode (chunk encode, calibration and
+  // temp frame writes) and cal_p_tables (p_matrix and, on the sparse
+  // engines, new_p_matrix), with the same seconds in the trace.
+  for (const char* row : {"cal_p_parse", "cal_p_encode", "cal_p_tables"}) {
+    EXPECT_GT(report.host.get(row), 0.0) << row;
+    EXPECT_NEAR(breakdown.at(row), report.component(row), 1e-9) << row;
+  }
+
   // The exports round-trip with the same stage totals.
   const fs::path mpath = dir_ / "metrics.json";
   write_metrics_json(mpath, tracer);

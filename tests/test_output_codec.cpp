@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/compress/device_rledict.hpp"
 #include <cmath>
@@ -82,6 +83,22 @@ TEST_P(WindowCodec, DeviceRleDictProducesIdenticalFrames) {
   };
   const auto device_frame = compress_snp_window(rows, device_rle);
   EXPECT_EQ(device_frame, host_frame);
+}
+
+TEST_P(WindowCodec, HostCodecTasksMatchTheCallerOrderedFrame) {
+  // The host codec fills its columns and encodes every column group as an
+  // executor task; its frame is the caller-ordered frame a pluggable
+  // rle_dict makes, fanned out (a window past kSitesPerChunk rows) and
+  // inline.
+  for (const u64 n : {u64{3000}, u64{40'000}}) {
+    const auto rows = realistic_rows(n, 1000, GetParam());
+    const auto ordered = compress_snp_window(rows, host_rle_dict());
+    EXPECT_EQ(compress_snp_window(rows), ordered) << n << " rows";
+    const InlineComputeScope one_thread;
+    EXPECT_EQ(compress_snp_window(rows), ordered) << n << " rows, inline";
+  }
+  EXPECT_EQ(compress_snp_window(std::vector<SnpRow>{}),
+            compress_snp_window(std::vector<SnpRow>{}, host_rle_dict()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowCodec, ::testing::Values(1, 2, 3));
