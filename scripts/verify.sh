@@ -62,10 +62,10 @@ run_service_chaos_smoke() {
       --workdir "${builddir}/bench_service_work"
 }
 
-echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + fuzz + cal_p + service =="
+echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + fuzz + cal_p + window + compress + service =="
 cmake -B build-asan -S . -DGSNP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j >/dev/null
-ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|fuzz|sam|test_cal_p|test_service|histogram|eventlog|batcher'
+ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|fuzz|sam|test_cal_p|test_window|test_compress|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under ASan: fault matrix, fsck corpus, socket chaos =="
 ctest --test-dir build-asan --output-on-failure -R 'fsfault|fsck|chaos'
@@ -77,14 +77,15 @@ echo "== overlap: serial vs streamed runs are bit-identical, wall strictly lower
 cmake --build build -j --target bench_overlap >/dev/null
 ./build/bench/bench_overlap --workdir build/bench_overlap_work
 
-echo "== TSan: executor + cal_p + determinism battery + obs/profiler/device under ThreadSanitizer =="
-# Device blocks, cal_p's batches and the host window stages fan out on the
-# compute executor here, so this stage sees them run in parallel.
+echo "== TSan: executor + cal_p + temp decode + determinism battery + obs/profiler/device under ThreadSanitizer =="
+# Device blocks, cal_p's batches, the window loader's frame decodes and the
+# host window stages fan out on the compute executor here, so this stage
+# sees them run in parallel.
 cmake -B build-tsan -S . -DGSNP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure \
-      -R 'test_parallel|test_cal_p|determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
+      -R 'test_parallel|test_cal_p|test_window|test_compress|determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under TSan: injector + spool + socket thread-safety =="
 ctest --test-dir build-tsan --output-on-failure -R 'fsfault|fsck|chaos'

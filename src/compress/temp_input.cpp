@@ -1,6 +1,8 @@
 #include "src/compress/temp_input.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
@@ -93,13 +95,63 @@ std::vector<u8> encode_alignment_chunk(
   return columns.encode();
 }
 
-std::vector<reads::AlignmentRecord> decode_alignment_chunk(
-    std::span<const u8> data, const std::string& chr_name) {
+namespace {
+
+/// Upper bound on a chunk's records and bases, as on any decoded column
+/// (codecs.cpp): a corrupt count raises instead of allocating gigabytes.
+constexpr u64 kMaxChunkElements = 1ULL << 28;
+
+/// The four bases of each byte of a pack_bases payload, as letters.
+constexpr auto kBaseQuads = [] {
+  std::array<std::array<char, 4>, 256> quads{};
+  for (u32 byte = 0; byte < 256; ++byte)
+    for (u32 k = 0; k < 4; ++k)
+      quads[byte][k] = char_from_base(static_cast<u8>((byte >> (2 * k)) & 3));
+  return quads;
+}();
+
+/// The lengths column of a chunk of `n` records, each checked to fit a u16,
+/// and their sum.
+std::vector<u32> decode_lengths(std::span<const u8> data, std::size_t& pos,
+                                u64 n, u64& bases) {
+  std::vector<u32> lengths = decode_dict(data, pos);
+  GSNP_CHECK(lengths.size() == n);
+  bases = 0;
+  for (const u32 length : lengths) {
+    GSNP_CHECK_MSG(length <= 0xFFFF, "read length " << length);
+    bases += length;
+  }
+  GSNP_CHECK_MSG(bases <= kMaxChunkElements, "implausible base count " << bases);
+  return lengths;
+}
+
+}  // namespace
+
+ChunkHead read_chunk_head(std::span<const u8> payload) {
+  std::size_t pos = 0;
+  ChunkHead head;
+  head.records = varint_read(payload, pos);
+  // Every record takes at least one byte: its position varint.
+  GSNP_CHECK_MSG(head.records <= kMaxChunkElements &&
+                     head.records <= payload.size(),
+                 "implausible record count " << head.records);
+  if (head.records == 0) return head;
+  head.first_pos = varint_read(payload, pos);
+  for (u64 i = 1; i < head.records; ++i) varint_read(payload, pos);
+  decode_lengths(payload, pos, head.records, head.bases);
+  return head;
+}
+
+void decode_chunk_views(std::span<const u8> data,
+                        std::span<reads::AlignmentView> records,
+                        std::vector<char>& bytes) {
   std::size_t pos = 0;
   const u64 n = varint_read(data, pos);
-  GSNP_CHECK_MSG(n <= (1ULL << 28), "implausible record count " << n);
-  std::vector<reads::AlignmentRecord> records(n);
-  if (n == 0) return records;
+  GSNP_CHECK_MSG(n == records.size(),
+                 "chunk of " << n << " records, " << records.size()
+                             << " expected");
+  std::fill(records.begin(), records.end(), reads::AlignmentView{});
+  if (n == 0) return;
 
   u64 position = varint_read(data, pos);
   records[0].pos = position;
@@ -108,19 +160,15 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
     records[i].pos = position;
   }
 
-  const std::vector<u32> lengths = decode_dict(data, pos);
-  GSNP_CHECK(lengths.size() == n);
   u64 total_bases = 0;
-  for (u64 i = 0; i < n; ++i) {
-    records[i].length = static_cast<u16>(lengths[i]);
-    total_bases += lengths[i];
-  }
+  const std::vector<u32> lengths = decode_lengths(data, pos, n, total_bases);
+  for (u64 i = 0; i < n; ++i) records[i].length = static_cast<u16>(lengths[i]);
 
   {
-    const std::size_t bytes = (2 * n + 7) / 8;
-    GSNP_CHECK(pos + bytes <= data.size());
-    BitReader br(data.subspan(pos, bytes));
-    pos += bytes;
+    const std::size_t flag_bytes = (2 * n + 7) / 8;
+    GSNP_CHECK(pos + flag_bytes <= data.size());
+    BitReader br(data.subspan(pos, flag_bytes));
+    pos += flag_bytes;
     for (u64 i = 0; i < n; ++i)
       records[i].strand = br.read(1) ? Strand::kReverse : Strand::kForward;
     for (u64 i = 0; i < n; ++i) records[i].pair_tag = br.read(1) ? 'b' : 'a';
@@ -130,14 +178,29 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
   GSNP_CHECK(hits.size() == n);
   for (u64 i = 0; i < n; ++i) records[i].hit_count = hits[i];
 
-  // Bases and qualities decode straight into two concatenated character
-  // buffers that the records' strings are cut from.
-  std::string seq(total_bases, '\0');
+  if (2 * total_bases > bytes.capacity()) {
+    bytes.clear();  // grow without copying the old contents
+    bytes.reserve(2 * total_bases);
+  }
+  bytes.resize(2 * total_bases);
+  char* const seq = bytes.data();
+  char* const qual = seq + total_bases;
   {
-    const std::vector<u8> codes = unpack_bases(data, pos);
-    GSNP_CHECK(codes.size() == total_bases);
-    for (u64 k = 0; k < total_bases; ++k) seq[k] = char_from_base(codes[k]);
-    // The encode_sparse frame of the 'N' flags.
+    // The pack_bases frame, four letters per byte, then the encode_sparse
+    // frame of the 'N' flags.
+    GSNP_CHECK(varint_read(data, pos) == total_bases);
+    const std::size_t packed_bytes = (total_bases + 3) / 4;
+    GSNP_CHECK_MSG(pos + packed_bytes <= data.size(),
+                   "unpack_bases: truncated frame");
+    const u8* const packed = data.data() + pos;
+    pos += packed_bytes;
+    const auto letter = [packed](u64 k) {
+      return kBaseQuads[packed[k >> 2]][k & 3];
+    };
+    for (u64 b = 0; b < total_bases / 4; ++b)
+      std::memcpy(seq + 4 * b, kBaseQuads[packed[b]].data(), 4);
+    for (u64 k = total_bases & ~u64{3}; k < total_bases; ++k)
+      seq[k] = letter(k);
     GSNP_CHECK(varint_read(data, pos) == total_bases);
     const u64 nnz = varint_read(data, pos);
     GSNP_CHECK_MSG(nnz <= total_bases,
@@ -146,11 +209,9 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
     for (u64 k = 0; k < nnz; ++k) {
       index += varint_read(data, pos);
       GSNP_CHECK_MSG(index < total_bases, "decode_sparse: index out of range");
-      seq[index] =
-          varint_read(data, pos) != 0 ? 'N' : char_from_base(codes[index]);
+      seq[index] = varint_read(data, pos) != 0 ? 'N' : letter(index);
     }
   }
-  std::string qual(total_bases, '\0');
   {
     // The encode_rle_dict frame of the concatenated qualities.
     const std::vector<u32> values = decode_dict(data, pos);
@@ -159,23 +220,33 @@ std::vector<reads::AlignmentRecord> decode_alignment_chunk(
     u64 filled = 0;
     for (std::size_t r = 0; r < values.size(); ++r) {
       GSNP_CHECK(run_lengths[r] <= total_bases - filled);
-      std::fill_n(qual.begin() + static_cast<std::ptrdiff_t>(filled),
-                  run_lengths[r],
-                  quality_to_char(static_cast<int>(values[r])));
+      std::memset(qual + filled, quality_to_char(static_cast<int>(values[r])),
+                  run_lengths[r]);
       filled += run_lengths[r];
     }
     GSNP_CHECK(filled == total_bases);
   }
 
   u64 cursor = 0;
-  for (u64 i = 0; i < n; ++i) {
-    auto& rec = records[i];
-    rec.chr_name = chr_name;
-    rec.seq.assign(seq, cursor, rec.length);
-    rec.qual.assign(qual, cursor, rec.length);
+  for (reads::AlignmentView& rec : records) {
+    rec.seq = std::string_view(seq + cursor, rec.length);
+    rec.qual = std::string_view(qual + cursor, rec.length);
     cursor += rec.length;
   }
   GSNP_CHECK_MSG(pos == data.size(), "trailing bytes in alignment chunk");
+}
+
+std::vector<reads::AlignmentRecord> decode_alignment_chunk(
+    std::span<const u8> data, const std::string& chr_name) {
+  std::vector<reads::AlignmentView> views(read_chunk_head(data).records);
+  std::vector<char> bytes;
+  decode_chunk_views(data, views, bytes);
+  std::vector<reads::AlignmentRecord> records;
+  records.reserve(views.size());
+  for (reads::AlignmentView& view : views) {
+    view.chr_name = chr_name;
+    records.push_back(reads::to_record(view));
+  }
   return records;
 }
 
@@ -205,13 +276,15 @@ TempInputReader::TempInputReader(const std::filesystem::path& path)
     : frames_(path, kTempMagic) {}
 
 std::optional<reads::AlignmentRecord> TempInputReader::next() {
-  while (cursor_ >= chunk_.size()) {
-    std::vector<u8> frame;
-    if (!frames_.next(frame)) return std::nullopt;
-    chunk_ = decode_alignment_chunk(frame, frames_.name());
+  while (cursor_ >= views_.size()) {
+    if (!frames_.next(frame_)) return std::nullopt;
+    views_.resize(read_chunk_head(frame_).records);
+    decode_chunk_views(frame_, views_, bytes_);
     cursor_ = 0;
   }
-  return std::move(chunk_[cursor_++]);
+  reads::AlignmentView view = views_[cursor_++];
+  view.chr_name = frames_.name();
+  return reads::to_record(view);
 }
 
 }  // namespace gsnp::compress

@@ -58,9 +58,29 @@ class ChunkColumns {
   RunDecomposition qual_runs_;
 };
 
+/// What a chunk payload's positions and lengths say: its record count, the
+/// first record's position (when it has records) and its bases, the sum of
+/// the read lengths.  decode_chunk_views fills 2 x bases bytes.
+struct ChunkHead {
+  u64 records = 0;
+  u64 first_pos = 0;
+  u64 bases = 0;
+};
+ChunkHead read_chunk_head(std::span<const u8> payload);
+
+/// The chunk decoder: writes the payload's records into `records`, which
+/// must hold exactly its ChunkHead::records entries, as AlignmentViews over
+/// `bytes`, which it resizes to hold every record's bases, then every
+/// record's qualities.  The views carry no read id and no sequence name.
+/// Reusing `bytes` across chunks allocates only when a chunk outgrows it.
+void decode_chunk_views(std::span<const u8> payload,
+                        std::span<reads::AlignmentView> records,
+                        std::vector<char>& bytes);
+
 /// Encode one chunk of records (exposed for tests and the Fig 10b bench).
 std::vector<u8> encode_alignment_chunk(
     std::span<const reads::AlignmentRecord> records);
+/// decode_chunk_views copied into records named `chr_name`.
 std::vector<reads::AlignmentRecord> decode_alignment_chunk(
     std::span<const u8> data, const std::string& chr_name);
 
@@ -84,7 +104,9 @@ class TempInputWriter {
   ChunkColumns buffer_;
 };
 
-/// Streaming reader yielding records in file order.
+/// Streaming reader yielding records in file order, each a copy of a
+/// decode_chunk_views view.  The engines' window pass reads the file
+/// through core::WindowLoader instead.
 class TempInputReader {
  public:
   explicit TempInputReader(const std::filesystem::path& path);
@@ -93,7 +115,9 @@ class TempInputReader {
 
  private:
   FrameReader frames_;
-  std::vector<reads::AlignmentRecord> chunk_;
+  std::vector<u8> frame_;
+  std::vector<reads::AlignmentView> views_;
+  std::vector<char> bytes_;
   std::size_t cursor_ = 0;
 };
 

@@ -293,8 +293,8 @@ void window_posterior(const EngineConfig& config, const PriorCache& priors,
 
 // ---- stage bundles ----------------------------------------------------------
 // A bundle supplies one engine's stages to run_windows: a Slot type
-// (WindowSlot plus the engine's window state), window_size() and source()
-// for the window pass, cal_p(), recycle(slot), count(slot) returning the CSR
+// (WindowSlot plus the engine's window state), loader(sites) for the window
+// pass, cal_p(), recycle(slot), count(slot) returning the CSR
 // offsets the batch plan packs, likeli(slot, batch, batch_span), post(slot),
 // output(slot), and finish(slots) for the report's output fields.
 
@@ -330,12 +330,13 @@ class DenseStages : public StagesBase {
 
   /// The window pass re-reads the raw text, skipping the records cal_p
   /// already quarantined without writing the quarantine again.
-  WindowLoader::RecordSource source() const {
+  WindowLoader loader(u64 sites) const {
     IngestPolicy policy = config_.ingest;
     policy.quarantine_file.clear();
     auto reader = std::make_shared<reads::AlignmentReader>(
         config_.alignment_file, std::move(policy), config_.reference->size());
-    return [reader] { return reader->next(); };
+    return WindowLoader([reader] { return reader->next(); }, sites,
+                        window_size());
   }
 
   void cal_p() {
@@ -363,7 +364,18 @@ class DenseStages : public StagesBase {
   }
 
   void post(Slot& slot) { window_posterior(config_, priors_, slot); }
-  void output(Slot& slot) { writer_->write_window(slot.rows); }
+
+  /// The window's text lines (output_encode), then their write
+  /// (output_write).
+  void output(Slot& slot) {
+    std::string lines;
+    {
+      const Stage stage(ledger_, "output_encode");
+      lines = writer_->format(slot.rows);
+    }
+    const Stage stage(ledger_, "output_write");
+    writer_->write(lines);
+  }
 
   void finish(std::size_t slots) {
     ledger_.report.output_bytes = writer_->finish();
@@ -395,9 +407,8 @@ class HostSparseStages : public StagesBase {
   HostSparseStages(const HostSparseStages&) = delete;
   HostSparseStages& operator=(const HostSparseStages&) = delete;
 
-  WindowLoader::RecordSource source() const {
-    auto reader = std::make_shared<compress::TempInputReader>(config_.temp_file);
-    return [reader] { return reader->next(); };
+  WindowLoader loader(u64 sites) const {
+    return WindowLoader(config_.temp_file, sites, window_size());
   }
 
   /// cal_p includes the temp file and the new score tables (Table IV note).
@@ -432,7 +443,18 @@ class HostSparseStages : public StagesBase {
   }
 
   void post(Slot& slot) { window_posterior(config_, priors_, slot); }
-  void output(Slot& slot) { writer_->write_window(slot.rows); }
+
+  /// The window's host-codec frame (output_encode), then its write
+  /// (output_write).
+  void output(Slot& slot) {
+    std::vector<u8> frame;
+    {
+      const Stage stage(ledger_, "output_encode");
+      frame = compress_snp_window(slot.rows);
+    }
+    const Stage stage(ledger_, "output_write");
+    writer_->write_frame(frame);
+  }
 
   void finish(std::size_t slots) {
     ledger_.report.output_bytes = writer_->finish();
@@ -702,7 +724,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
 
   using Slot = typename Stages::Slot;
   std::vector<Slot> slots(config.overlapped ? 2 : 1);
-  WindowLoader loader(stages.source(), report.sites, stages.window_size());
+  WindowLoader loader = stages.loader(report.sites);
   // One load in flight at a time; false at the end of input.
   const auto load = [&](Slot& slot) {
     check_cancel(config.cancel, "window");

@@ -315,12 +315,16 @@ SnpOutputWriter::SnpOutputWriter(const std::filesystem::path& path,
     : frames_(path, kOutputMagic, seq_name) {}
 
 void SnpOutputWriter::write_window(std::span<const SnpRow> rows) {
-  frames_.write(compress_snp_window(rows));
+  write_frame(compress_snp_window(rows));
 }
 
 void SnpOutputWriter::write_window(std::span<const SnpRow> rows,
                                    const RleDictFn& rle_dict) {
   frames_.write(compress_snp_window(rows, rle_dict));
+}
+
+void SnpOutputWriter::write_frame(std::span<const u8> payload) {
+  frames_.write(payload);
 }
 
 u64 SnpOutputWriter::finish() { return frames_.finish(); }
@@ -342,13 +346,21 @@ SnpTextWriter::SnpTextWriter(const std::filesystem::path& path,
 }
 
 void SnpTextWriter::write_window(std::span<const SnpRow> rows) {
-  std::string block;
+  write(format(rows));
+}
+
+std::string SnpTextWriter::format(std::span<const SnpRow> rows) const {
+  std::string lines;
   for (const SnpRow& row : rows) {
-    block += format_snp_row(seq_name_, row);
-    block += '\n';
+    lines += format_snp_row(seq_name_, row);
+    lines += '\n';
   }
-  fsfault::write(out_, path_, block);
-  bytes_ += block.size();
+  return lines;
+}
+
+void SnpTextWriter::write(std::string_view lines) {
+  fsfault::write(out_, path_, lines);
+  bytes_ += lines.size();
 }
 
 u64 SnpTextWriter::finish() {

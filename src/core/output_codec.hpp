@@ -31,6 +31,8 @@
 #include <fstream>
 #include <functional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -67,6 +69,8 @@ class SnpOutputWriter {
 
   void write_window(std::span<const SnpRow> rows);
   void write_window(std::span<const SnpRow> rows, const RleDictFn& rle_dict);
+  /// Append one compress_snp_window payload as the next frame.
+  void write_frame(std::span<const u8> payload);
   /// Flush and report total bytes written.
   u64 finish();
 
@@ -93,7 +97,12 @@ class SnpTextWriter {
  public:
   SnpTextWriter(const std::filesystem::path& path, std::string seq_name);
 
+  /// write(format(rows)).
   void write_window(std::span<const SnpRow> rows);
+  /// The rows' lines.
+  std::string format(std::span<const SnpRow> rows) const;
+  /// Append formatted lines.
+  void write(std::string_view lines);
   u64 finish();
 
  private:

@@ -1,71 +1,12 @@
 #include "src/core/window.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 
 namespace gsnp::core {
-
-WindowLoader::WindowLoader(RecordSource source, u64 total_sites,
-                           u32 window_size)
-    : source_(std::move(source)), total_sites_(total_sites),
-      window_size_(window_size) {
-  GSNP_CHECK(window_size_ > 0);
-}
-
-bool WindowLoader::next(WindowRecords& out) {
-  if (next_start_ >= total_sites_) return false;
-  const u64 start = next_start_;
-  const u64 end = std::min(start + window_size_, total_sites_);
-  out.start = start;
-  out.size = static_cast<u32>(end - start);
-  out.records.clear();
-
-  // Records carried over from previous windows that overlap this one.
-  // (Every carried record started before a previous window's end, so only
-  // the right boundary needs checking.)
-  for (const auto& rec : carry_)
-    if (rec.pos + rec.length > start) out.records.push_back(rec);
-
-  // Pull records starting inside this window.  `pending_` holds the one
-  // look-ahead record that was read past a window boundary.
-  while (!source_done_) {
-    reads::AlignmentRecord rec;
-    if (pending_) {
-      if (pending_->pos >= end) break;  // still beyond this window
-      rec = std::move(*pending_);
-      pending_.reset();
-    } else {
-      auto r = source_();
-      if (!r) {
-        source_done_ = true;
-        break;
-      }
-      if (r->pos >= end) {
-        pending_ = std::move(r);
-        break;
-      }
-      rec = std::move(*r);
-    }
-    // Only a record reaching past the window end is needed twice; every
-    // other record moves into the window.
-    if (rec.pos + rec.length > end) {
-      out.records.push_back(rec);
-      carry_.push_back(std::move(rec));
-    } else if (rec.pos + rec.length > start) {
-      out.records.push_back(std::move(rec));
-    }
-  }
-
-  // Carried records that end within this window are never needed again.
-  std::erase_if(carry_, [end](const reads::AlignmentRecord& rec) {
-    return rec.pos + rec.length <= end;
-  });
-
-  next_start_ = end;
-  return true;
-}
 
 namespace {
 
@@ -81,6 +22,177 @@ void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
   }
   v.resize(n);
 }
+
+/// Copy `from` into `to`, with each record's read id, bases and qualities
+/// copied into `bytes`, one record after another.  `bytes` must hold none
+/// of the bytes `from` views.
+void copy_records(std::span<const reads::AlignmentView> from,
+                  std::vector<reads::AlignmentView>& to,
+                  std::vector<char>& bytes) {
+  std::size_t total = 0;
+  for (const reads::AlignmentView& rec : from)
+    total += rec.read_id.size() + rec.seq.size() + rec.qual.size();
+  resize_for_overwrite(bytes, total);
+  char* cursor = bytes.data();
+  const auto put = [&cursor](std::string_view field) {
+    if (field.empty()) return std::string_view();
+    std::memcpy(cursor, field.data(), field.size());
+    const std::string_view copy(cursor, field.size());
+    cursor += field.size();
+    return copy;
+  };
+  to.resize(from.size());
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    reads::AlignmentView rec = from[i];
+    rec.read_id = put(rec.read_id);
+    rec.seq = put(rec.seq);
+    rec.qual = put(rec.qual);
+    rec.chr_name = {};
+    to[i] = rec;
+  }
+}
+
+}  // namespace
+
+WindowLoader::WindowLoader(RecordSource source, u64 total_sites,
+                           u32 window_size)
+    : total_sites_(total_sites), window_size_(window_size),
+      source_(std::move(source)) {
+  GSNP_CHECK(window_size_ > 0);
+}
+
+WindowLoader::WindowLoader(const std::filesystem::path& temp_file,
+                           u64 total_sites, u32 window_size)
+    : total_sites_(total_sites), window_size_(window_size) {
+  GSNP_CHECK(window_size_ > 0);
+  reader_.emplace(temp_file, compress::kTempMagic);
+}
+
+bool WindowLoader::next(WindowRecords& out) {
+  if (next_start_ >= total_sites_) return false;
+  const u64 start = next_start_;
+  const u64 end = std::min(start + window_size_, total_sites_);
+  out.start = start;
+  out.size = static_cast<u32>(end - start);
+  if (out.bytes.empty()) out.bytes.emplace_back();
+
+  // Every carried record started before the previous window's end and
+  // reaches past it, so it overlaps this window.  Records are taken in file
+  // order up to the first one starting at or past `end`, so frames are
+  // decoded only once every record read ahead is loaded.
+  staged_.assign(carry_.begin(), carry_.end());
+  bool decode = false;
+  if (reader_)
+    decode = stage_ahead(start, end);
+  else
+    stage_pulled(start, end);
+  copy_records(staged_, out.records, out.bytes[0]);
+  if (decode) decode_frames(start, end, out);
+
+  // The records reaching past this window's end are needed again.
+  staged_.clear();
+  for (const reads::AlignmentView& rec : out.records)
+    if (rec.pos + rec.length > end) staged_.push_back(rec);
+  copy_records(staged_, carry_, carry_bytes_);
+
+  next_start_ = end;
+  return true;
+}
+
+void WindowLoader::stage_pulled(u64 start, u64 end) {
+  // `pending_` holds the one record read past a window's end.
+  pulled_.clear();
+  while (!source_done_) {
+    if (!pending_) {
+      pending_ = source_();
+      if (!pending_) {
+        source_done_ = true;
+        break;
+      }
+    }
+    if (pending_->pos >= end) break;  // it waits for its window
+    pulled_.push_back(std::move(*pending_));
+    pending_.reset();
+  }
+  for (const reads::AlignmentRecord& rec : pulled_)
+    if (rec.pos + rec.length > start) staged_.push_back(reads::view_of(rec));
+}
+
+bool WindowLoader::stage_ahead(u64 start, u64 end) {
+  for (; ahead_next_ < ahead_.size() && ahead_[ahead_next_].pos < end;
+       ++ahead_next_) {
+    const reads::AlignmentView& rec = ahead_[ahead_next_];
+    if (rec.pos + rec.length > start) staged_.push_back(rec);
+  }
+  return ahead_next_ == ahead_.size();
+}
+
+void WindowLoader::decode_frames(u64 start, u64 end, WindowRecords& out) {
+  // Frames come in position order, so none after the first one that starts
+  // at or past `end` holds a record of this window; that one stays held.
+  const auto starts_past = [end](const Frame& frame) {
+    return frame.head.records > 0 && frame.head.first_pos >= end;
+  };
+  while (!frames_done_ && (held_ == 0 || !starts_past(frames_[held_ - 1]))) {
+    if (held_ == frames_.size()) frames_.emplace_back();
+    Frame& frame = frames_[held_];
+    if (!reader_->next(frame.payload)) {
+      frames_done_ = true;
+      break;
+    }
+    frame.head = compress::read_chunk_head(frame.payload);
+    ++held_;
+  }
+  const std::size_t decoded =
+      held_ > 0 && starts_past(frames_[held_ - 1]) ? held_ - 1 : held_;
+
+  // Each frame's views go to their own range of the records, its bytes to
+  // its own buffer.  The caller sizes both and the tasks only fill them:
+  // memory a worker allocates stays in its thread's heap after the call.
+  const std::size_t first = out.records.size();
+  offsets_.assign(1, first);
+  for (std::size_t f = 0; f < decoded; ++f)
+    offsets_.push_back(offsets_.back() + frames_[f].head.records);
+  out.records.resize(offsets_.back());
+  if (out.bytes.size() < decoded + 1) out.bytes.resize(decoded + 1);
+  for (std::size_t f = 0; f < decoded; ++f)
+    out.bytes[1 + f].reserve(2 * frames_[f].head.bases);
+  const std::span<reads::AlignmentView> records(out.records);
+  parallel_for(decoded, 1, [&](std::size_t f0, std::size_t f1, std::size_t) {
+    for (std::size_t f = f0; f < f1; ++f)
+      compress::decode_chunk_views(
+          frames_[f].payload,
+          records.subspan(offsets_[f], offsets_[f + 1] - offsets_[f]),
+          out.bytes[1 + f]);
+  });
+
+  // The records from the first one starting at or past `end` on are read
+  // ahead; a record ending before the window starts is dropped, as the
+  // other sources drop it.
+  const auto cut = std::find_if(
+      out.records.begin() + static_cast<std::ptrdiff_t>(first),
+      out.records.end(),
+      [end](const reads::AlignmentView& rec) { return rec.pos >= end; });
+  copy_records(std::span<const reads::AlignmentView>(cut, out.records.end()),
+               ahead_, ahead_bytes_);
+  ahead_next_ = 0;
+  out.records.erase(cut, out.records.end());
+  out.records.erase(
+      std::remove_if(out.records.begin() + static_cast<std::ptrdiff_t>(first),
+                     out.records.end(),
+                     [start](const reads::AlignmentView& rec) {
+                       return rec.pos + rec.length <= start;
+                     }),
+      out.records.end());
+
+  // The decoded frames' buffers become spares.
+  std::rotate(frames_.begin(),
+              frames_.begin() + static_cast<std::ptrdiff_t>(decoded),
+              frames_.begin() + static_cast<std::ptrdiff_t>(held_));
+  held_ -= decoded;
+}
+
+namespace {
 
 /// Turn the difference array of sites [a, b) into per-site counts in place;
 /// returns their sum.
@@ -126,7 +238,7 @@ RangeReads reads_by_range(const WindowRecords& win, std::size_t ranges) {
   const u64 win_end = win.start + win.size;
   RangeReads rr;
   rr.offsets.assign(ranges + 1, 0);
-  const auto for_each_range = [&](const reads::AlignmentRecord& rec,
+  const auto for_each_range = [&](const reads::AlignmentView& rec,
                                   auto&& fn) {
     const u64 lo = std::max<u64>(rec.pos, win.start);
     const u64 hi = std::min<u64>(rec.pos + rec.length, win_end);
@@ -174,7 +286,7 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
   };
   const auto for_each_read = [&](std::size_t r, auto&& fn) {
     if (!split) {
-      for (const reads::AlignmentRecord& rec : win.records) fn(rec);
+      for (const reads::AlignmentView& rec : win.records) fn(rec);
       return;
     }
     for (const u32 i : rr.range(r)) fn(win.records[i]);
@@ -206,7 +318,7 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
         word_count[lo - start] += delta;
         if (hi < hi_site) word_count[hi - start] -= delta;
       };
-      for_each_read(r, [&](const reads::AlignmentRecord& rec) {
+      for_each_read(r, [&](const reads::AlignmentView& rec) {
         const bool unique = rec.hit_count == 1 && sparse != nullptr;
         const u64 lo = std::max<u64>(rec.pos, lo_site);
         const u64 hi = std::min<u64>(rec.pos + rec.length, hi_site);
@@ -254,7 +366,7 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
       counts_to_offsets(obs_count, a, b, obs_base[r]);
       if (word_count) counts_to_offsets(word_count, a, b, word_base[r]);
       std::fill(stats + a, stats + b, SiteStats{});
-      for_each_read(r, [&](const reads::AlignmentRecord& rec) {
+      for_each_read(r, [&](const reads::AlignmentView& rec) {
         const u32 hits = rec.hit_count;
         reads::for_each_observation(
             rec, start + a, start + b,

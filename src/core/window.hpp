@@ -17,12 +17,14 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
+#include <filesystem>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "src/common/types.hpp"
+#include "src/compress/container.hpp"
+#include "src/compress/temp_input.hpp"
 #include "src/core/base_occ.hpp"
 #include "src/core/base_word.hpp"
 #include "src/reads/alignment.hpp"
@@ -38,31 +40,81 @@ inline constexpr std::size_t kSitesPerChunk = 4096;
 inline constexpr std::size_t kCountSitesPerRange = 16384;
 
 /// A window's worth of alignment records (records overlapping the window;
-/// boundary records also appear in the neighbouring window's set).
+/// boundary records also appear in the neighbouring window's set), in
+/// arrival order.  A loaded window's records are views into `bytes`, which
+/// the window owns and reuses from one load to the next: bytes[0] holds the
+/// copies of the records carried over or read ahead (each one's read id,
+/// bases and qualities), and bytes[1 + f] the bases and qualities of the
+/// f-th temp frame decoded for this window.  Loaded records carry no
+/// sequence name (a run reads one sequence).
 struct WindowRecords {
   u64 start = 0;
   u32 size = 0;
-  std::vector<reads::AlignmentRecord> records;
+  std::vector<reads::AlignmentView> records;
+  std::vector<std::vector<char>> bytes;
 };
 
-/// Streams windows out of a position-sorted record source.
+/// Streams windows out of a position-sorted record source.  A window holds
+/// the records carried over from the previous window (those reaching past
+/// its end) first, then the new ones in file order.
 class WindowLoader {
  public:
   using RecordSource = std::function<std::optional<reads::AlignmentRecord>()>;
 
+  /// Records pulled one at a time from `source` (SOAPsnp's text pass).
   WindowLoader(RecordSource source, u64 total_sites, u32 window_size);
+  /// Records of a GSNPTMP2 temp input (compress/temp_input.hpp).  A window
+  /// reads, on the calling thread and in file order, the frames up to the
+  /// first one that starts at or past its end (FrameReader::next checks
+  /// each CRC), and decodes those that start before it with one
+  /// compute-executor task per frame, straight into the window's records
+  /// and bytes.  The decoded records starting at or past the end are copied
+  /// aside for the next windows.
+  WindowLoader(const std::filesystem::path& temp_file, u64 total_sites,
+               u32 window_size);
 
   /// Load the next window; returns false after the final window.
   bool next(WindowRecords& out);
 
  private:
-  RecordSource source_;
+  /// One temp frame read but not yet decoded.
+  struct Frame {
+    std::vector<u8> payload;
+    compress::ChunkHead head;
+  };
+
+  /// Append to staged_, in file order, views of the source's next records
+  /// that start before `end` and reach past `start`.
+  void stage_pulled(u64 start, u64 end);
+  /// The same from the records read ahead; true when none is left.
+  bool stage_ahead(u64 start, u64 end);
+  /// Decode the frames holding records that start before `end` into `out`.
+  void decode_frames(u64 start, u64 end, WindowRecords& out);
+
   u64 total_sites_;
   u32 window_size_;
   u64 next_start_ = 0;
-  std::deque<reads::AlignmentRecord> carry_;
-  std::optional<reads::AlignmentRecord> pending_;
+  std::vector<reads::AlignmentView> staged_;  ///< a window's copied records
+  std::vector<reads::AlignmentView> carry_;   ///< views into carry_bytes_
+  std::vector<char> carry_bytes_;
+
+  // The record source.
+  RecordSource source_;
+  std::vector<reads::AlignmentRecord> pulled_;  ///< this window's records
+  std::optional<reads::AlignmentRecord> pending_;  ///< the look-ahead record
   bool source_done_ = false;
+
+  // The temp input.  frames_[0, held_) are read and not yet decoded, in
+  // file order; the rest are spare buffers.  ahead_ holds the decoded
+  // records not yet loaded, from ahead_next_ on.
+  std::optional<compress::FrameReader> reader_;
+  std::vector<Frame> frames_;
+  std::size_t held_ = 0;
+  bool frames_done_ = false;
+  std::vector<std::size_t> offsets_;  ///< each decoded frame's first record
+  std::vector<reads::AlignmentView> ahead_;  ///< views into ahead_bytes_
+  std::vector<char> ahead_bytes_;
+  std::size_t ahead_next_ = 0;
 };
 
 /// Arrival-order per-site observations for one window (CSR).

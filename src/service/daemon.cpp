@@ -110,6 +110,8 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   for (const char* name : kDaemonCounters) metrics_.add(name, 0);
   for (const char* name : kDaemonGauges) metrics_.set_gauge(name, 0.0);
   for (const char* name : kDaemonHistograms) metrics_.histogram(name);
+  for (const char* stage : core::kComponents)
+    metrics_.histogram(obs::labeled_series("stage_seconds", "stage", stage));
   try {
     events_ = std::make_unique<obs::EventLog>(config_.spool_dir /
                                               "events.jsonl");
@@ -562,6 +564,12 @@ void Daemon::run_chromosome_task(const std::shared_ptr<Job>& job,
       metrics_.add("chromosomes_done");
       if (r.status.degraded) metrics_.add("chromosomes_degraded");
       metrics_.record("chromosome_compute_seconds", compute_seconds);
+      // Per-stage latency: the computed run's measured seconds per stage.
+      if (!r.status.resumed)
+        for (const char* stage : core::kComponents)
+          metrics_.record(
+              obs::labeled_series("stage_seconds", "stage", stage),
+              r.run.host.get(stage));
       obs::JobEvent done;
       done.event = "chromosome_done";
       done.job_id = j.id;

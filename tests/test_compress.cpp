@@ -380,6 +380,48 @@ TEST_F(TempInput, FileRoundTripStreaming) {
   fs::remove(path);
 }
 
+TEST_F(TempInput, ChunkViewsReuseOneByteBuffer) {
+  // One buffer decodes a large chunk, a small one, then the large one again;
+  // each time the views equal the records.
+  const std::span<const reads::AlignmentRecord> all(records_);
+  const std::vector<u8> large = encode_alignment_chunk(all);
+  const std::vector<u8> small = encode_alignment_chunk(all.subspan(7, 3));
+  std::vector<char> bytes;
+  for (const auto& [chunk, first] :
+       {std::pair{&large, 0}, std::pair{&small, 7}, std::pair{&large, 0}}) {
+    const ChunkHead head = read_chunk_head(*chunk);
+    ASSERT_EQ(head.first_pos, records_[first].pos);
+    std::vector<reads::AlignmentView> views(head.records);
+    decode_chunk_views(*chunk, views, bytes);
+    EXPECT_EQ(bytes.size(), 2 * head.bases);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const reads::AlignmentRecord& rec = records_[first + i];
+      ASSERT_EQ(views[i].pos, rec.pos);
+      EXPECT_EQ(views[i].seq, rec.seq);
+      EXPECT_EQ(views[i].qual, rec.qual);
+      EXPECT_EQ(views[i].length, rec.length);
+      EXPECT_EQ(views[i].strand, rec.strand);
+      EXPECT_EQ(views[i].hit_count, rec.hit_count);
+      EXPECT_EQ(views[i].pair_tag, rec.pair_tag);
+      EXPECT_TRUE(views[i].read_id.empty());
+      EXPECT_TRUE(views[i].chr_name.empty());
+    }
+  }
+  // The views must match the chunk's record count.
+  std::vector<reads::AlignmentView> wrong(2);
+  EXPECT_THROW(decode_chunk_views(small, wrong, bytes), Error);
+}
+
+TEST(TempInputEdge, RecordCountBeyondThePayloadRaises) {
+  // Every record has a position varint, so a count above the payload's
+  // size cannot be right.
+  std::vector<u8> payload;
+  varint_append(payload, 1000);
+  varint_append(payload, 5);
+  EXPECT_THROW(read_chunk_head(payload), Error);
+  EXPECT_THROW(decode_alignment_chunk(payload, "c"), Error);
+}
+
 TEST_F(TempInput, CompressionBeatsTextFormat) {
   u64 text_bytes = 0;
   for (const auto& rec : records_)

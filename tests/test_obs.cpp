@@ -397,6 +397,18 @@ TEST_P(TracedEngineMatrix, BreakdownMatchesReport) {
     EXPECT_NEAR(breakdown.at(row), report.component(row), 1e-9) << row;
   }
 
+  // The host backends' output splits into output_encode (compress_snp_window
+  // or the text lines) and output_write (the frame or the lines).  GSNP
+  // keeps one output row, whose host share excludes the device codec.
+  for (const char* row : {"output_encode", "output_write"}) {
+    if (dev) {
+      EXPECT_EQ(breakdown.count(row), 0u) << row;
+      continue;
+    }
+    EXPECT_GT(report.host.get(row), 0.0) << row;
+    EXPECT_NEAR(breakdown.at(row), report.component(row), 1e-9) << row;
+  }
+
   // The exports round-trip with the same stage totals.
   const fs::path mpath = dir_ / "metrics.json";
   write_metrics_json(mpath, tracer);

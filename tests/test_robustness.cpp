@@ -17,6 +17,7 @@
 #include "src/core/genome_pipeline.hpp"
 #include "src/core/output_codec.hpp"
 #include "src/core/run_manifest.hpp"
+#include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
 
@@ -150,6 +151,14 @@ TEST_F(CorruptionFixture, BitflippedOutputAlwaysRaises) {
   }
 }
 
+/// Load every window of a temp input through the engines' window source.
+void load_every_window(const fs::path& temp, u64 sites) {
+  WindowLoader loader(temp, sites, 1'024);
+  WindowRecords win;
+  while (loader.next(win)) {
+  }
+}
+
 TEST_F(CorruptionFixture, TruncatedTempInputRaises) {
   const auto bytes = read_bytes(dir_ / "a.tmp");
   std::vector<u8> cut(bytes.begin(), bytes.begin() + bytes.size() / 2);
@@ -161,6 +170,7 @@ TEST_F(CorruptionFixture, TruncatedTempInputRaises) {
         }
       },
       Error);
+  EXPECT_THROW(load_every_window(dir_ / "cut.tmp", ref_.size()), Error);
 }
 
 TEST_F(CorruptionFixture, BitflippedTempInputAlwaysRaises) {
@@ -181,6 +191,8 @@ TEST_F(CorruptionFixture, BitflippedTempInputAlwaysRaises) {
         },
         Error)
         << "trial " << trial << " flipped byte " << at;
+    EXPECT_THROW(load_every_window(dir_ / "flip.tmp", ref_.size()), Error)
+        << "window source, trial " << trial << " flipped byte " << at;
   }
 }
 

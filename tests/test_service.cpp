@@ -19,6 +19,7 @@
 #include "src/common/error.hpp"
 #include "src/core/genome_pipeline.hpp"
 #include "src/obs/eventlog.hpp"
+#include "src/obs/prometheus.hpp"
 #include "src/core/run_manifest.hpp"
 #include "src/genome/dbsnp.hpp"
 #include "src/genome/synthetic.hpp"
@@ -804,6 +805,32 @@ TEST_F(ServiceFixture, MetricsOpServesPrometheusText) {
   const Response decoded =
       parse_response(encode_response(response));
   EXPECT_EQ(decoded.fields.at("text"), text);
+}
+
+TEST_F(ServiceFixture, StageSecondsRecordsEveryComputedChromosome) {
+  Daemon daemon(daemon_config("spool"));
+  // The seven series render from the first scrape.
+  const auto before = daemon.metrics().histograms();
+  for (const char* stage : core::kComponents)
+    EXPECT_EQ(before.at(obs::labeled_series("stage_seconds", "stage", stage))
+                  .count,
+              0u)
+        << stage;
+
+  const std::string id = daemon.submit(make_spec({0, 1, 2}));
+  ASSERT_TRUE(daemon.wait_job(id, 60.0));
+  const u64 done = daemon.metrics().counter("chromosomes_done");
+  EXPECT_EQ(done, 3u);
+  const auto after = daemon.metrics().histograms();
+  for (const char* stage : core::kComponents) {
+    const auto& series =
+        after.at(obs::labeled_series("stage_seconds", "stage", stage));
+    EXPECT_EQ(series.count, done) << stage;
+    EXPECT_GE(series.min, 0.0) << stage;
+  }
+  EXPECT_GT(after.at(obs::labeled_series("stage_seconds", "stage", "cal_p"))
+                .sum,
+            0.0);
 }
 
 TEST_F(ServiceFixture, HealthOpReportsReadiness) {

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <optional>
+#include <string>
 
+#include <unistd.h>
+
+#include "src/common/parallel.hpp"
+#include "src/compress/temp_input.hpp"
 #include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
@@ -111,6 +118,108 @@ TEST(WindowLoaderTest, AgreesWithBruteForceOnSimulatedData) {
   }
 }
 
+// ---- the temp-file source ------------------------------------------------------
+
+/// Loads every window of `records` twice, from a RecordSource and from a
+/// temp input written with TempInputWriter in `chunk_records`-record
+/// frames, and expects the same windows holding the same records in the
+/// same order, fanned out and inline.
+void expect_temp_source_matches(const std::vector<reads::AlignmentRecord>& records,
+                                u64 total_sites, u32 window_size,
+                                u32 chunk_records = compress::kTempChunkRecords) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("gsnp_window_source_" + std::to_string(::getpid()) + ".tmp");
+  compress::TempInputWriter writer(path, "c", chunk_records);
+  for (const reads::AlignmentRecord& rec : records) writer.add(rec);
+  writer.finish();
+  for (const bool inline_run : {false, true}) {
+    SCOPED_TRACE(inline_run ? "inline" : "fanned out");
+    std::optional<InlineComputeScope> one_thread;
+    if (inline_run) one_thread.emplace();
+    WindowLoader expected_loader(vector_source(records), total_sites,
+                                 window_size);
+    WindowLoader temp_loader(path, total_sites, window_size);
+    WindowRecords expected, got;
+    u64 windows = 0;
+    for (;;) {
+      const bool more = expected_loader.next(expected);
+      ASSERT_EQ(temp_loader.next(got), more) << "window " << windows;
+      if (!more) break;
+      ++windows;
+      ASSERT_EQ(got.start, expected.start);
+      ASSERT_EQ(got.size, expected.size);
+      ASSERT_EQ(got.records.size(), expected.records.size())
+          << "window " << got.start;
+      for (std::size_t i = 0; i < got.records.size(); ++i) {
+        const reads::AlignmentView& a = got.records[i];
+        const reads::AlignmentView& b = expected.records[i];
+        ASSERT_EQ(a.pos, b.pos) << "window " << got.start << " record " << i;
+        EXPECT_EQ(a.length, b.length);
+        EXPECT_EQ(a.strand, b.strand);
+        EXPECT_EQ(a.hit_count, b.hit_count);
+        EXPECT_EQ(a.pair_tag, b.pair_tag);
+        EXPECT_EQ(a.seq, b.seq);
+        EXPECT_EQ(a.qual, b.qual);
+      }
+    }
+    EXPECT_EQ(windows, (total_sites + window_size - 1) / window_size);
+  }
+  std::filesystem::remove(path);
+}
+
+std::vector<reads::AlignmentRecord> simulated_records(u64 sites, double depth,
+                                                      u32 read_len) {
+  genome::GenomeSpec gspec;
+  gspec.length = sites;
+  const genome::Reference ref = genome::generate_reference(gspec);
+  const genome::Diploid ind(ref, {});
+  reads::ReadSimSpec rspec;
+  rspec.depth = depth;
+  rspec.read_len = read_len;
+  return reads::simulate_reads(ind, rspec);
+}
+
+TEST(TempWindowSource, WindowsSmallerThanAFrame) {
+  // ~6,000 records in two frames; each 777-site window holds ~75 and the
+  // last one is partial.
+  const auto records = simulated_records(60'000, 10.0, 100);
+  ASSERT_GT(records.size(), compress::kTempChunkRecords);
+  expect_temp_source_matches(records, 60'000, 777);
+}
+
+TEST(TempWindowSource, WindowsSpanningSeveralFrames) {
+  // ~20,000 records in five frames; a 100K-site window spans three.
+  const auto records = simulated_records(200'000, 10.0, 100);
+  expect_temp_source_matches(records, 200'000, 100'000);
+  // Frames of 100 records: every 7,777-site window spans several.
+  expect_temp_source_matches(records, 200'000, 7'777, 100);
+}
+
+TEST(TempWindowSource, RecordSpanningSeveralWindows) {
+  // 50-base reads over 30-site windows, and one 35-base read over four
+  // 10-site windows.
+  const auto records = simulated_records(5'000, 6.0, 50);
+  expect_temp_source_matches(records, 5'000, 30, 64);
+  expect_temp_source_matches({make_record(0, 35)}, 40, 10);
+}
+
+TEST(TempWindowSource, EmptyAndPartialWindows) {
+  // Window [10,20) holds no record, [20,25) is partial; the records differ
+  // in strand, hit count, pair tag and 'N' bases.
+  auto a = make_record(2, 3, "a", 3, Strand::kReverse);
+  a.seq = "ANC";
+  a.qual = "+5I";
+  auto b = make_record(21, 3, "b");
+  b.pair_tag = 'b';
+  expect_temp_source_matches({a, b}, 25, 10);
+  expect_temp_source_matches({a, b}, 25, 10, 1);
+}
+
+TEST(TempWindowSource, EmptyTempFile) {
+  expect_temp_source_matches({}, 25, 10);
+}
+
 // ---- count_window -----------------------------------------------------------------
 
 TEST(CountWindow, StatsExactOnConstructedCase) {
@@ -120,7 +229,7 @@ TEST(CountWindow, StatsExactOnConstructedCase) {
   auto r1 = make_record(0, 5, "r1", 1);   // A x5, unique
   auto r2 = make_record(2, 5, "r2", 3);   // A x5, multi-hit
   r2.seq = "CCCCC";
-  win.records = {r1, r2};
+  win.records = {reads::view_of(r1), reads::view_of(r2)};
 
   WindowObs obs;
   std::vector<SiteStats> stats;
@@ -157,7 +266,7 @@ TEST(CountWindow, ArrivalOrderPreservedPerSite) {
   r1.seq = "GGG";
   auto r2 = make_record(0, 3, "r2");
   r2.seq = "TTT";
-  win.records = {r1, r2};
+  win.records = {reads::view_of(r1), reads::view_of(r2)};
 
   WindowObs obs;
   std::vector<SiteStats> stats;
@@ -172,7 +281,8 @@ TEST(CountWindow, ClampsRecordsToWindowBounds) {
   WindowRecords win;
   win.start = 10;
   win.size = 5;
-  win.records = {make_record(8, 10)};  // covers [8,18), window is [10,15)
+  const auto rec = make_record(8, 10);  // covers [8,18), window is [10,15)
+  win.records = {reads::view_of(rec)};
 
   WindowObs obs;
   std::vector<SiteStats> stats;
@@ -202,7 +312,7 @@ TEST(CountWindow, QualitySumsAccumulate) {
   win.size = 2;
   auto r1 = make_record(0, 2, "r1");
   r1.qual = "+5";  // q10, q20
-  win.records = {r1};
+  win.records = {reads::view_of(r1)};
   WindowObs obs;
   std::vector<SiteStats> stats;
   count_window(win, obs, stats, nullptr, nullptr);
