@@ -89,10 +89,10 @@ Fig5Result run_dataset(const Dataset& data, u32 window_size,
       core::BaseWordWindow copy = sparse;
       const auto before = dev.counters();
       sortnet::VarArrays va;
-      va.values = std::move(copy.words);
+      va.values.assign(copy.words.begin(), copy.words.end());
       va.offsets = std::move(copy.offsets);
       sortnet::sort_device_multipass(dev, va);
-      copy.words = std::move(va.values);
+      copy.words.assign(va.values.begin(), va.values.end());
       copy.offsets = std::move(va.offsets);
       (void)core::device_likelihood_sparse(dev, copy, tables);
       result.gsnp += model.seconds(device::counters_delta(before,

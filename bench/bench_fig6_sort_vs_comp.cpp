@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
         core::BaseWordWindow copy = sparse;
         auto before = dev.counters();
         sortnet::VarArrays va;
-        va.values = std::move(copy.words);
+        va.values.assign(copy.words.begin(), copy.words.end());
         va.offsets = std::move(copy.offsets);
         sortnet::sort_device_multipass(dev, va);
-        copy.words = std::move(va.values);
+        copy.words.assign(va.values.begin(), va.values.end());
         copy.offsets = std::move(va.offsets);
         sort_gpu +=
             model.seconds(device::counters_delta(before, dev.counters()));

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/overwrite_vector.hpp"
 #include "src/common/types.hpp"
 
 namespace gsnp::core {
@@ -36,9 +37,10 @@ constexpr AlignedBase base_word_unpack(u32 word) {
   return ab;
 }
 
-/// CSR container of per-site base_word arrays for one window.
+/// CSR container of per-site base_word arrays for one window.  Growing
+/// `words` leaves the new words unspecified: count_window writes every one.
 struct BaseWordWindow {
-  std::vector<u32> words;       ///< concatenated per-site words
+  OverwriteVector<u32> words;   ///< concatenated per-site words
   std::vector<u64> offsets;     ///< window_size + 1 offsets into words
 
   explicit BaseWordWindow(u32 window_size = 0) { reset(window_size); }

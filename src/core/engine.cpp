@@ -4,9 +4,11 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "src/common/error.hpp"
+#include "src/common/overwrite_vector.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/compress/container.hpp"
@@ -217,13 +219,15 @@ PMatrix cal_p_pass(const EngineConfig& config, bool write_temp,
 
 /// One window in flight: what run_windows loads, plans, computes and writes.
 /// Each stage bundle extends it with its own representation of the window.
+/// The likelihood and posterior passes write every site's `type_likely`
+/// and `rows` element, so sizing them initializes nothing.
 struct WindowSlot {
   WindowRecords win;
   WindowObs obs;
   std::vector<SiteStats> stats;
   BatchPlan plan;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
+  OverwriteVector<TypeLikely> type_likely;
+  OverwriteVector<SnpRow> rows;
   std::shared_future<void> written;  ///< valid while rows are being written
 };
 
@@ -699,6 +703,95 @@ class DeviceStages : public HostSparseStages {
   };
 };
 
+// ---- the kept window set ----------------------------------------------------
+
+/// One call's window slots, of its bundle's Slot type and window size.
+struct SlotSet {
+  SlotSet() = default;
+  SlotSet(const SlotSet&) = delete;
+  SlotSet& operator=(const SlotSet&) = delete;
+  virtual ~SlotSet() = default;
+  u32 window_size = 0;
+  bool kept = false;  ///< an earlier call left it
+};
+
+template <typename Slot>
+struct SlotsOf final : SlotSet {
+  std::vector<Slot> slots;
+};
+
+/// One engine call, counted from entry to exit (cal_p included).  Between
+/// calls the process keeps at most one window set, so that a call following
+/// another finds its window buffers allocated and their pages mapped.  A
+/// call that ran alone from entry to return leaves its set for the next
+/// call.  A call that enters while another runs frees the kept set, and one
+/// that overlapped another, or unwinds, frees its own: while calls overlap,
+/// no set exists beside theirs.
+class EngineCall {
+ public:
+  EngineCall() {
+    std::unique_ptr<SlotSet> stale;  // freed outside the lock
+    const std::lock_guard lock(state().mutex);
+    entry_ = ++state().entered;
+    overlapped_ = state().running++ > 0;
+    if (overlapped_) stale = std::move(state().kept);
+  }
+  ~EngineCall() {
+    const std::lock_guard lock(state().mutex);
+    --state().running;
+  }
+  EngineCall(const EngineCall&) = delete;
+  EngineCall& operator=(const EngineCall&) = delete;
+
+  /// `count` slots for windows of `window_size` sites: the kept set's when
+  /// it has the same Slot type and window size (slots added or dropped to
+  /// make `count`), else new ones, the kept set freed first.
+  template <typename Slot>
+  std::unique_ptr<SlotsOf<Slot>> take(u32 window_size, std::size_t count) {
+    std::unique_ptr<SlotSet> kept;
+    {
+      const std::lock_guard lock(state().mutex);
+      kept = std::move(state().kept);
+    }
+    std::unique_ptr<SlotsOf<Slot>> set;
+    if (kept && kept->window_size == window_size &&
+        dynamic_cast<SlotsOf<Slot>*>(kept.get()))
+      set.reset(static_cast<SlotsOf<Slot>*>(kept.release()));
+    kept.reset();
+    if (!set) {
+      set = std::make_unique<SlotsOf<Slot>>();
+      set->window_size = window_size;
+    }
+    set->slots.resize(count);
+    return set;
+  }
+
+  /// At the call's return: keep `set` for the next call if no other call
+  /// ran during this one, else free it.
+  void keep(std::unique_ptr<SlotSet> set) {
+    const std::lock_guard lock(state().mutex);
+    if (overlapped_ || state().entered != entry_) return;
+    set->kept = true;
+    state().kept = std::move(set);
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::size_t running = 0;     ///< calls between entry and exit
+    u64 entered = 0;             ///< calls ever entered
+    std::unique_ptr<SlotSet> kept;
+  };
+  /// Never destroyed: a call may still run on another thread at exit.
+  static State& state() {
+    static State* const s = new State;
+    return *s;
+  }
+
+  u64 entry_ = 0;            ///< state().entered after this call entered
+  bool overlapped_ = false;  ///< another call was running at entry
+};
+
 // ---- the window loop --------------------------------------------------------
 
 /// The one window loop: per window, load (cancel check, read, recycle,
@@ -713,6 +806,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
                       Args&&... args) {
   GSNP_CHECK(config.reference != nullptr);
   const Timer wall;
+  EngineCall call;
   RunReport report;
   report.sites = config.reference->size();
   Ledger ledger{report, config.tracer, engine};
@@ -723,7 +817,10 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   }
 
   using Slot = typename Stages::Slot;
-  std::vector<Slot> slots(config.overlapped ? 2 : 1);
+  std::unique_ptr<SlotsOf<Slot>> set =
+      call.take<Slot>(stages.window_size(), config.overlapped ? 2 : 1);
+  std::vector<Slot>& slots = set->slots;
+  report.kept_window_set = set->kept;
   WindowLoader loader = stages.loader(report.sites);
   // One load in flight at a time; false at the end of input.
   const auto load = [&](Slot& slot) {
@@ -790,10 +887,11 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   }
   // Join every outstanding write; get() rethrows the first failure.
   for (Slot& slot : slots)
-    if (slot.written.valid()) slot.written.get();
+    if (slot.written.valid()) std::exchange(slot.written, {}).get();
   stages.finish(slots.size());
   report.wall_seconds = wall.seconds();
   ledger.record_metrics();
+  call.keep(std::move(set));
   return report;
 }
 

@@ -153,6 +153,9 @@ struct RunReport {
   /// engine — the actual per-batch allocation watermark of every batch
   /// whose drain ran no other window's output.
   BatchStats batch;
+  /// The call ran its windows in the window set an earlier call kept
+  /// (DESIGN.md, "Window buffers"): its buffers were allocated and mapped.
+  bool kept_window_set = false;
 
   /// Combined (host + modeled device) seconds for one component.
   double component(const std::string& name) const {

@@ -11,11 +11,12 @@ namespace gsnp::core {
 namespace {
 
 /// Resize a buffer the caller overwrites completely.  Growing past the
-/// capacity reallocates to exactly `n` without copying the old contents;
-/// otherwise only elements past the old size are value-initialized, not
-/// the whole buffer.
-template <typename T>
-void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
+/// capacity reallocates to exactly `n` without copying the old contents.
+/// The new elements of an OverwriteVector stay unspecified; a std::vector
+/// value-initializes them: all `n` after a reallocation, else those past
+/// the old size.
+template <typename Vector>
+void resize_for_overwrite(Vector& v, std::size_t n) {
   if (n > v.capacity()) {
     v.clear();
     v.reserve(n);
@@ -27,7 +28,7 @@ void resize_for_overwrite(std::vector<T>& v, std::size_t n) {
 /// copied into `bytes`, one record after another.  `bytes` must hold none
 /// of the bytes `from` views.
 void copy_records(std::span<const reads::AlignmentView> from,
-                  std::vector<reads::AlignmentView>& to,
+                  OverwriteVector<reads::AlignmentView>& to,
                   std::vector<char>& bytes) {
   std::size_t total = 0;
   for (const reads::AlignmentView& rec : from)
@@ -81,13 +82,12 @@ bool WindowLoader::next(WindowRecords& out) {
   // order up to the first one starting at or past `end`, so frames are
   // decoded only once every record read ahead is loaded.
   staged_.assign(carry_.begin(), carry_.end());
-  bool decode = false;
-  if (reader_)
-    decode = stage_ahead(start, end);
-  else
-    stage_pulled(start, end);
+  const bool decode = reader_ && stage_ahead(start, end);
   copy_records(staged_, out.records, out.bytes[0]);
-  if (decode) decode_frames(start, end, out);
+  if (!reader_)
+    load_pulled(start, end, out);
+  else if (decode)
+    decode_frames(start, end, out);
 
   // The records reaching past this window's end are needed again.
   staged_.clear();
@@ -99,9 +99,9 @@ bool WindowLoader::next(WindowRecords& out) {
   return true;
 }
 
-void WindowLoader::stage_pulled(u64 start, u64 end) {
+void WindowLoader::load_pulled(u64 start, u64 end, WindowRecords& out) {
   // `pending_` holds the one record read past a window's end.
-  pulled_.clear();
+  out.pulled.clear();
   while (!source_done_) {
     if (!pending_) {
       pending_ = source_();
@@ -111,11 +111,14 @@ void WindowLoader::stage_pulled(u64 start, u64 end) {
       }
     }
     if (pending_->pos >= end) break;  // it waits for its window
-    pulled_.push_back(std::move(*pending_));
+    out.pulled.push_back(std::move(*pending_));
     pending_.reset();
   }
-  for (const reads::AlignmentRecord& rec : pulled_)
-    if (rec.pos + rec.length > start) staged_.push_back(reads::view_of(rec));
+  for (const reads::AlignmentRecord& rec : out.pulled) {
+    if (rec.pos + rec.length <= start) continue;
+    reads::AlignmentView& view = out.records.emplace_back(reads::view_of(rec));
+    view.chr_name = {};
+  }
 }
 
 bool WindowLoader::stage_ahead(u64 start, u64 end) {
@@ -292,8 +295,8 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
     for (const u32 i : rr.range(r)) fn(win.records[i]);
   };
 
-  std::vector<u64>& offsets = obs_out.offsets;
-  offsets.resize(static_cast<std::size_t>(w) + 1);
+  OverwriteVector<u64>& offsets = obs_out.offsets;
+  resize_for_overwrite(offsets, static_cast<std::size_t>(w) + 1);
   if (sparse) sparse->offsets.resize(static_cast<std::size_t>(w) + 1);
   u64* const obs_count = offsets.data();
   u64* const word_count = sparse ? sparse->offsets.data() : nullptr;

@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/overwrite_vector.hpp"
 #include "src/common/types.hpp"
 #include "src/compress/container.hpp"
 #include "src/compress/temp_input.hpp"
@@ -41,17 +42,19 @@ inline constexpr std::size_t kCountSitesPerRange = 16384;
 
 /// A window's worth of alignment records (records overlapping the window;
 /// boundary records also appear in the neighbouring window's set), in
-/// arrival order.  A loaded window's records are views into `bytes`, which
-/// the window owns and reuses from one load to the next: bytes[0] holds the
+/// arrival order.  A loaded window's records are views into memory the
+/// window owns and reuses from one load to the next: bytes[0] holds the
 /// copies of the records carried over or read ahead (each one's read id,
-/// bases and qualities), and bytes[1 + f] the bases and qualities of the
-/// f-th temp frame decoded for this window.  Loaded records carry no
-/// sequence name (a run reads one sequence).
+/// bases and qualities), bytes[1 + f] the bases and qualities of the f-th
+/// temp frame decoded for this window, and `pulled` the records a record
+/// source handed over for it.  Loaded records carry no sequence name (a run
+/// reads one sequence).
 struct WindowRecords {
   u64 start = 0;
   u32 size = 0;
-  std::vector<reads::AlignmentView> records;
+  OverwriteVector<reads::AlignmentView> records;
   std::vector<std::vector<char>> bytes;
+  std::vector<reads::AlignmentRecord> pulled;
 };
 
 /// Streams windows out of a position-sorted record source.  A window holds
@@ -61,7 +64,8 @@ class WindowLoader {
  public:
   using RecordSource = std::function<std::optional<reads::AlignmentRecord>()>;
 
-  /// Records pulled one at a time from `source` (SOAPsnp's text pass).
+  /// Records pulled one at a time from `source` (SOAPsnp's text pass).  A
+  /// window keeps the records it pulls: they move into its `pulled`.
   WindowLoader(RecordSource source, u64 total_sites, u32 window_size);
   /// Records of a GSNPTMP2 temp input (compress/temp_input.hpp).  A window
   /// reads, on the calling thread and in file order, the frames up to the
@@ -83,10 +87,12 @@ class WindowLoader {
     compress::ChunkHead head;
   };
 
-  /// Append to staged_, in file order, views of the source's next records
-  /// that start before `end` and reach past `start`.
-  void stage_pulled(u64 start, u64 end);
-  /// The same from the records read ahead; true when none is left.
+  /// Move the source's next records that start before `end` into
+  /// out.pulled, in file order, and append views of those reaching past
+  /// `start` to out.records.
+  void load_pulled(u64 start, u64 end, WindowRecords& out);
+  /// Append to staged_, in file order, the records read ahead that start
+  /// before `end` and reach past `start`; true when none is left.
   bool stage_ahead(u64 start, u64 end);
   /// Decode the frames holding records that start before `end` into `out`.
   void decode_frames(u64 start, u64 end, WindowRecords& out);
@@ -95,12 +101,11 @@ class WindowLoader {
   u32 window_size_;
   u64 next_start_ = 0;
   std::vector<reads::AlignmentView> staged_;  ///< a window's copied records
-  std::vector<reads::AlignmentView> carry_;   ///< views into carry_bytes_
+  OverwriteVector<reads::AlignmentView> carry_;   ///< views into carry_bytes_
   std::vector<char> carry_bytes_;
 
   // The record source.
   RecordSource source_;
-  std::vector<reads::AlignmentRecord> pulled_;  ///< this window's records
   std::optional<reads::AlignmentRecord> pending_;  ///< the look-ahead record
   bool source_done_ = false;
 
@@ -112,16 +117,17 @@ class WindowLoader {
   std::size_t held_ = 0;
   bool frames_done_ = false;
   std::vector<std::size_t> offsets_;  ///< each decoded frame's first record
-  std::vector<reads::AlignmentView> ahead_;  ///< views into ahead_bytes_
+  OverwriteVector<reads::AlignmentView> ahead_;  ///< views into ahead_bytes_
   std::vector<char> ahead_bytes_;
   std::size_t ahead_next_ = 0;
 };
 
-/// Arrival-order per-site observations for one window (CSR).
+/// Arrival-order per-site observations for one window (CSR), written whole
+/// by count_window.
 struct WindowObs {
-  std::vector<u64> offsets;          ///< window size + 1
-  std::vector<AlignedBase> obs;      ///< concatenated, arrival order
-  std::vector<u32> hits;             ///< parallel hit_count per observation
+  OverwriteVector<u64> offsets;      ///< window size + 1
+  OverwriteVector<AlignedBase> obs;  ///< concatenated, arrival order
+  OverwriteVector<u32> hits;         ///< parallel hit_count per observation
 
   u32 window_size() const { return static_cast<u32>(offsets.size() - 1); }
   std::span<const AlignedBase> site(u32 s) const {

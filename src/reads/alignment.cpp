@@ -314,7 +314,8 @@ void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
   blocks_.push_back(end);
   const std::size_t nblocks = blocks_.size() - 1;
   // Count each block's lines, then parse each into its slice of lines_,
-  // which the caller sizes (a worker's allocation would stay in its heap).
+  // which the caller sizes without initializing (a worker's allocation
+  // would stay in its heap).
   first_line_.assign(nblocks + 1, 0);
   parallel_for(nblocks, 1, [&](std::size_t first, std::size_t last,
                                std::size_t) {

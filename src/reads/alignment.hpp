@@ -40,6 +40,7 @@
 
 #include "src/common/cancel.hpp"
 #include "src/common/ingest.hpp"
+#include "src/common/overwrite_vector.hpp"
 #include "src/common/types.hpp"
 
 namespace gsnp::reads {
@@ -220,7 +221,7 @@ class AlignmentBatchReader {
   u64 records_ = 0;
   std::vector<std::size_t> blocks_;  ///< block starts in buf_, then the end
   std::vector<std::size_t> first_line_;  ///< each block's first line index
-  std::vector<ParsedLine> lines_;
+  OverwriteVector<ParsedLine> lines_;  ///< each written by its block's task
   std::vector<AlignmentView> kept_;
 };
 

@@ -28,6 +28,7 @@
 #include "src/reads/fuzz.hpp"
 #include "src/reads/sam.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp {
 namespace {
@@ -37,7 +38,7 @@ namespace fs = std::filesystem;
 class FuzzSmoke : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_fuzz_smoke";
+    dir_ = test_temp_path("gsnp_fuzz_smoke");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;

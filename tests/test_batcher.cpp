@@ -25,6 +25,7 @@
 #include "src/core/pmatrix.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -220,7 +221,7 @@ std::string read_file_bytes(const fs::path& path) {
 }
 
 TEST(BatcherEndToEnd, HotspotRunRespectsBudgetAndMatchesFixedWindow) {
-  const fs::path dir = fs::temp_directory_path() / "gsnp_batcher_e2e";
+  const fs::path dir = test_temp_path("gsnp_batcher_e2e");
   fs::remove_all(dir);
   fs::create_directories(dir);
 

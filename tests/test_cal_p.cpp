@@ -21,6 +21,7 @@
 #include "src/reads/alignment.hpp"
 #include "src/reads/fuzz.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp {
 namespace {
@@ -96,7 +97,7 @@ void expect_same_ingest(const Ingest& a, const Ingest& b) {
 class CalP : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_cal_p_test";
+    dir_ = test_temp_path("gsnp_cal_p_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;

@@ -32,6 +32,7 @@
 #include "src/service/fsck.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/socket.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::service {
 namespace {
@@ -54,7 +55,7 @@ class StorageChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fsfault::disarm();
-    dir_ = fs::temp_directory_path() / "gsnp_chaos_test";
+    dir_ = test_temp_path("gsnp_chaos_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     for (int c = 0; c < 2; ++c) {
@@ -349,7 +350,7 @@ TEST_F(StorageChaosTest, CrashDuringChaosRecoversToBaseline) {
 class NetChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_netchaos_test";
+    dir_ = test_temp_path("gsnp_netchaos_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

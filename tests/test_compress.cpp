@@ -16,6 +16,7 @@
 #include "src/compress/zlibwrap.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::compress {
 namespace {
@@ -362,7 +363,7 @@ TEST_F(TempInput, ChunkRoundTripPreservesEverythingButIds) {
 }
 
 TEST_F(TempInput, FileRoundTripStreaming) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_test.tmp";
+  const fs::path path = test_temp_path("gsnp_test.tmp");
   TempInputWriter writer(path, ref_.name(), /*chunk_records=*/100);
   for (const auto& rec : records_) writer.add(rec);
   const u64 bytes = writer.finish();

@@ -38,6 +38,7 @@
 #include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -75,7 +76,7 @@ struct RunFingerprint {
 class DeterminismBattery : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_determinism_test";
+    dir_ = test_temp_path("gsnp_determinism_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     // Two chromosomes, window 2,048 => several windows each, so the
@@ -280,7 +281,7 @@ class HotspotDeterminism : public DeterminismBattery,
                            public ::testing::WithParamInterface<EngineKind> {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_hotspot_determinism_test";
+    dir_ = test_temp_path("gsnp_hotspot_determinism_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
@@ -343,7 +344,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, HotspotDeterminism,
 class FanOutDeterminism : public DeterminismBattery {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_fanout_determinism_test";
+    dir_ = test_temp_path("gsnp_fanout_determinism_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     // A long chromosome for the sparse engines (two full windows of three

@@ -2,12 +2,21 @@
 // centerpiece is the paper's §IV-G guarantee — SOAPsnp, GSNP_CPU and GSNP
 // produce exactly the same result rows.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <thread>
 
+#include "src/common/sha256.hpp"
 #include "src/core/backend.hpp"
 #include "src/core/consistency.hpp"
 #include "src/core/engine.hpp"
@@ -16,6 +25,7 @@
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
 #include "src/reads/stats.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -26,7 +36,7 @@ namespace fs = std::filesystem;
 class Engines : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = fs::temp_directory_path() / "gsnp_engine_test";
+    dir_ = test_temp_path("gsnp_engine_test");
     fs::create_directories(dir_);
 
     genome::GenomeSpec gspec;
@@ -229,7 +239,7 @@ TEST(NonAcgtReadBases, EveryBackendSkipsThemByteIdentically) {
   // The parser accepts any letter in a read ('N', IUPAC codes, lower case);
   // a base outside ACGT carries no observation and no depth on every
   // backend, and the four backends still call identical rows.
-  const fs::path dir = fs::temp_directory_path() / "gsnp_non_acgt_test";
+  const fs::path dir = test_temp_path("gsnp_non_acgt_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   genome::GenomeSpec gspec;
@@ -305,7 +315,7 @@ TEST(NonAcgtReadBases, EveryBackendSkipsThemByteIdentically) {
 TEST(TempInput, LivesOnlyAsLongAsItsCall) {
   // The GSNP engines own their temp input: it is gone when the call
   // returns, when a device fault unwinds it and when it is cancelled.
-  const fs::path dir = fs::temp_directory_path() / "gsnp_temp_lifetime_test";
+  const fs::path dir = test_temp_path("gsnp_temp_lifetime_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   genome::GenomeSpec gspec;
@@ -350,7 +360,7 @@ TEST(StageSum, SerialHostComponentsSumToTheCallsWall) {
   // Every fan-out of a serial gsnp-cpu call (cal_p's batches, the window
   // stages, the output columns) runs inside a stage, so the seven
   // components account for the call's own wall time within 5 %.
-  const fs::path dir = fs::temp_directory_path() / "gsnp_stage_sum_test";
+  const fs::path dir = test_temp_path("gsnp_stage_sum_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   genome::GenomeSpec gspec;
@@ -373,6 +383,236 @@ TEST(StageSum, SerialHostComponentsSumToTheCallsWall) {
       << "components sum to " << report.total() << " s of a "
       << report.wall_seconds << " s call";
   fs::remove_all(dir);
+}
+
+// ---- the kept window set ----------------------------------------------------------
+
+/// A gsnp-cpu call held inside cal_p: its alignment file is a FIFO that
+/// stays open and empty until release(), so the engine counts the call as
+/// running and every call made meanwhile overlaps it.
+class CallInFlight {
+ public:
+  CallInFlight(const fs::path& dir, const genome::Reference& ref) {
+    fifo_ = dir / "in_flight.soap";
+    fs::remove(fifo_);
+    if (::mkfifo(fifo_.c_str(), 0600) != 0) throw Error("mkfifo failed");
+    config_.alignment_file = fifo_;
+    config_.reference = &ref;
+    config_.output_file = dir / "in_flight.snp";
+    config_.temp_file = dir / "in_flight.tmp";
+    thread_ = std::thread([this] {
+      try {
+        run_gsnp_cpu(config_);
+        ran_ = true;
+      } catch (...) {
+      }
+      done_ = true;
+    });
+    // The call opens the FIFO for reading inside cal_p, and a writer that
+    // does not block can open it only once a reader has.
+    while ((fd_ = ::open(fifo_.c_str(), O_WRONLY | O_NONBLOCK)) < 0 && !done_)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ~CallInFlight() { release(); }
+  CallInFlight(const CallInFlight&) = delete;
+  CallInFlight& operator=(const CallInFlight&) = delete;
+
+  /// True while the call waits for its input.
+  bool waiting() const { return fd_ >= 0; }
+  /// End the input; the call reads no record and returns.  True if it ran.
+  bool release() {
+    if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+    if (thread_.joinable()) thread_.join();
+    return ran_;
+  }
+
+ private:
+  fs::path fifo_;
+  EngineConfig config_;
+  std::atomic<bool> done_{false};
+  bool ran_ = false;
+  int fd_ = -1;
+  std::thread thread_;  // last: it uses the members above
+};
+
+struct Chromosome {
+  genome::Reference ref;
+  genome::DbSnpTable dbsnp;
+  fs::path align;
+};
+
+Chromosome make_chromosome(const fs::path& dir, const std::string& name,
+                           u64 length, u64 seed, double depth) {
+  genome::GenomeSpec gspec;
+  gspec.name = name;
+  gspec.length = length;
+  gspec.seed = seed;
+  Chromosome chr{genome::generate_reference(gspec), {},
+                 dir / (name + ".soap")};
+  genome::SnpPlantSpec pspec;
+  pspec.snp_rate = 0.003;
+  pspec.seed = seed + 1;
+  const std::vector<genome::PlantedSnp> snps = plant_snps(chr.ref, pspec);
+  chr.dbsnp = genome::make_dbsnp(chr.ref, snps, 0.002, seed + 2);
+  reads::ReadSimSpec rspec;
+  rspec.depth = depth;
+  rspec.seed = seed + 3;
+  reads::write_alignment_file(
+      chr.align,
+      reads::simulate_reads(genome::Diploid(chr.ref, snps), rspec));
+  return chr;
+}
+
+/// One engine call of the sequence below.
+struct KeptSetCall {
+  const char* what;
+  EngineKind kind;
+  const Chromosome* chr;
+  u32 window_size;
+  bool overlapped = false;
+  u64 batch_bytes = 0;
+};
+
+RunReport run_call(const KeptSetCall& call, const fs::path& out) {
+  EngineConfig config;
+  config.alignment_file = call.chr->align;
+  config.reference = &call.chr->ref;
+  config.dbsnp = &call.chr->dbsnp;
+  config.output_file = out;
+  config.temp_file = out.string() + ".tmp";
+  config.window_size = call.window_size;
+  config.overlapped = call.overlapped;
+  config.batch_bytes = call.batch_bytes;
+  device::Device dev;
+  switch (call.kind) {
+    case EngineKind::kSoapsnp:
+      return run_soapsnp(config);
+    case EngineKind::kGsnp:
+      return run_gsnp(config, dev);
+    default:
+      return run_gsnp_cpu(config);
+  }
+}
+
+TEST(KeptWindowSet, CallsInAKeptSetWriteTheSameBytes) {
+  // A call that follows another runs its windows in the set that call left
+  // when the Slot type and window size match (a gsnp call's sparse slots
+  // serve gsnp-cpu), and frees a mismatched set first.  Each call below
+  // writes the same bytes as the same call made while another call is in
+  // flight, which takes no kept set; the last call repeats the first.
+  const fs::path dir = test_temp_path("gsnp_kept_window_set_test");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const Chromosome a = make_chromosome(dir, "chrA", 50'000, 21, 8.0);
+  const Chromosome b = make_chromosome(dir, "chrB", 30'000, 31, 6.0);
+  const Chromosome c = make_chromosome(dir, "chrC", 3'000, 41, 7.0);
+  genome::GenomeSpec idle_spec;
+  idle_spec.name = "chrI";
+  idle_spec.length = 2'000;
+  const genome::Reference idle = genome::generate_reference(idle_spec);
+
+  // A's windows end on a partial one, so a batched gsnp call's last plan
+  // covers fewer sites than the next call's first window.
+  const std::vector<KeptSetCall> calls = {
+      {"gsnp-cpu A", EngineKind::kGsnpCpu, &a, 16'384},
+      {"gsnp-cpu B overlapped", EngineKind::kGsnpCpu, &b, 10'000, true},
+      {"gsnp-cpu B", EngineKind::kGsnpCpu, &b, 10'000},
+      {"soapsnp C", EngineKind::kSoapsnp, &c, 250},
+      {"soapsnp C wider", EngineKind::kSoapsnp, &c, 400},
+      {"soapsnp C again", EngineKind::kSoapsnp, &c, 400},
+      {"gsnp A batched", EngineKind::kGsnp, &a, 16'384, false, 256 * 1024},
+      {"gsnp-cpu A again", EngineKind::kGsnpCpu, &a, 16'384},
+  };
+  // Whether call i takes its predecessor's set; the first follows other
+  // tests.
+  const std::vector<int> kept = {-1, 0, 1, 0, 0, 1, 0, 1};
+
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE(calls[i].what);
+    CallInFlight other(dir, idle);
+    ASSERT_TRUE(other.waiting());
+    const RunReport report =
+        run_call(calls[i], dir / ("alone_" + std::to_string(i)));
+    EXPECT_FALSE(report.kept_window_set);
+    EXPECT_TRUE(other.release());
+    expected.push_back(file_bytes(dir / ("alone_" + std::to_string(i))));
+    ASSERT_FALSE(expected.back().empty());
+  }
+
+  // The odd calls run on a thread of their own, so each kept set passes
+  // between threads, as it does between gsnpd workers.
+  std::vector<RunReport> reports;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE(calls[i].what);
+    const fs::path out = dir / ("kept_" + std::to_string(i));
+    const auto run = [&] { return run_call(calls[i], out); };
+    reports.push_back(i % 2 == 1 ? std::async(std::launch::async, run).get()
+                                 : run());
+    if (kept[i] >= 0) {
+      EXPECT_EQ(reports.back().kept_window_set, kept[i] == 1);
+    }
+    EXPECT_TRUE(file_bytes(out) == expected[i]);
+  }
+  EXPECT_EQ(sha256_file_hex(dir / "kept_0"), sha256_file_hex(dir / "kept_7"));
+  EXPECT_TRUE(file_bytes(dir / "kept_0") == file_bytes(dir / "kept_7"));
+  EXPECT_EQ(reports[0].output_bytes, reports[7].output_bytes);
+  EXPECT_EQ(reports[0].temp_bytes, reports[7].temp_bytes);
+  fs::remove_all(dir);
+}
+
+/// Two back-to-back gsnp-cpu calls on a 1M-site chromosome at 10x (the
+/// benchmark's call); exits 0 if the second took under 5 % of the first
+/// call's minor page faults, else 1.  Scratch outside the window set (cal_p's
+/// batch buffer and tables, the output columns) is allocated per call, and
+/// a warm call may map some of it afresh: ~1,000 pages, which a 200K-site
+/// call's window set, ~23,000 pages, does not dwarf.
+[[noreturn]] void exit_with_warm_call_faults() {
+  const fs::path dir = test_temp_path("gsnp_warm_call_test");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  genome::GenomeSpec gspec;
+  gspec.name = "chrF";
+  gspec.length = 1'000'000;
+  const genome::Reference ref = genome::generate_reference(gspec);
+  const genome::Diploid individual(ref, plant_snps(ref, {}));
+  reads::ReadSimSpec rspec;
+  rspec.depth = 10.0;
+  reads::write_alignment_file(dir / "a.soap",
+                              reads::simulate_reads(individual, rspec));
+  EngineConfig config;
+  config.alignment_file = dir / "a.soap";
+  config.reference = &ref;
+  config.output_file = dir / "out.snp";
+  config.temp_file = dir / "a.tmp";
+
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const long before = minor_faults();
+  const bool first_kept = run_gsnp_cpu(config).kept_window_set;
+  const long between = minor_faults();
+  const bool second_kept = run_gsnp_cpu(config).kept_window_set;
+  const long first = between - before;
+  const long second = minor_faults() - between;
+  fs::remove_all(dir);
+  std::fprintf(stderr, "minor faults: first call %ld, second call %ld\n",
+               first, second);
+  std::exit(!first_kept && second_kept && second * 20 < first ? 0 : 1);
+}
+
+TEST(KeptWindowSet, AWarmCallMapsNoFreshPages) {
+  // The second of two back-to-back calls finds its window buffers allocated
+  // and their pages mapped.  The calls run in a new process, whose first
+  // call allocates and maps its buffers.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer allocators quarantine freed memory";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(exit_with_warm_call_faults(), ::testing::ExitedWithCode(0),
+              "minor faults");
 }
 
 // ---- consistency module itself --------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "src/common/fs_fault.hpp"
 #include "src/obs/eventlog.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::obs {
 namespace {
@@ -21,7 +22,7 @@ namespace fs = std::filesystem;
 class EventLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_eventlog_test";
+    dir_ = test_temp_path("gsnp_eventlog_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     log_path_ = dir_ / "events.jsonl";

@@ -13,6 +13,7 @@
 #include "src/core/posterior.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -96,7 +97,7 @@ TEST(PriorCacheTest, KnownSitesComputedFresh) {
 class Extensions : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_ext_test";
+    dir_ = test_temp_path("gsnp_ext_test");
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrX";

@@ -15,6 +15,7 @@
 #include "src/service/daemon.hpp"
 #include "src/service/fsck.hpp"
 #include "src/service/journal.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::service {
 namespace {
@@ -39,7 +40,7 @@ class FsckCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(fs::exists(kCorpusSpool)) << kCorpusSpool;
-    dir_ = fs::temp_directory_path() / "gsnp_fsck_test";
+    dir_ = test_temp_path("gsnp_fsck_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     spool_ = dir_ / "spool";
@@ -167,7 +168,7 @@ TEST_F(FsckCorpusTest, DaemonRecoverSurvivesTheCorpus) {
 }
 
 TEST(FsckEmptySpool, NoJobsIsCleanlyEmpty) {
-  const fs::path dir = fs::temp_directory_path() / "gsnp_fsck_empty";
+  const fs::path dir = test_temp_path("gsnp_fsck_empty");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const FsckReport report = fsck_spool(dir);

@@ -13,6 +13,7 @@
 #include "src/common/atomic_file.hpp"
 #include "src/common/fs_fault.hpp"
 #include "src/common/json.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp {
 namespace {
@@ -30,7 +31,7 @@ class FsFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fsfault::disarm();
-    dir_ = fs::temp_directory_path() / "gsnp_fsfault_test";
+    dir_ = test_temp_path("gsnp_fsfault_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -12,6 +12,7 @@
 #include "src/genome/karyotype.hpp"
 #include "src/genome/reference.hpp"
 #include "src/genome/synthetic.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::genome {
 namespace {
@@ -78,7 +79,7 @@ TEST(Fasta, AmbiguityCodesBecomeN) {
 }
 
 TEST(Fasta, FileRoundTrip) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_test.fasta";
+  const fs::path path = test_temp_path("gsnp_test.fasta");
   const Reference ref = make_ref("chrF", "ACGTACGTACGTACGT");
   write_fasta_file(path, {ref}, 7);
   const auto refs = read_fasta_file(path);

@@ -20,6 +20,7 @@
 #include "src/obs/histogram.hpp"
 #include "src/obs/prometheus.hpp"
 #include "src/obs/trace.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::obs {
 namespace {
@@ -246,7 +247,7 @@ TEST(MetricsHistogram, RegistryRecordsAndSurvivesJsonRoundTrip) {
   EXPECT_EQ(snaps.at("latency_seconds").count, 2u);
 
   const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "gsnp_histogram_metrics.json";
+      test_temp_path("gsnp_histogram_metrics.json");
   write_metrics_json(path, tracer);
   const MetricsSnapshot back = read_metrics_json(path);
   std::filesystem::remove(path);

@@ -55,7 +55,7 @@ TEST_F(KernelsExtra, DepCountResetsAcrossBaseChanges) {
   device::Device dev;
   const DeviceScoreTables tables(dev, *pm_, *npm_);
   BaseWordWindow window(1);
-  window.words = words;
+  window.words.assign(words.begin(), words.end());
   window.offsets = {0, words.size()};
   const auto gpu = device_likelihood_sparse(dev, window, tables);
   for (int g = 0; g < kNumGenotypes; ++g) ASSERT_EQ(gpu[0][g], cpu[g]);

@@ -27,6 +27,7 @@
 #include "src/reads/simulator.hpp"
 #include "src/sortnet/multipass.hpp"
 #include "src/sortnet/var_arrays.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::obs {
 namespace {
@@ -34,7 +35,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const char* name) {
-  return fs::temp_directory_path() / name;
+  return test_temp_path(name);
 }
 
 // ---- spans & nesting -------------------------------------------------------
@@ -290,7 +291,7 @@ TEST(MetricsJson, RoundTrips) {
 class TracedEngines : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_obs_engine_test";
+    dir_ = test_temp_path("gsnp_obs_engine_test");
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrT";

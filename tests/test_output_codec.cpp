@@ -13,6 +13,7 @@
 #include "src/core/consistency.hpp"
 #include "src/core/output_codec.hpp"
 #include "src/core/ranksum.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -136,7 +137,7 @@ TEST(CompressionRatio, BeatsTextByALot) {
 // ---- file container -----------------------------------------------------------------
 
 TEST(OutputFile, MultiWindowRoundTrip) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_out_test.bin";
+  const fs::path path = test_temp_path("gsnp_out_test.bin");
   const auto w1 = realistic_rows(500, 0, 31);
   const auto w2 = realistic_rows(500, 500, 32);
   {
@@ -157,7 +158,7 @@ TEST(OutputFile, MultiWindowRoundTrip) {
 }
 
 TEST(OutputFile, BadMagicRejected) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_bad_magic.bin";
+  const fs::path path = test_temp_path("gsnp_bad_magic.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTMAGIC and some data";
@@ -167,7 +168,7 @@ TEST(OutputFile, BadMagicRejected) {
 }
 
 TEST(OutputFile, TextWriterRoundTrip) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_out_test.txt";
+  const fs::path path = test_temp_path("gsnp_out_test.txt");
   const auto rows = realistic_rows(300, 0, 41);
   {
     SnpTextWriter writer(path, "chrT");
@@ -182,8 +183,8 @@ TEST(OutputFile, TextWriterRoundTrip) {
 }
 
 TEST(OutputFile, ReadSnpOutputSniffsFormat) {
-  const fs::path bin = fs::temp_directory_path() / "gsnp_sniff.bin";
-  const fs::path txt = fs::temp_directory_path() / "gsnp_sniff.txt";
+  const fs::path bin = test_temp_path("gsnp_sniff.bin");
+  const fs::path txt = test_temp_path("gsnp_sniff.txt");
   const auto rows = realistic_rows(100, 0, 51);
   {
     SnpOutputWriter writer(bin, "chrS");

@@ -14,6 +14,7 @@
 #include "src/core/run_manifest.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -32,7 +33,7 @@ TEST(PMatrixIo, BitExactRoundTrip) {
                 static_cast<int>(rng.uniform(4)));
   const PMatrix pm = finalize_p_matrix(counter);
 
-  const fs::path path = fs::temp_directory_path() / "gsnp_pm_test.bin";
+  const fs::path path = test_temp_path("gsnp_pm_test.bin");
   write_p_matrix(path, pm);
   const PMatrix loaded = read_p_matrix(path);
   // Bit-exact: reloading must preserve §IV-G consistency.
@@ -41,7 +42,7 @@ TEST(PMatrixIo, BitExactRoundTrip) {
 }
 
 TEST(PMatrixIo, RejectsCorruptFiles) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_pm_bad.bin";
+  const fs::path path = test_temp_path("gsnp_pm_bad.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "GARBAGE!";
@@ -52,7 +53,7 @@ TEST(PMatrixIo, RejectsCorruptFiles) {
 
 TEST(PMatrixIo, RejectsTruncatedFiles) {
   const PMatrix pm = finalize_p_matrix(PMatrixCounter{});
-  const fs::path path = fs::temp_directory_path() / "gsnp_pm_trunc.bin";
+  const fs::path path = test_temp_path("gsnp_pm_trunc.bin");
   write_p_matrix(path, pm);
   fs::resize_file(path, fs::file_size(path) / 2);
   EXPECT_THROW(read_p_matrix(path), Error);
@@ -64,7 +65,7 @@ TEST(PMatrixIo, RejectsTruncatedFiles) {
 class GenomePipeline : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_pipeline_test";
+    dir_ = test_temp_path("gsnp_pipeline_test");
     fs::create_directories(dir_);
     for (int c = 0; c < 3; ++c) {
       genome::GenomeSpec gspec;
@@ -179,7 +180,7 @@ TEST(RunManifestIo, RoundTripsAllFields) {
   e.error = "injected device OOM\tat allocation #7";
   manifest.chromosomes.push_back(e);
 
-  const fs::path path = fs::temp_directory_path() / "gsnp_manifest_test.json";
+  const fs::path path = test_temp_path("gsnp_manifest_test.json");
   write_run_manifest(path, manifest);
   const RunManifest loaded = read_run_manifest(path);
   EXPECT_EQ(loaded.version, 1);
@@ -203,7 +204,7 @@ TEST(RunManifestIo, RoundTripsAllFields) {
 }
 
 TEST(RunManifestIo, RejectsMalformedJson) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_manifest_bad.json";
+  const fs::path path = test_temp_path("gsnp_manifest_bad.json");
   for (const char* text :
        {"", "{", "{\"version\": 1", "[1,2,3]", "{\"version\": 99, "
         "\"engine\": \"gsnp\", \"chromosomes\": []}",

@@ -15,6 +15,7 @@
 #include "src/genome/synthetic.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::obs {
 namespace {
@@ -221,7 +222,7 @@ TEST(Roofline, ArithmeticIntensityIsInstPerGlobalByte) {
 class ProfiledEngine : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_profiler_test";
+    dir_ = test_temp_path("gsnp_profiler_test");
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrT";

@@ -14,6 +14,7 @@
 #include "src/reads/quality_model.hpp"
 #include "src/reads/simulator.hpp"
 #include "src/reads/stats.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::reads {
 namespace {
@@ -64,7 +65,7 @@ TEST(AlignmentFormat, RejectsMalformedLines) {
 }
 
 TEST(AlignmentFormat, FileRoundTripAndStreaming) {
-  const fs::path path = fs::temp_directory_path() / "gsnp_test.soap";
+  const fs::path path = test_temp_path("gsnp_test.soap");
   std::vector<AlignmentRecord> recs(3, sample_record());
   recs[1].pos = 50;
   recs[2].pos = 60;

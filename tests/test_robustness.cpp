@@ -20,6 +20,7 @@
 #include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -42,7 +43,7 @@ void write_bytes(const fs::path& path, std::span<const u8> bytes) {
 class CorruptionFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_robust_test";
+    dir_ = test_temp_path("gsnp_robust_test");
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrR";
@@ -245,7 +246,7 @@ TEST_F(CorruptionFixture, RangeQuerySkipsFramesButVerifiesReadOnes) {
 // ---- degenerate datasets --------------------------------------------------------
 
 TEST(Degenerate, EmptyAlignmentFileStillEmitsAllSites) {
-  const fs::path dir = fs::temp_directory_path() / "gsnp_degenerate";
+  const fs::path dir = test_temp_path("gsnp_degenerate");
   fs::create_directories(dir);
   genome::GenomeSpec gspec;
   gspec.name = "chrD";
@@ -278,7 +279,7 @@ TEST(Degenerate, EmptyAlignmentFileStillEmitsAllSites) {
 
 TEST(Degenerate, SingleSiteWindows) {
   // window_size=1: maximum windowing overhead, same results.
-  const fs::path dir = fs::temp_directory_path() / "gsnp_tinywin";
+  const fs::path dir = test_temp_path("gsnp_tinywin");
   fs::create_directories(dir);
   genome::GenomeSpec gspec;
   gspec.name = "chrW";
@@ -315,7 +316,7 @@ TEST(Degenerate, SingleSiteWindows) {
 class FaultTolerantGenome : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_fault_genome";
+    dir_ = test_temp_path("gsnp_fault_genome");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     for (int c = 0; c < 3; ++c) {
@@ -613,7 +614,7 @@ TEST_P(ConsistencyFuzz, EnginesAgreeOnRandomDatasets) {
   const u64 seed = GetParam();
   Rng rng(seed);
   const fs::path dir =
-      fs::temp_directory_path() / ("gsnp_fuzz_" + std::to_string(seed));
+      test_temp_path("gsnp_fuzz_" + std::to_string(seed));
   fs::create_directories(dir);
 
   genome::GenomeSpec gspec;

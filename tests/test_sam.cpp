@@ -14,6 +14,7 @@
 #include "src/genome/synthetic.hpp"
 #include "src/reads/sam.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::reads {
 namespace {
@@ -216,7 +217,7 @@ TEST(Sam, SeededPropertyRoundTrip) {
 class SamFiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_sam_test";
+    dir_ = test_temp_path("gsnp_sam_test");
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrS";

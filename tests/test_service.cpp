@@ -30,6 +30,7 @@
 #include "src/service/journal.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/socket.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::service {
 namespace {
@@ -201,7 +202,7 @@ TEST(Protocol, MalformedRequestLinesRaiseTypedBadRequest) {
 class ServiceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gsnp_service_test";
+    dir_ = test_temp_path("gsnp_service_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     for (int c = 0; c < 4; ++c) {

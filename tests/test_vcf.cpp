@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/core/vcf.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -94,7 +95,7 @@ TEST(Vcf, FileExportCountsVariants) {
     if (i % 2 == 0) row.genotype_rank = static_cast<i8>(genotype_rank(0, 0));
     rows.push_back(row);
   }
-  const fs::path path = fs::temp_directory_path() / "gsnp_test.vcf";
+  const fs::path path = test_temp_path("gsnp_test.vcf");
   const u64 n = write_vcf_file(path, "chrV", 10, rows);
   EXPECT_EQ(n, 5u);
 

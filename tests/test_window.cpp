@@ -7,13 +7,12 @@
 #include <optional>
 #include <string>
 
-#include <unistd.h>
-
 #include "src/common/parallel.hpp"
 #include "src/compress/temp_input.hpp"
 #include "src/core/window.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 namespace gsnp::core {
 namespace {
@@ -128,8 +127,7 @@ void expect_temp_source_matches(const std::vector<reads::AlignmentRecord>& recor
                                 u64 total_sites, u32 window_size,
                                 u32 chunk_records = compress::kTempChunkRecords) {
   const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      ("gsnp_window_source_" + std::to_string(::getpid()) + ".tmp");
+      test_temp_path("gsnp_window_source.tmp");
   compress::TempInputWriter writer(path, "c", chunk_records);
   for (const reads::AlignmentRecord& rec : records) writer.add(rec);
   writer.finish();
