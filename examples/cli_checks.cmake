@@ -7,7 +7,7 @@
 #                     names the flag and publishes nothing.
 # leaves_only_output  a SAM call on the gsnp engine and a SOAP call on
 #                     gsnp-cpu each leave their output file and nothing
-#                     else: no converted `.soap`, no temp `.tmp`, no `.part`.
+#                     else: no temp `.tmp`, no `.part`.
 # boolean_flags       a boolean flag never takes the next token as its
 #                     value: `fsck --repair SPOOL` and `fsck --deep SPOOL`
 #                     check an empty spool like `fsck SPOOL --repair`.

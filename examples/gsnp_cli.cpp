@@ -1,5 +1,5 @@
 // gsnp: the command-line front end — simulate datasets, call SNPs with any
-// registered backend, convert SAM input, compare outputs, score calls
+// registered backend from SOAP or SAM input, compare outputs, score calls
 // against truth.
 //
 //   gsnp_cli simulate --out <dir> [--sites N] [--depth X] [--seed S]
@@ -12,18 +12,19 @@
 //                     [--lenient] [--quarantine <file>] [--max-bad N]
 //                     [--max-bad-frac P] [--trace-out <json>]
 //                     [--metrics-out <json>] [--profile-out <json>]
-//   gsnp_cli profile  --ref <fa> --align <soap> [--dbsnp <file>] [--window N]
-//                     [--overlap] [--out <file>] [--profile-out <json>]
+//   gsnp_cli profile  --ref <fa> --align <soap|sam> [--dbsnp <file>]
+//                     [--window N] [--overlap] [--out <file>]
+//                     [--profile-out <json>]
 //   gsnp_cli profile  --diff <base.json> <other.json>
 //   gsnp_cli profile  --validate <profile.json>
 //   gsnp_cli compare  <a> <b>
 //   gsnp_cli eval     --calls <file> --truth <truth.tsv> [--min-q Q]
-//   gsnp_cli stats    --align <soap> --sites N
+//   gsnp_cli stats    --align <soap|sam> --sites N
 //   gsnp_cli manifest <manifest.json>   (per-chromosome run + ingest table)
 //   gsnp_cli serve    --socket <path> --spool <dir> [--workers N]
 //                     [--queue N --quota N --max-payload-mb M]
 //                     [--retries N --backoff S --jitter F]
-//   gsnp_cli submit   --socket <path> --ref <fa> --align <soap>
+//   gsnp_cli submit   --socket <path> --ref <fa> --align <soap|sam>
 //                     [--name chr --dbsnp F --engine E --tenant T]
 //                     [--out DIR --window N --deadline S --job ID --wait]
 //   gsnp_cli status   --socket <path> [--job ID]
@@ -140,15 +141,15 @@ class Args {
 /// that was renamed away or never created is left alone).
 class ScratchFile {
  public:
-  explicit ScratchFile(fs::path file = {}) : path(std::move(file)) {}
+  explicit ScratchFile(fs::path file) : path(std::move(file)) {}
   ScratchFile(const ScratchFile&) = delete;
   ScratchFile& operator=(const ScratchFile&) = delete;
   ~ScratchFile() {
     std::error_code ec;
-    if (!path.empty()) fs::remove(path, ec);
+    fs::remove(path, ec);
   }
 
-  fs::path path;
+  const fs::path path;
 };
 
 int cmd_simulate(const Args& args) {
@@ -191,7 +192,7 @@ int cmd_simulate(const Args& args) {
 
 int cmd_call(const Args& args) {
   const fs::path ref_path = args.get("--ref", "");
-  fs::path align_path = args.get("--align", "");
+  const fs::path align_path = args.get("--align", "");
   const fs::path out_path = args.get("--out", "out.snp");
   if (ref_path.empty() || align_path.empty()) {
     std::fprintf(stderr, "call: --ref and --align are required\n");
@@ -218,22 +219,6 @@ int cmd_call(const Args& args) {
     ingest.max_bad_records = std::stoull(args.get("--max-bad", ""));
   if (args.has("--max-bad-frac"))
     ingest.max_bad_fraction = std::stod(args.get("--max-bad-frac", ""));
-
-  // SAM input: convert to the SOAP format the engines consume.  The
-  // conversion applies the same ingest policy; a converted file is fully
-  // validated, so the engine pass below sees only clean records.  The
-  // converted copy lives as long as the call.
-  ScratchFile converted;
-  if (align_path.extension() == ".sam") {
-    converted.path = out_path.string() + ".soap";
-    IngestStats sam_stats;
-    const u64 n =
-        reads::sam_to_soap(align_path, converted.path, ingest, &sam_stats);
-    std::printf("converted %llu SAM records (%s)\n",
-                static_cast<unsigned long long>(n),
-                sam_stats.summary().c_str());
-    align_path = converted.path;
-  }
 
   std::optional<genome::DbSnpTable> dbsnp;
   if (args.has("--dbsnp"))
@@ -1043,15 +1028,16 @@ int main(int argc, char** argv) {
               "           [--lenient --quarantine F --max-bad N --max-bad-frac P]\n"
               "           [--trace-out TRACE.json --metrics-out METRICS.json]\n"
               "           [--profile-out PROFILE.json]\n"
-              "  profile  --ref FA --align SOAP [--dbsnp F --window N --out FILE]\n"
-              "           [--overlap --batch-bytes B --profile-out PROFILE.json]\n"
+              "  profile  --ref FA --align SOAP|SAM [--dbsnp F --window N]\n"
+              "           [--out FILE --overlap --batch-bytes B]\n"
+              "           [--profile-out PROFILE.json]\n"
               "           (per-kernel table)\n"
               "  profile  --diff BASE.json OTHER.json   (Table III-style diff)\n"
               "  profile  --validate PROFILE.json       (schema check)\n"
               "  compare  A B\n"
               "  eval     --calls FILE --truth TSV [--min-q Q]\n"
               "  vcf      --calls FILE --out OUT.vcf [--min-q Q --all-sites]\n"
-              "  stats    --align SOAP --sites N\n"
+              "  stats    --align SOAP|SAM --sites N\n"
               "  verify   FILE...   (check container frame CRCs)\n"
               "  manifest MANIFEST.json   (per-chromosome run + ingest table)\n"
               "  serve    --socket SOCK --spool DIR [--workers N --queue N]\n"
@@ -1062,8 +1048,8 @@ int main(int argc, char** argv) {
               "           [--max-frame-mb M --idle-timeout S]\n"
               "           (client verbs below also take --timeout S"
               " --attempts N)\n"
-              "  submit   --socket SOCK --ref FA --align SOAP [--name CHR]\n"
-              "           [--dbsnp F --out DIR --job ID]\n"
+              "  submit   --socket SOCK --ref FA --align SOAP|SAM\n"
+              "           [--name CHR --dbsnp F --out DIR --job ID]\n"
               "           [--engine E --tenant T --deadline S --wait]\n"
               "           [--window N --batch-bytes B]\n"
               "  status   --socket SOCK [--job ID | --stats]\n"

@@ -62,14 +62,14 @@ run_service_chaos_smoke() {
       --workdir "${builddir}/bench_service_work"
 }
 
-echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + fuzz + cal_p + window + compress + engine + determinism + service =="
+echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + fuzz + SAM + reads + cal_p + window + compress + engine + determinism + service =="
 cmake -B build-asan -S . -DGSNP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j >/dev/null
 # Every allocation is filled with 0xbe, not only its first 4 KiB: a window
 # buffer read before the pass that writes it then changes output bytes, and
 # the golden corpus and the kept-window-set tests fail.
 ASAN_OPTIONS=malloc_fill_byte=190:max_malloc_fill_size=2147483647 \
-ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|fuzz|sam|test_cal_p|test_window|test_compress|test_engine|determinism|test_service|histogram|eventlog|batcher'
+ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|fuzz|sam|test_reads|test_cal_p|test_window|test_compress|test_engine|determinism|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under ASan: fault matrix, fsck corpus, socket chaos =="
 ctest --test-dir build-asan --output-on-failure -R 'fsfault|fsck|chaos'
@@ -81,16 +81,16 @@ echo "== overlap: serial vs streamed runs are bit-identical, wall strictly lower
 cmake --build build -j --target bench_overlap >/dev/null
 ./build/bench/bench_overlap --workdir build/bench_overlap_work
 
-echo "== TSan: executor + cal_p + temp decode + kept window set + determinism battery + obs/profiler/device under ThreadSanitizer =="
-# Device blocks, cal_p's batches, the window loader's frame decodes and the
-# host window stages fan out on the compute executor here, so this stage
-# sees them run in parallel; test_engine passes kept window sets between
-# calls on different threads.
+echo "== TSan: executor + cal_p + SAM/SOAP readers + temp decode + kept window set + determinism battery + obs/profiler/device under ThreadSanitizer =="
+# Device blocks, cal_p's batches (SOAP and SAM lines alike), the window
+# loader's frame decodes and the host window stages fan out on the compute
+# executor here, so this stage sees them run in parallel; test_engine
+# passes kept window sets between calls on different threads.
 cmake -B build-tsan -S . -DGSNP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure \
-      -R 'test_parallel|test_cal_p|test_window|test_compress|test_engine|determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
+      -R 'test_parallel|test_cal_p|sam|fuzz|test_reads|test_window|test_compress|test_engine|determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under TSan: injector + spool + socket thread-safety =="
 ctest --test-dir build-tsan --output-on-failure -R 'fsfault|fsck|chaos'

@@ -2,6 +2,7 @@
 // Small string helpers for parsing the tab/space separated text formats
 // (FASTA headers, SOAP alignment lines, dbSNP prior lines).
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <string>
@@ -23,6 +24,28 @@ inline std::vector<std::string_view> split(std::string_view s, char sep) {
     }
   }
   return out;
+}
+
+/// The first N `sep`-separated fields of `s`, the last of them ending at
+/// the next separator, if any.  Returns how many fields `s` has, up to N.
+template <std::size_t N>
+std::size_t split_first(std::string_view s, char sep,
+                        std::array<std::string_view, N>& fields) {
+  std::size_t n = 0;
+  for (std::size_t start = 0; n < N;) {
+    const std::size_t at = s.find(sep, start);
+    fields[n++] = s.substr(start, at == s.npos ? at : at - start);
+    if (at == s.npos) break;
+    start = at + 1;
+  }
+  return n;
+}
+
+/// "0x3d": a byte as two hex digits, for error messages.
+inline std::string hex_byte(char c) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  const auto b = static_cast<unsigned char>(c);
+  return {'0', 'x', kDigits[b >> 4], kDigits[b & 15]};
 }
 
 /// Strip leading/trailing whitespace (space, tab, CR, LF).

@@ -69,8 +69,7 @@ std::vector<Reference> read_fasta(std::istream& in, const std::string& label) {
         // codes are stored as 'N'; anything else is file corruption.
         if (!((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z')))
           ctx.fail("sequence", IngestReason::kBadField,
-                   "non-base character 0x" + std::to_string(
-                       static_cast<unsigned>(static_cast<unsigned char>(c))));
+                   "non-base character " + hex_byte(c));
         bases.push_back(base_from_char(c));
       }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -10,6 +11,7 @@
 #include "src/common/parallel.hpp"
 #include "src/common/phred.hpp"
 #include "src/common/strings.hpp"
+#include "src/reads/sam.hpp"
 
 namespace gsnp::reads {
 
@@ -27,28 +29,53 @@ void check_seq_qual(std::string_view seq, std::string_view qual,
   for (const char c : seq)
     if (!valid_seq_char(c))
       ctx.fail("sequence", IngestReason::kBadField,
-               "non-base character 0x" + std::to_string(
-                   static_cast<unsigned>(static_cast<unsigned char>(c))));
+               "non-base character " + hex_byte(c));
   // Sanger qualities: '!' (0) upward.  Characters above the supported range
   // clamp to kQualityLevels-1 downstream (tolerated; some instruments emit
   // them), but bytes below '!' or beyond printable ASCII are corruption.
   for (const char c : qual)
     if (c < kQualityAsciiOffset || c > '~')
       ctx.fail("quality", IngestReason::kBadField,
-               "quality byte 0x" + std::to_string(
-                   static_cast<unsigned>(static_cast<unsigned char>(c))) +
-                   " outside the Sanger range");
+               "quality byte " + hex_byte(c) + " outside the Sanger range");
 }
 
-/// `view`'s fields, which lie inside a line at `from`, for the same line
-/// at `to`.
-void relocate(AlignmentView& view, const char* from, char* to) {
+LineParse scan_soap(std::string_view line, const ParseContext& ctx) {
+  return {LineKind::kRecord, parse_alignment_view(line, ctx)};
+}
+
+constexpr AlignmentFormat kSoap{scan_soap, "position", "sequence name",
+                                false};
+constexpr AlignmentFormat kSam{parse_sam_line, "POS", "RNAME", true};
+
+/// Whether `field` starts inside the `size` bytes at `bytes`.  A view of
+/// bytes no line holds (a `*` QUAL's run of '!') starts in none.
+bool inside(std::string_view field, const char* bytes, std::size_t size) {
+  return !std::less<const char*>()(field.data(), bytes) &&
+         std::less<const char*>()(field.data(), bytes + size);
+}
+
+/// `view`'s fields that lie in the `size` bytes at `from`, for the same
+/// bytes at `to`.
+void relocate(AlignmentView& view, const char* from, std::size_t size,
+              char* to) {
   for (std::string_view* field :
        {&view.read_id, &view.seq, &view.qual, &view.chr_name})
-    *field = std::string_view(to + (field->data() - from), field->size());
+    if (inside(*field, from, size))
+      *field = std::string_view(to + (field->data() - from), field->size());
+}
+
+/// The writable bytes of `line` that `field` views.
+std::span<char> in_line(std::span<char> line, std::string_view field) {
+  if (!inside(field, line.data(), line.size())) return {};
+  return line.subspan(static_cast<std::size_t>(field.data() - line.data()),
+                      field.size());
 }
 
 }  // namespace
+
+const AlignmentFormat& alignment_format(const std::filesystem::path& path) {
+  return path.extension() == ".sam" ? kSam : kSoap;
+}
 
 AlignmentRecord to_record(const AlignmentView& view) {
   AlignmentRecord rec;
@@ -80,16 +107,8 @@ std::string format_alignment(const AlignmentRecord& rec) {
 
 AlignmentView parse_alignment_view(std::string_view line,
                                    const ParseContext& ctx) {
-  // The nine fields; the ninth ends at the next tab, if any.
   std::array<std::string_view, 9> fields;
-  std::size_t n = 0;
-  for (std::size_t start = 0; n < fields.size();) {
-    const std::size_t tab = line.find('\t', start);
-    fields[n++] = line.substr(
-        start, tab == std::string_view::npos ? tab : tab - start);
-    if (tab == std::string_view::npos) break;
-    start = tab + 1;
-  }
+  const std::size_t n = split_first(line, '\t', fields);
   if (n < fields.size())
     ctx.fail("record", IngestReason::kTruncatedRecord,
              "expected 9 tab-separated fields, got " + std::to_string(n));
@@ -147,16 +166,13 @@ AlignmentRecord parse_alignment(std::string_view line,
   return to_record(parse_alignment_view(trim(line), ctx));
 }
 
-AlignmentRecord parse_alignment(std::string_view line) {
-  return parse_alignment(line, ParseContext{});
-}
-
-std::optional<AlignmentView> parse_alignment_line(std::string_view line,
-                                                  const ParseContext& ctx) {
+LineParse parse_alignment_line(std::string_view line,
+                               const AlignmentFormat& format,
+                               const ParseContext& ctx) {
   ctx.check_line_length(line);
   const std::string_view body = trim(line);
-  if (body.empty()) return std::nullopt;
-  return parse_alignment_view(body, ctx);
+  if (body.empty()) return {};
+  return format.scan(body, ctx);
 }
 
 void write_alignments(std::ostream& out,
@@ -173,43 +189,49 @@ void write_alignment_file(const std::filesystem::path& path,
 
 // ---- the file-order stitch -------------------------------------------------
 
-AlignmentStitch::AlignmentStitch(std::string file, IngestPolicy policy,
-                                 u64 reference_length)
-    : policy_(std::move(policy)), quarantine_(policy_.quarantine_file) {
+AlignmentStitch::AlignmentStitch(std::string file,
+                                 const AlignmentFormat& format,
+                                 IngestPolicy policy, u64 reference_length)
+    : format_(format),
+      policy_(std::move(policy)),
+      quarantine_(policy_.quarantine_file) {
   ctx_.file = std::move(file);
   ctx_.reference_length = reference_length;
 }
 
-const AlignmentView* AlignmentStitch::keep(std::string_view line,
+const AlignmentView* AlignmentStitch::keep(std::span<char> line,
                                            u64 line_no,
-                                           const AlignmentView* parsed) {
+                                           const LineParse* parsed) {
   ctx_.line_no = line_no;
+  const std::string_view text(line.data(), line.size());
   try {
-    const AlignmentView* rec = parsed;
-    if (!rec) {
-      const std::optional<AlignmentView> view =
-          parse_alignment_line(line, ctx_);
-      if (!view) return nullptr;
-      parsed_ = *view;
-      rec = &parsed_;
+    if (!parsed || parsed->kind == LineKind::kFailed) {
+      parsed_ = parse_alignment_line(text, format_, ctx_);
+      parsed = &parsed_;
     }
-    if (any_record_ && rec->chr_name != chr_name_)
-      ctx_.fail("sequence name", IngestReason::kBadField,
+    if (parsed->kind == LineKind::kUnsupported) ++stats_.records_unsupported;
+    if (parsed->kind != LineKind::kRecord) return nullptr;
+    const AlignmentView& rec = parsed->view;
+    if (any_record_ && rec.chr_name != chr_name_)
+      ctx_.fail(format_.name_field, IngestReason::kBadField,
                 "file mixes sequences '" + chr_name_ + "' and '" +
-                    std::string(rec->chr_name) + "'");
-    if (any_record_ && rec->pos < last_pos_)
-      ctx_.fail("position", IngestReason::kSortOrderViolation,
-                "position " + std::to_string(rec->pos + 1) +
+                    std::string(rec.chr_name) + "'");
+    if (any_record_ && rec.pos < last_pos_)
+      ctx_.fail(format_.position_field, IngestReason::kSortOrderViolation,
+                "position " + std::to_string(rec.pos + 1) +
                     " after position " + std::to_string(last_pos_ + 1) +
-                    " — input must be coordinate-sorted");
-    if (!any_record_) chr_name_ = std::string(rec->chr_name);
-    last_pos_ = rec->pos;
+                    " (line " + std::to_string(line_no) +
+                    ") — input must be coordinate-sorted");
+    if (!any_record_) chr_name_ = std::string(rec.chr_name);
+    last_pos_ = rec.pos;
     any_record_ = true;
     ++stats_.records_ok;
-    return rec;
+    if (format_.reference_strand && rec.strand == Strand::kReverse)
+      flip_strand(in_line(line, rec.seq), in_line(line, rec.qual));
+    return &rec;
   } catch (const ParseError& err) {
     if (!policy_.lenient()) throw;
-    quarantine_record(policy_, stats_, &quarantine_, err, line);
+    quarantine_record(policy_, stats_, &quarantine_, err, text);
     return nullptr;
   }
 }
@@ -218,7 +240,9 @@ const AlignmentView* AlignmentStitch::keep(std::string_view line,
 
 AlignmentReader::AlignmentReader(const std::filesystem::path& path,
                                  IngestPolicy policy, u64 reference_length)
-    : in_(path), stitch_(path.string(), std::move(policy), reference_length) {
+    : in_(path),
+      stitch_(path.string(), alignment_format(path), std::move(policy),
+              reference_length) {
   GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
 }
 
@@ -245,9 +269,10 @@ AlignmentBatchReader::AlignmentBatchReader(const std::filesystem::path& path,
                                            std::size_t whole,
                                            const CancelToken* cancel)
     : in_(path, std::ios::binary),
+      format_(alignment_format(path)),
       whole_(whole),
       cancel_(cancel),
-      stitch_(path.string(), std::move(policy), reference_length) {
+      stitch_(path.string(), format_, std::move(policy), reference_length) {
   GSNP_CHECK_MSG(in_.good(), "cannot open alignment file " << path);
   GSNP_CHECK(whole_ > 0);
   block_ctx_ = stitch_.context();
@@ -282,7 +307,7 @@ std::size_t AlignmentBatchReader::fill() {
       std::unique_ptr<char[]> grown(new char[capacity]);
       if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
       for (AlignmentView& view : kept_)
-        relocate(view, buf_.get(), grown.get());
+        relocate(view, buf_.get(), size_, grown.get());
       buf_ = std::move(grown);
       capacity_ = capacity;
     }
@@ -300,7 +325,7 @@ std::size_t AlignmentBatchReader::fill() {
 }
 
 void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
-  const char* const buf = buf_.get();
+  char* const buf = buf_.get();
   blocks_.clear();
   for (std::size_t start = begin; start < end;) {
     blocks_.push_back(start);
@@ -320,7 +345,7 @@ void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
   parallel_for(nblocks, 1, [&](std::size_t first, std::size_t last,
                                std::size_t) {
     for (std::size_t b = first; b < last; ++b) {
-      const char* const stop = buf + blocks_[b + 1];
+      char* const stop = buf + blocks_[b + 1];
       first_line_[b + 1] = static_cast<std::size_t>(
           std::count(buf + blocks_[b], stop, '\n') + (stop[-1] != '\n'));
     }
@@ -331,19 +356,18 @@ void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
   parallel_for(nblocks, 1, [&](std::size_t first, std::size_t last,
                                std::size_t) {
     for (std::size_t b = first; b < last; ++b) {
-      const char* p = buf + blocks_[b];
-      const char* const stop = buf + blocks_[b + 1];
+      char* p = buf + blocks_[b];
+      char* const stop = buf + blocks_[b + 1];
       for (std::size_t i = first_line_[b]; p < stop; ++i) {
-        const void* nl = std::memchr(p, '\n', stop - p);
-        const char* const line_end = nl ? static_cast<const char*>(nl) : stop;
+        void* nl = std::memchr(p, '\n', stop - p);
+        char* const line_end = nl ? static_cast<char*>(nl) : stop;
         ParsedLine& parsed = lines_[i];
-        parsed.line = std::string_view(p, line_end - p);
+        parsed.line = std::span<char>(p, line_end);
         try {
-          const auto view = parse_alignment_line(parsed.line, block_ctx_);
-          parsed.parse = view ? Parse::kOk : Parse::kBlank;
-          if (view) parsed.view = *view;
+          parsed.parse = parse_alignment_line(
+              std::string_view(p, parsed.line.size()), format_, block_ctx_);
         } catch (const ParseError&) {
-          parsed.parse = Parse::kFailed;
+          parsed.parse.kind = LineKind::kFailed;
         }
         p = line_end + (nl ? 1 : 0);
       }
@@ -354,10 +378,9 @@ void AlignmentBatchReader::parse(std::size_t begin, std::size_t end) {
 void AlignmentBatchReader::stitch() {
   for (std::size_t i = 0; i < lines_.size(); ++i) {
     const ParsedLine& line = lines_[i];
-    if (line.parse == Parse::kBlank) continue;
+    if (line.parse.kind == LineKind::kBlank) continue;
     const AlignmentView* rec =
-        stitch_.keep(line.line, next_line_ + i,
-                     line.parse == Parse::kOk ? &line.view : nullptr);
+        stitch_.keep(line.line, next_line_ + i, &line.parse);
     if (!rec) continue;
     kept_.push_back(*rec);
     if ((++records_ & 0xFFF) == 0) check_cancel(cancel_, "cal_p");
@@ -366,19 +389,22 @@ void AlignmentBatchReader::stitch() {
 }
 
 void AlignmentBatchReader::carry(std::size_t kept, std::size_t tail) {
-  // A record's views span its line from the read id to the sequence name.
-  // They move toward the front in file order, so none overwrites bytes
-  // still to move.
+  // A record's views span its line from the read id, its first field, to
+  // the end of the last of them in the batch: the sequence name in SOAP,
+  // SEQ or QUAL in SAM.  They move toward the front in file order, so none
+  // overwrites bytes still to move.
   std::size_t out = 0;
   for (std::size_t i = kept; i < kept_.size(); ++i) {
     AlignmentView& view = kept_[i];
     const char* const from = view.read_id.data();
-    const std::size_t bytes =
-        static_cast<std::size_t>(view.chr_name.data() - from) +
-        view.chr_name.size();
+    const char* end = from + view.read_id.size();
+    for (const std::string_view field : {view.seq, view.qual, view.chr_name})
+      if (inside(field, buf_.get(), size_))
+        end = std::max(end, field.data() + field.size());
+    const auto bytes = static_cast<std::size_t>(end - from);
     char* const to = buf_.get() + out;
     std::memmove(to, from, bytes);
-    relocate(view, from, to);
+    relocate(view, from, bytes, to);
     out += bytes;
   }
   kept_.erase(kept_.begin(), kept_.begin() + static_cast<std::ptrdiff_t>(kept));

@@ -1,14 +1,16 @@
 #pragma once
-// Short-read alignment records and the SOAP-style text format.
+// Short-read alignment records and the alignment text formats.
 //
-// GSNP's main input is the output of a short-read aligner (SOAP), a text file
-// of alignment records *sorted by reference position*.  Each record carries
-// the read sequence and quality string on the read's own strand, its hit
-// count (1 = uniquely aligned), length, strand, sequence name, and 1-based
-// leftmost position.  GSNP keeps SOAPsnp's file format (paper §V-A constraint
-// 1: "input files are stored in specific formats widely used by scientists").
+// GSNP's main input is the output of a short-read aligner, a text file of
+// alignment records *sorted by reference position*, in the aligner's own
+// format (paper §V-A constraint 1: "input files are stored in specific
+// formats widely used by scientists"): SOAPsnp's SOAP format, or the SAM
+// subset of FORMATS.md §2 that GPU aligners emit.  Each record carries the
+// read sequence and quality string on the read's own strand, its hit count
+// (1 = uniquely aligned), length, strand, sequence name, and 1-based
+// leftmost position.
 //
-// Columns (tab separated):
+// SOAP columns (tab separated):
 //   read_id  seq  qual  hit_count  pair_tag  length  strand(+/-)  chr  pos
 //
 // Parsing is hardened against malformed aligner output: every field is
@@ -19,14 +21,15 @@
 // field/reason.  Readers can run lenient (skip + quarantine, bounded by the
 // policy's error budget) instead of strict.
 //
-// Reading splits in two halves.  The line parser (parse_alignment_view) is
-// order-free: it checks one line's fields and returns views into the line.
-// AlignmentStitch applies, in file order, what depends on earlier lines:
-// line numbers, the single sequence name, the sort order, strict mode's
-// first error and the lenient quarantine with its error budget.
-// AlignmentReader streams a file through both one line at a time;
-// AlignmentBatchReader parses batches of the file block-parallel on the
-// compute executor and stitches each batch after.
+// Reading splits in two halves.  The line parser is order-free: one scan
+// per format (parse_alignment_view, parse_sam_line) checks one line's
+// fields and returns views into the line.  AlignmentStitch applies, in file
+// order and alike for both formats, what depends on earlier lines: line
+// numbers, the single sequence name, the sort order, strict mode's first
+// error and the lenient quarantine with its error budget.  AlignmentReader
+// streams a file through both one line at a time; AlignmentBatchReader
+// parses batches of the file block-parallel on the compute executor and
+// stitches each batch after.  Both take the format from the file name.
 
 #include <filesystem>
 #include <fstream>
@@ -87,13 +90,44 @@ AlignmentView parse_alignment_view(std::string_view line,
                                    const ParseContext& ctx);
 
 /// parse_alignment_view of the trimmed line, copied into a record.
-AlignmentRecord parse_alignment(std::string_view line, const ParseContext& ctx);
-AlignmentRecord parse_alignment(std::string_view line);
+AlignmentRecord parse_alignment(std::string_view line,
+                                const ParseContext& ctx = {});
 
-/// The order-free check of one raw line: nullopt for a blank line, else its
-/// parse_alignment_view.  Throws ParseError (line too long, bad fields).
-std::optional<AlignmentView> parse_alignment_line(std::string_view line,
-                                                  const ParseContext& ctx);
+/// What a line parser found in one line.
+enum class LineKind : u8 {
+  kBlank,        ///< no record: an empty line, or a SAM `@` header line
+  kRecord,       ///< a record, in the parse's view
+  kUnsupported,  ///< a well-formed SAM record outside the subset (§2)
+  kFailed,       ///< malformed: the parse threw
+};
+
+/// One line's parse: what it found and, for kRecord, the view into it.
+struct LineParse {
+  LineKind kind = LineKind::kBlank;
+  AlignmentView view;
+};
+
+/// An alignment text format: its line scan, which takes a trimmed,
+/// non-empty line and throws ParseError on malformed input, and the names
+/// the file-order rules give their fields.
+struct AlignmentFormat {
+  LineParse (*scan)(std::string_view line, const ParseContext& ctx);
+  const char* position_field;  ///< the sort-order rule's field
+  const char* name_field;      ///< the one-sequence rule's field
+  /// SEQ and QUAL are stored on the forward reference strand (SAM), so a
+  /// kept reverse-strand record's are turned into the read's own order.
+  bool reference_strand;
+};
+
+/// SAM for a file named `*.sam`, SOAP for any other.
+const AlignmentFormat& alignment_format(const std::filesystem::path& path);
+
+/// The order-free check of one raw line: the line cap, then `format`'s
+/// scan of the trimmed line (kBlank for an empty one).  Throws ParseError
+/// (line too long, bad fields); never returns kFailed.
+LineParse parse_alignment_line(std::string_view line,
+                               const AlignmentFormat& format,
+                               const ParseContext& ctx);
 
 /// Write records to a stream, one line each.
 void write_alignments(std::ostream& out,
@@ -103,27 +137,31 @@ void write_alignment_file(const std::filesystem::path& path,
 
 /// The file-order half of reading an alignment file.  Lines are handed over
 /// in file order with their line numbers.  Enforces a single sequence name
-/// per file and coordinate sort order.  In strict mode the first malformed
-/// line throws its ParseError; in lenient mode it is quarantined into the
-/// policy's quarantine file and counted in stats(), up to the error budget.
+/// per file and coordinate sort order, and counts unsupported records.  In
+/// strict mode the first malformed line throws its ParseError; in lenient
+/// mode it is quarantined into the policy's quarantine file and counted in
+/// stats(), up to the error budget.
 class AlignmentStitch {
  public:
-  AlignmentStitch(std::string file, IngestPolicy policy,
-                  u64 reference_length);
+  AlignmentStitch(std::string file, const AlignmentFormat& format,
+                  IngestPolicy policy, u64 reference_length);
 
-  /// Line `line_no`, raw bytes `line` without its newline.  `parsed` is the
-  /// line's parse_alignment_view when the caller already parsed it; null
-  /// parses it here (a line whose earlier parse failed fails again here,
-  /// with this line's number).  Returns the kept record (`parsed`, or the
-  /// view parsed here, valid until the next call), or null for a blank or
-  /// quarantined line.
-  const AlignmentView* keep(std::string_view line, u64 line_no,
-                            const AlignmentView* parsed = nullptr);
+  /// Line `line_no`, raw bytes `line` without its newline, in memory the
+  /// reader owns.  `parsed` is the line's parse_alignment_line when the
+  /// caller already parsed it; null or kFailed parses it here (a line whose
+  /// earlier parse failed fails again here, with this line's number).  A
+  /// kept record's SEQ and QUAL are then turned into read-strand order in
+  /// `line` (reverse-strand SAM).  Returns the kept record (`parsed`'s view,
+  /// or the view parsed here, valid until the next call), or null for a
+  /// blank, unsupported or quarantined line.
+  const AlignmentView* keep(std::span<char> line, u64 line_no,
+                            const LineParse* parsed = nullptr);
 
   const IngestStats& stats() const { return stats_; }
   const ParseContext& context() const { return ctx_; }
 
  private:
+  const AlignmentFormat& format_;
   IngestPolicy policy_;
   ParseContext ctx_;
   IngestStats stats_;
@@ -131,7 +169,7 @@ class AlignmentStitch {
   std::string chr_name_;  ///< sequence name locked by the first record
   u64 last_pos_ = 0;
   bool any_record_ = false;
-  AlignmentView parsed_;  ///< the last line keep() parsed itself
+  LineParse parsed_;  ///< the last line keep() parsed itself
 };
 
 /// Streaming reader over an alignment file; `next()` yields records in file
@@ -187,11 +225,9 @@ class AlignmentBatchReader {
 
  private:
   /// One line of the batch as the parse left it.
-  enum class Parse : u8 { kBlank, kOk, kFailed };
   struct ParsedLine {
-    std::string_view line;
-    AlignmentView view;  ///< kOk only
-    Parse parse = Parse::kBlank;
+    std::span<char> line;
+    LineParse parse;
   };
 
   /// Read until the unparsed bytes past carry_ hold a line end (or EOF) and
@@ -206,6 +242,7 @@ class AlignmentBatchReader {
   void carry(std::size_t kept, std::size_t tail);
 
   std::ifstream in_;
+  const AlignmentFormat& format_;
   const std::size_t whole_;
   const CancelToken* cancel_;
   AlignmentStitch stitch_;

@@ -1,6 +1,8 @@
 #include "src/reads/sam.hpp"
 
 #include <algorithm>
+#include <array>
+#include <fstream>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -11,20 +13,17 @@ namespace gsnp::reads {
 
 namespace {
 
-/// Reverse-complement a base string in place ('N' maps to itself).
-std::string reverse_complement(std::string_view seq) {
-  std::string out(seq.rbegin(), seq.rend());
-  for (char& c : out) {
-    const u8 b = base_from_char(c);
-    c = b < kNumBases ? char_from_base(complement(b)) : 'N';
-  }
-  return out;
-}
-
 bool valid_seq_char(char c) {
   return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c == '=' ||
          c == '.';
 }
+
+/// A `*` QUAL's bytes: every base at quality 0.
+constexpr auto kQualityZero = [] {
+  std::array<char, kMaxReadLen> q{};
+  q.fill(kQualityAsciiOffset);
+  return q;
+}();
 
 }  // namespace
 
@@ -87,10 +86,7 @@ std::string format_sam_record(const AlignmentRecord& rec) {
   // SAM stores SEQ/QUAL on the forward reference strand.
   std::string seq = rec.seq;
   std::string qual = rec.qual;
-  if (rec.strand == Strand::kReverse) {
-    seq = reverse_complement(seq);
-    std::reverse(qual.begin(), qual.end());
-  }
+  if (rec.strand == Strand::kReverse) flip_strand(seq, qual);
 
   std::ostringstream os;
   os << rec.read_id << '\t' << flag << '\t' << rec.chr_name << '\t'
@@ -100,22 +96,23 @@ std::string format_sam_record(const AlignmentRecord& rec) {
   return os.str();
 }
 
-std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
-                                                const ParseContext& ctx) {
-  const auto fields = split(trim(line), '\t');
-  if (fields.size() < 11)
+LineParse parse_sam_line(std::string_view line, const ParseContext& ctx) {
+  if (line.starts_with('@')) return {};  // a header line
+  std::array<std::string_view, 11> fields;
+  const std::size_t n = split_first(line, '\t', fields);
+  if (n < fields.size())
     ctx.fail("record", IngestReason::kTruncatedRecord,
-             "expected 11 tab-separated fields, got " +
-                 std::to_string(fields.size()));
+             "expected 11 tab-separated fields, got " + std::to_string(n));
 
+  LineParse parse{LineKind::kUnsupported, {}};
   const u32 flag = parse_int_ctx<u32>(fields[1], ctx, "FLAG");
   if (flag & (kSamFlagUnmapped | kSamFlagSecondary | kSamFlagSupplementary))
-    return std::nullopt;
+    return parse;
 
   u32 match_len = 0, left_clip = 0;
   switch (parse_simple_cigar(fields[5], match_len, left_clip)) {
     case CigarStatus::kSimple: break;
-    case CigarStatus::kUnsupported: return std::nullopt;
+    case CigarStatus::kUnsupported: return parse;
     case CigarStatus::kMalformed:
       ctx.fail("CIGAR", IngestReason::kBadCigar,
                "'" + std::string(fields[5]) + "'");
@@ -132,12 +129,12 @@ std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
              "match run " + std::to_string(match_len) + " exceeds the " +
                  std::to_string(kMaxReadLen) + "-base limit");
 
-  AlignmentRecord rec;
-  rec.read_id = std::string(fields[0]);
+  AlignmentView& rec = parse.view;
+  rec.read_id = fields[0];
   if (fields[2] == "*" || fields[2].empty())
     ctx.fail("RNAME", IngestReason::kBadField,
              "mapped record without a reference name");
-  rec.chr_name = std::string(fields[2]);
+  rec.chr_name = fields[2];
   const u64 pos1 = parse_int_ctx<u64>(fields[3], ctx, "POS");
   if (pos1 < 1)
     ctx.fail("POS", IngestReason::kPositionOutOfRange,
@@ -157,55 +154,63 @@ std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
   rec.strand = (flag & kSamFlagReverse) ? Strand::kReverse : Strand::kForward;
   rec.pair_tag = (flag & kSamFlagFirstInPair) ? 'a' : 'b';
 
-  std::string seq(fields[9]);
-  std::string qual(fields[10]);
-  if (seq == "*") return std::nullopt;  // sequence not stored: nothing to call
+  const std::string_view seq = fields[9];
+  const std::string_view qual = fields[10];
+  if (seq == "*") return parse;  // sequence not stored: nothing to call
   if (qual != "*" && seq.size() != qual.size())
     ctx.fail("QUAL", IngestReason::kLengthMismatch,
              "SEQ/QUAL lengths " + std::to_string(seq.size()) + "/" +
-                 std::to_string(qual.size()) + " differ in '" + rec.read_id +
-                 "'");
-  if (qual == "*") qual.assign(seq.size(), '!');
+                 std::to_string(qual.size()) + " differ in '" +
+                 std::string(rec.read_id) + "'");
   // Trim soft clips: the aligned portion is [left_clip, left_clip+match).
   if (static_cast<u64>(left_clip) + match_len > seq.size())
     ctx.fail("CIGAR", IngestReason::kLengthMismatch,
              "CIGAR consumes " + std::to_string(left_clip + match_len) +
                  " bases but SEQ has " + std::to_string(seq.size()) +
-                 " in '" + rec.read_id + "'");
-  seq = seq.substr(left_clip, match_len);
-  qual = qual.substr(left_clip, match_len);
-  for (const char c : seq)
+                 " in '" + std::string(rec.read_id) + "'");
+  rec.seq = seq.substr(left_clip, match_len);
+  rec.qual = qual == "*" ? std::string_view(kQualityZero.data(), match_len)
+                         : qual.substr(left_clip, match_len);
+  for (const char c : rec.seq)
     if (!valid_seq_char(c))
       ctx.fail("SEQ", IngestReason::kBadField,
-               "non-base character 0x" + std::to_string(
-                   static_cast<unsigned>(static_cast<unsigned char>(c))));
-  for (const char c : qual)
+               "non-base character " + hex_byte(c));
+  for (const char c : rec.qual)
     if (c < kQualityAsciiOffset || c > '~')
       ctx.fail("QUAL", IngestReason::kBadField,
-               "quality byte 0x" + std::to_string(
-                   static_cast<unsigned>(static_cast<unsigned char>(c))) +
-                   " outside the Sanger range");
-
-  // Back to read-strand orientation.
-  if (rec.strand == Strand::kReverse) {
-    seq = reverse_complement(seq);
-    std::reverse(qual.begin(), qual.end());
-  }
-  rec.seq = std::move(seq);
-  rec.qual = std::move(qual);
+               "quality byte " + hex_byte(c) + " outside the Sanger range");
   rec.length = static_cast<u16>(match_len);
 
-  // NH tag -> hit count.
-  rec.hit_count = 1;
-  for (std::size_t f = 11; f < fields.size(); ++f) {
-    if (fields[f].substr(0, 5) == "NH:i:")
-      rec.hit_count = parse_int_ctx<u32>(fields[f].substr(5), ctx, "NH tag");
+  // NH tag -> hit count (default 1).  The tags follow QUAL.
+  for (auto at = static_cast<std::size_t>(qual.data() + qual.size() -
+                                          line.data()) + 1;
+       at < line.size();) {
+    const std::size_t end = std::min(line.find('\t', at), line.size());
+    const std::string_view tag = line.substr(at, end - at);
+    if (tag.starts_with("NH:i:"))
+      rec.hit_count = parse_int_ctx<u32>(tag.substr(5), ctx, "NH tag");
+    at = end + 1;
   }
-  return rec;
+  parse.kind = LineKind::kRecord;
+  return parse;
 }
 
-std::optional<AlignmentRecord> parse_sam_record(std::string_view line) {
-  return parse_sam_record(line, ParseContext{});
+void flip_strand(std::span<char> seq, std::span<char> qual) {
+  std::reverse(seq.begin(), seq.end());
+  for (char& c : seq) {
+    const u8 b = base_from_char(c);
+    c = b < kNumBases ? char_from_base(complement(b)) : 'N';
+  }
+  std::reverse(qual.begin(), qual.end());
+}
+
+std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
+                                                const ParseContext& ctx) {
+  const LineParse parse = parse_sam_line(trim(line), ctx);
+  if (parse.kind != LineKind::kRecord) return std::nullopt;
+  AlignmentRecord rec = to_record(parse.view);
+  if (rec.strand == Strand::kReverse) flip_strand(rec.seq, rec.qual);
+  return rec;
 }
 
 void write_sam_file(const std::filesystem::path& path,
@@ -217,72 +222,6 @@ void write_sam_file(const std::filesystem::path& path,
   out << "@SQ\tSN:" << seq_name << "\tLN:" << seq_length << '\n';
   out << "@PG\tID:gsnp\tPN:gsnp\n";
   for (const auto& rec : records) out << format_sam_record(rec) << '\n';
-}
-
-SamReader::SamReader(const std::filesystem::path& path, IngestPolicy policy)
-    : in_(path),
-      policy_(std::move(policy)),
-      quarantine_(policy_.quarantine_file) {
-  GSNP_CHECK_MSG(in_.good(), "cannot open SAM file " << path);
-  ctx_.file = path.string();
-}
-
-std::optional<AlignmentRecord> SamReader::next() {
-  while (std::getline(in_, line_)) {
-    ++ctx_.line_no;
-    try {
-      ctx_.check_line_length(line_);
-      const auto body = trim(line_);
-      if (body.empty() || body.front() == '@') continue;
-      auto rec = parse_sam_record(body, ctx_);
-      if (!rec) {
-        ++stats_.records_unsupported;
-        continue;
-      }
-      // (chr, pos) sort check.  A chromosome reappearing after another began
-      // means the file is not sorted, even though each block may be.
-      if (!seen_chrs_.empty() && seen_chrs_.back() == rec->chr_name) {
-        if (rec->pos < last_pos_)
-          ctx_.fail("POS", IngestReason::kSortOrderViolation,
-                    "position " + std::to_string(rec->pos + 1) + " on " +
-                        rec->chr_name + " after position " +
-                        std::to_string(last_pos_ + 1) + " (line " +
-                        std::to_string(ctx_.line_no) +
-                        ") — input must be coordinate-sorted (samtools sort)");
-      } else {
-        if (std::find(seen_chrs_.begin(), seen_chrs_.end(), rec->chr_name) !=
-            seen_chrs_.end())
-          ctx_.fail("RNAME", IngestReason::kSortOrderViolation,
-                    "chromosome " + rec->chr_name + " reappears at line " +
-                        std::to_string(ctx_.line_no) +
-                        " after another chromosome started — input must be "
-                        "sorted by (chr, pos)");
-        seen_chrs_.push_back(rec->chr_name);
-      }
-      last_pos_ = rec->pos;
-      ++stats_.records_ok;
-      return rec;
-    } catch (const ParseError& err) {
-      if (!policy_.lenient()) throw;
-      quarantine_record(policy_, stats_, &quarantine_, err, line_);
-    }
-  }
-  return std::nullopt;
-}
-
-u64 sam_to_soap(const std::filesystem::path& sam_path,
-                const std::filesystem::path& soap_path,
-                const IngestPolicy& policy, IngestStats* stats_out) {
-  SamReader reader(sam_path, policy);
-  std::ofstream out(soap_path);
-  GSNP_CHECK_MSG(out.good(), "cannot open output " << soap_path);
-  u64 converted = 0;
-  while (auto rec = reader.next()) {
-    out << format_alignment(*rec) << '\n';
-    ++converted;
-  }
-  if (stats_out) *stats_out = reader.stats();
-  return converted;
 }
 
 }  // namespace gsnp::reads

@@ -3,26 +3,26 @@
 //
 // The paper's input is SOAP alignment text, but the field has standardized
 // on SAM (Li et al. 2009, the paper's reference [3]); a production SNP
-// caller must ingest it.  This module converts between SAM records and
-// AlignmentRecord:
+// caller must ingest it.  The alignment readers (alignment.hpp) read a
+// `*.sam` file through parse_sam_line and the same file-order stitch as
+// SOAP:
 //
-//  * only mapped, primary, ungapped alignments are converted (CIGAR must be
+//  * only mapped, primary, ungapped alignments are records (CIGAR must be
 //    a single <len>M run, optionally with soft clips, which are trimmed);
-//    others are skipped and counted as unsupported,
+//    others are unsupported and counted,
 //  * SAM stores SEQ/QUAL on the forward reference strand; AlignmentRecord
-//    stores them on the read's own strand — reverse-flagged records are
-//    reverse-complemented on conversion (and back on writing),
+//    stores them on the read's own strand — the readers flip a kept
+//    reverse-flagged record's (format_sam_record flips them back),
 //  * hit counts come from the NH:i: tag (default 1).
 //
 // Malformed lines (truncated, overflow-sized integers, broken CIGARs,
-// out-of-domain fields) raise gsnp::ParseError with file/line/field/reason;
-// SamReader in lenient mode skips them into a quarantine file under the
-// policy's error budget.  See FORMATS.md §2 and §11 for the exact accepted
-// subset and skip semantics.
+// out-of-domain fields) raise gsnp::ParseError with file/line/field/reason.
+// See FORMATS.md §2 and §11 for the exact accepted subset and skip
+// semantics.
 
 #include <filesystem>
-#include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,56 +54,27 @@ CigarStatus parse_simple_cigar(std::string_view cigar, u32& match_len,
 /// Convert one alignment record to a SAM line (with an NH tag).
 std::string format_sam_record(const AlignmentRecord& rec);
 
-/// Parse one SAM alignment line.  Returns nullopt for records this subset
-/// does not support (unmapped, secondary/supplementary, non-<len>M CIGAR
-/// after soft-clip trimming, '*' SEQ); throws gsnp::ParseError on malformed
-/// lines.
-std::optional<AlignmentRecord> parse_sam_record(std::string_view line,
-                                                const ParseContext& ctx);
-std::optional<AlignmentRecord> parse_sam_record(std::string_view line);
+/// The SAM line parser: one scan of a trimmed, non-empty line.  kBlank for
+/// an `@` header line; kUnsupported for records this subset does not take
+/// (unmapped, secondary/supplementary, non-<len>M CIGAR after soft-clip
+/// trimming, '*' SEQ); else the record, its SEQ and QUAL trimmed of the
+/// soft clips but still in the line's order (a `*` QUAL views a run of
+/// '!').  Throws gsnp::ParseError on malformed lines.
+LineParse parse_sam_line(std::string_view line, const ParseContext& ctx);
+
+/// SAM's forward-strand SEQ and QUAL and a reverse-strand read's own order,
+/// one into the other, in place: `seq` reverse-complemented (non-ACGT
+/// bases become 'N'), `qual` reversed.
+void flip_strand(std::span<char> seq, std::span<char> qual);
+
+/// parse_sam_line of the trimmed line, copied into a read-strand record;
+/// nullopt for a header line or an unsupported record.
+std::optional<AlignmentRecord> parse_sam_record(
+    std::string_view line, const ParseContext& ctx = {});
 
 /// Write records as a SAM file with a minimal @HD/@SQ header.
 void write_sam_file(const std::filesystem::path& path,
                     const std::vector<AlignmentRecord>& records,
                     const std::string& seq_name, u64 seq_length);
-
-/// Streaming SAM reader: yields supported records in file order, skipping
-/// headers and unsupported records (counted in stats().records_unsupported).
-/// Enforces (chr_name, pos) coordinate sort order: positions must be
-/// non-decreasing within a chromosome and no chromosome may reappear after
-/// another has started.  Strict mode throws ParseError on the first
-/// malformed line; lenient mode quarantines and keeps going until the
-/// policy's error budget is exhausted.
-class SamReader {
- public:
-  explicit SamReader(const std::filesystem::path& path,
-                     IngestPolicy policy = {});
-
-  std::optional<AlignmentRecord> next();
-
-  /// Well-formed records outside the supported subset (back-compat alias
-  /// for stats().records_unsupported).
-  u64 skipped() const { return stats_.records_unsupported; }
-  const IngestStats& stats() const { return stats_; }
-
- private:
-  std::ifstream in_;
-  std::string line_;
-  IngestPolicy policy_;
-  ParseContext ctx_;
-  IngestStats stats_;
-  QuarantineWriter quarantine_;
-  std::vector<std::string> seen_chrs_;
-  u64 last_pos_ = 0;
-};
-
-/// Convert a whole SAM file to the SOAP alignment format GSNP's engines
-/// consume (records must be sorted by (chr, pos), as samtools sort
-/// produces).  Returns the number of converted records; `stats_out`, when
-/// non-null, receives the full ingest breakdown.
-u64 sam_to_soap(const std::filesystem::path& sam_path,
-                const std::filesystem::path& soap_path,
-                const IngestPolicy& policy = {},
-                IngestStats* stats_out = nullptr);
 
 }  // namespace gsnp::reads

@@ -625,10 +625,7 @@ void Daemon::chromosome_finished(const std::shared_ptr<Job>& job) {
     const std::lock_guard<std::mutex> lock(mu_);
     last = (--job->remaining == 0);
   }
-  if (last) {
-    finalize(job);
-    update_spool_gauge();
-  }
+  if (last) finalize(job);
 }
 
 void Daemon::finalize(const std::shared_ptr<Job>& job) {
@@ -719,6 +716,9 @@ void Daemon::finalize(const std::shared_ptr<Job>& job) {
     log_event(std::move(terminal));
   }
   metrics_.set_gauge("jobs_active", static_cast<double>(active_jobs_));
+  // The spool holds the job's terminal writes now; a waiter that wakes
+  // below and reads stats sees them.
+  update_spool_gauge();
   cv_.notify_all();
 }
 

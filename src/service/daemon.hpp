@@ -254,7 +254,8 @@ class Daemon {
   /// Append to the event log; silent (counted) on storage failure, no-op
   /// after simulate_crash() or when the log is disabled.
   void log_event(obs::JobEvent event);
-  /// Recompute the spool_bytes gauge (filesystem walk; call unlocked).
+  /// Recompute the spool_bytes gauge (filesystem walk; call unlocked, but
+  /// for finalize, which settles a job only with its gauge current).
   void update_spool_gauge();
 
   DaemonConfig config_;

@@ -73,6 +73,64 @@ class FuzzSmoke : public ::testing::Test {
     return p;
   }
 
+  /// The acceptance property, for the input in the format of extension
+  /// `ext`: a lenient engine run over fuzzed input produces bit-identical
+  /// calls to a strict run over just the surviving records.
+  void expect_lenient_calls_match_strict_calls_on_survivors(
+      const std::string& ext) {
+    reads::FuzzOptions options;
+    options.seed = 7;
+    options.rate = 0.15;
+    const fs::path fuzzed = dir_ / ("fuzzed" + ext);
+    reads::fuzz_file(dir_ / ("align" + ext), fuzzed, options);
+
+    // Collect the survivors with a lenient reader and re-write them clean.
+    std::vector<reads::AlignmentRecord> survivors;
+    {
+      reads::AlignmentReader reader(fuzzed, lenient(), ref_.size());
+      while (auto rec = reader.next()) survivors.push_back(std::move(*rec));
+      ASSERT_GT(reader.stats().records_quarantined, 0u);
+    }
+    ASSERT_FALSE(survivors.empty());
+    const fs::path clean = dir_ / ("survivors" + ext);
+    if (ext == ".sam")
+      reads::write_sam_file(clean, survivors, ref_.name(), ref_.size());
+    else
+      reads::write_alignment_file(clean, survivors);
+
+    core::EngineConfig config;
+    config.reference = &ref_;
+    config.temp_file = dir_ / "t.tmp";
+
+    config.alignment_file = fuzzed;
+    config.output_file = dir_ / "lenient.snp";
+    config.ingest = lenient(dir_ / "lenient.quarantine.txt");
+    const core::RunReport lenient_report = core::run_gsnp_cpu(config);
+
+    config.alignment_file = clean;
+    config.output_file = dir_ / "strict.snp";
+    config.ingest = IngestPolicy::make_strict();
+    const core::RunReport strict_report = core::run_gsnp_cpu(config);
+
+    EXPECT_EQ(lenient_report.records, strict_report.records);
+    EXPECT_EQ(lenient_report.records, survivors.size());
+    EXPECT_GT(lenient_report.ingest.records_quarantined, 0u);
+    EXPECT_TRUE(strict_report.ingest.clean());
+    const auto cmp =
+        core::compare_output_files(dir_ / "lenient.snp", dir_ / "strict.snp");
+    EXPECT_TRUE(cmp.identical) << cmp.detail;
+
+    // The SOAPsnp engine reads the text twice (cal_p + window pass); its
+    // lenient skips must be identical too.
+    config.alignment_file = fuzzed;
+    config.output_file = dir_ / "lenient_soapsnp.txt";
+    config.ingest = lenient(dir_ / "soapsnp.quarantine.txt");
+    const core::RunReport soapsnp_report = core::run_soapsnp(config);
+    EXPECT_EQ(soapsnp_report.records, survivors.size());
+    EXPECT_EQ(soapsnp_report.ingest.records_quarantined,
+              lenient_report.ingest.records_quarantined);
+  }
+
   fs::path dir_;
   genome::Reference ref_;
   std::vector<reads::AlignmentRecord> records_;
@@ -106,7 +164,7 @@ TEST_F(FuzzSmoke, LenientSamIngestNeverCrashesAcrossSeeds) {
     const fs::path fuzzed = dir_ / ("fuzz" + std::to_string(seed) + ".sam");
     reads::fuzz_file(dir_ / "align.sam", fuzzed, options);
 
-    reads::SamReader reader(fuzzed, unlimited_lenient());
+    reads::AlignmentReader reader(fuzzed, unlimited_lenient());
     u64 survivors = 0;
     while (reader.next()) ++survivors;
     EXPECT_EQ(reader.stats().records_ok, survivors);
@@ -138,55 +196,11 @@ TEST_F(FuzzSmoke, FuzzerIsDeterministic) {
 }
 
 TEST_F(FuzzSmoke, LenientCallsMatchStrictCallsOnSurvivors) {
-  // The acceptance property: a lenient engine run over fuzzed input produces
-  // bit-identical calls to a strict run over just the surviving records.
-  reads::FuzzOptions options;
-  options.seed = 7;
-  options.rate = 0.15;
-  const fs::path fuzzed = dir_ / "fuzzed.soap";
-  reads::fuzz_file(dir_ / "align.soap", fuzzed, options);
+  expect_lenient_calls_match_strict_calls_on_survivors(".soap");
+}
 
-  // Collect the survivors with a lenient reader and re-write them clean.
-  std::vector<reads::AlignmentRecord> survivors;
-  {
-    reads::AlignmentReader reader(fuzzed, lenient(), ref_.size());
-    while (auto rec = reader.next()) survivors.push_back(std::move(*rec));
-    ASSERT_GT(reader.stats().records_quarantined, 0u);
-  }
-  ASSERT_FALSE(survivors.empty());
-  reads::write_alignment_file(dir_ / "survivors.soap", survivors);
-
-  core::EngineConfig config;
-  config.reference = &ref_;
-  config.temp_file = dir_ / "t.tmp";
-
-  config.alignment_file = fuzzed;
-  config.output_file = dir_ / "lenient.snp";
-  config.ingest = lenient(dir_ / "lenient.quarantine.txt");
-  const core::RunReport lenient_report = core::run_gsnp_cpu(config);
-
-  config.alignment_file = dir_ / "survivors.soap";
-  config.output_file = dir_ / "strict.snp";
-  config.ingest = IngestPolicy::make_strict();
-  const core::RunReport strict_report = core::run_gsnp_cpu(config);
-
-  EXPECT_EQ(lenient_report.records, strict_report.records);
-  EXPECT_EQ(lenient_report.records, survivors.size());
-  EXPECT_GT(lenient_report.ingest.records_quarantined, 0u);
-  EXPECT_TRUE(strict_report.ingest.clean());
-  const auto cmp =
-      core::compare_output_files(dir_ / "lenient.snp", dir_ / "strict.snp");
-  EXPECT_TRUE(cmp.identical) << cmp.detail;
-
-  // The SOAPsnp engine reads the text twice (cal_p + window pass); its
-  // lenient skips must be identical too.
-  config.alignment_file = fuzzed;
-  config.output_file = dir_ / "lenient_soapsnp.txt";
-  config.ingest = lenient(dir_ / "soapsnp.quarantine.txt");
-  const core::RunReport soapsnp_report = core::run_soapsnp(config);
-  EXPECT_EQ(soapsnp_report.records, survivors.size());
-  EXPECT_EQ(soapsnp_report.ingest.records_quarantined,
-            lenient_report.ingest.records_quarantined);
+TEST_F(FuzzSmoke, LenientSamCallsMatchStrictCallsOnSurvivors) {
+  expect_lenient_calls_match_strict_calls_on_survivors(".sam");
 }
 
 TEST_F(FuzzSmoke, ErrorBudgetAbortsRunawayGarbage) {
@@ -327,7 +341,7 @@ TEST_F(FuzzSmoke, LineCapRejectsLongerLinesInEveryLoader) {
         << sam << '\n';
   }
   check(dir_ / "cap.sam", 3, 2, [](const fs::path& f, IngestPolicy p) {
-    reads::SamReader reader(f, std::move(p));
+    reads::AlignmentReader reader(f, std::move(p));
     while (reader.next()) {
     }
     return reader.stats();
@@ -356,19 +370,14 @@ TEST_F(FuzzSmoke, CorpusRegression) {
   u64 seen = 0;
   for (const auto& entry : fs::directory_iterator(corpus)) {
     const fs::path& p = entry.path();
-    const bool sam = p.extension() == ".sam";
     const bool expect_ok = p.filename().string().rfind("ok_", 0) == 0;
     ++seen;
 
+    // AlignmentReader reads `.sam` files as SAM, the rest as SOAP.
     const auto drain = [&](const IngestPolicy& policy) {
       u64 n = 0;
-      if (sam) {
-        reads::SamReader reader(p, policy);
-        while (reader.next()) ++n;
-      } else {
-        reads::AlignmentReader reader(p, policy);
-        while (reader.next()) ++n;
-      }
+      reads::AlignmentReader reader(p, policy);
+      while (reader.next()) ++n;
       return n;
     };
 

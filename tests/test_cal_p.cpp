@@ -1,9 +1,9 @@
 // The block-parallel cal_p pass: reads::AlignmentBatchReader and the
-// engines' cal_p against the one-line-at-a-time AlignmentReader, on inputs
-// that span several batches.  Records, ParseErrors, the lenient quarantine,
-// the error budget, ingest stats and the temporary input must not depend on
-// how the file was cut into batches and blocks, or on whether the parse fans
-// out.
+// engines' cal_p against the one-line-at-a-time AlignmentReader, on SOAP
+// and SAM inputs that span several batches.  Records, ParseErrors, the
+// lenient quarantine, the error budget, ingest stats and the temporary input
+// must not depend on how the file was cut into batches and blocks, or on
+// whether the parse fans out.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -21,6 +22,7 @@
 #include "src/reads/alignment.hpp"
 #include "src/reads/fuzz.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/sam_text.hpp"
 #include "tests/temp_path.hpp"
 
 namespace gsnp {
@@ -92,8 +94,41 @@ void expect_same_ingest(const Ingest& a, const Ingest& b) {
   EXPECT_EQ(a.stats.by_reason, b.stats.by_reason);
 }
 
+/// An input file's bytes and the offsets its lines start at.
+struct Text {
+  fs::path path;
+  std::string bytes;
+  std::vector<std::size_t> line_starts;
+
+  explicit Text(fs::path file)
+      : path(std::move(file)), bytes(read_bytes(path)) {
+    for (std::size_t at = 0; at < bytes.size(); at = bytes.find('\n', at) + 1)
+      line_starts.push_back(at);
+  }
+
+  /// Index of the first line starting at or after byte `at`.
+  std::size_t line_at_or_after(std::size_t at) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(line_starts.begin(), line_starts.end(), at) -
+        line_starts.begin());
+  }
+
+  /// Index of batch 2's first line: batch 1 parses through the last line
+  /// end within its first kAlignmentBatchBytes bytes.
+  std::size_t second_batch_line() const {
+    return line_at_or_after(bytes.rfind('\n', kAlignmentBatchBytes - 1) + 1);
+  }
+
+  /// Index of the first line of batch 1's second block.
+  std::size_t second_block_line() const {
+    return line_at_or_after(kAlignmentBlockBytes);
+  }
+};
+
 /// A 100K-site chromosome at 40x: ~40K records, ~9.3 MB of SOAP text, so
-/// the file spans three batches.
+/// the file spans three batches.  The same records are also written as
+/// SAM, every one with soft clips and one in 50 with QUAL `*` (its SOAP
+/// qualities all '!').
 class CalP : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -111,13 +146,20 @@ class CalP : public ::testing::Test {
     reads::ReadSimSpec rspec;
     rspec.depth = 40.0;
     rspec.seed = 33;
-    reads::write_alignment_file(dir_ / "a.soap",
-                                reads::simulate_reads(individual, rspec));
-    text_ = read_bytes(dir_ / "a.soap");
-    ASSERT_GT(text_.size(), 2 * kAlignmentBatchBytes);
-    for (std::size_t at = 0; at < text_.size();
-         at = text_.find('\n', at) + 1)
-      line_starts_.push_back(at);
+    records_ = reads::simulate_reads(individual, rspec);
+    std::ofstream sam(dir_ / "a.sam", std::ios::binary);
+    sam << "@HD\tVN:1.6\tSO:coordinate\n";
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      const bool no_qual = i % 50 == 7;
+      if (no_qual) records_[i].qual.assign(records_[i].length, '!');
+      sam << clipped_sam_line(records_[i], 1 + i % 3, i % 2 * 3, no_qual)
+          << '\n';
+    }
+    sam.close();
+    reads::write_alignment_file(dir_ / "a.soap", records_);
+    soap_.emplace(dir_ / "a.soap");
+    sam_.emplace(dir_ / "a.sam");
+    ASSERT_GT(soap_->bytes.size(), 2 * kAlignmentBatchBytes);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -130,45 +172,33 @@ class CalP : public ::testing::Test {
     return c;
   }
 
-  /// Index of the first line starting at or after byte `at`.
-  std::size_t line_at_or_after(std::size_t at) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(line_starts_.begin(), line_starts_.end(), at) -
-        line_starts_.begin());
-  }
-
-  /// Index of batch 2's first line: batch 1 parses through the last line
-  /// end within its first kAlignmentBatchBytes bytes.
-  std::size_t second_batch_line() const {
-    return line_at_or_after(text_.rfind('\n', kAlignmentBatchBytes - 1) + 1);
-  }
-
-  /// Index of the first line of batch 1's second block.
-  std::size_t second_block_line() const {
-    return line_at_or_after(kAlignmentBlockBytes);
-  }
-
-  /// The input with line `index` (0-based) passed through `edit`, which
-  /// keeps its length, so every batch and block boundary stays put.
-  fs::path with_line(std::size_t index,
+  /// `text` with line `index` (0-based) passed through `edit`, which keeps
+  /// its length, so every batch and block boundary stays put.
+  fs::path with_line(const Text& text, std::size_t index,
                      const std::function<void(std::string&)>& edit) const {
-    const std::size_t begin = line_starts_[index];
-    const std::size_t end = text_.find('\n', begin);
-    std::string line = text_.substr(begin, end - begin);
+    const std::size_t begin = text.line_starts[index];
+    const std::size_t end = text.bytes.find('\n', begin);
+    std::string line = text.bytes.substr(begin, end - begin);
     const std::size_t size = line.size();
     edit(line);
     EXPECT_EQ(line.size(), size);
-    std::string bytes = text_;
+    std::string bytes = text.bytes;
     bytes.replace(begin, end - begin, line);
-    const fs::path path = dir_ / ("edit" + std::to_string(index) + ".soap");
+    const fs::path path = dir_ / ("edit" + std::to_string(index) +
+                                  text.path.extension().string());
     write_bytes(path, bytes);
     return path;
   }
 
+  /// A lenient engine call over a fuzzed `input` quarantines, counts and
+  /// aborts on its budget exactly as the streaming reader does.
+  void expect_lenient_matches_streaming(const fs::path& input);
+
   fs::path dir_;
   genome::Reference ref_;
-  std::string text_;
-  std::vector<std::size_t> line_starts_;
+  std::vector<reads::AlignmentRecord> records_;
+  std::optional<Text> soap_;
+  std::optional<Text> sam_;
 };
 
 /// The n-th tab-separated field of `line`, as [begin, end).
@@ -180,20 +210,49 @@ std::pair<std::size_t, std::size_t> field(const std::string& line, int n) {
 }
 
 TEST_F(CalP, BatchesMatchTheStreamingReaderFannedOutAndInline) {
-  const IngestPolicy strict;
-  const Ingest streamed = read_streaming(dir_ / "a.soap", strict, ref_.size());
+  for (const Text* text : {&*soap_, &*sam_}) {
+    SCOPED_TRACE(text->path.filename().string());
+    const IngestPolicy strict;
+    const Ingest streamed = read_streaming(text->path, strict, ref_.size());
+    std::vector<std::size_t> sizes;
+    const Ingest fanned = read_batches(text->path, strict, ref_.size(), &sizes);
+    expect_same_ingest(streamed, fanned);
+    // At least three batches; each but the last holds whole temp chunks.
+    ASSERT_GE(sizes.size(), 3u);
+    for (std::size_t b = 0; b + 1 < sizes.size(); ++b)
+      EXPECT_EQ(sizes[b] % compress::kTempChunkRecords, 0u) << "batch " << b;
+    const InlineComputeScope one_thread;
+    expect_same_ingest(streamed,
+                       read_batches(text->path, strict, ref_.size(), nullptr));
+  }
+}
+
+TEST_F(CalP, SamBatchesReadTheSoapRecords) {
+  // Reverse records flip their SEQ and QUAL in the batch, soft clips and
+  // `*` QUALs narrow the views, and the carry moves SAM's longer spans: at
+  // every block, batch and temp-chunk edge the batches still read the
+  // records the SOAP file holds.
   std::vector<std::size_t> sizes;
-  const Ingest fanned =
-      read_batches(dir_ / "a.soap", strict, ref_.size(), &sizes);
-  expect_same_ingest(streamed, fanned);
-  // At least three batches; each but the last holds whole temp chunks.
-  ASSERT_GE(sizes.size(), 3u);
-  for (std::size_t b = 0; b + 1 < sizes.size(); ++b)
-    EXPECT_EQ(sizes[b] % compress::kTempChunkRecords, 0u) << "batch " << b;
-  const InlineComputeScope one_thread;
-  expect_same_ingest(streamed,
-                     read_batches(dir_ / "a.soap", strict, ref_.size(),
-                                  nullptr));
+  const Ingest batched =
+      read_batches(sam_->path, IngestPolicy{}, ref_.size(), &sizes);
+  ASSERT_TRUE(batched.error.empty()) << batched.error;
+  ASSERT_EQ(batched.records.size(), records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i)
+    ASSERT_EQ(batched.records[i], records_[i]) << "record " << i;
+
+  // Each edge has a reverse-strand record beside it.  Record i is on SAM
+  // line i + 1 (0-based, after the header line).
+  const std::size_t carried_end = sam_->second_batch_line() - 1;
+  ASSERT_GT(carried_end, sizes[0]);  // batch 1 carried records
+  const std::vector<std::size_t> edges = {
+      sam_->second_block_line() - 1, carried_end, sizes[0],
+      compress::kTempChunkRecords, 2 * compress::kTempChunkRecords};
+  for (const std::size_t edge : edges) {
+    bool reverse = false;
+    for (std::size_t i = edge - 2; i < edge + 2; ++i)
+      reverse |= records_[i].strand == Strand::kReverse;
+    EXPECT_TRUE(reverse) << "edge at record " << edge;
+  }
 }
 
 TEST_F(CalP, TempInputMatchesTheStreamingWriter) {
@@ -216,67 +275,96 @@ TEST_F(CalP, TempInputMatchesTheStreamingWriter) {
   u64 records = 0;
   while (reader.next()) ++records;
   EXPECT_EQ(records, report.records);
+
+  // A call from the SAM file writes the same temp input and output.
+  const std::string soap_out = read_bytes(dir_ / "out.snp");
+  const core::RunReport from_sam = core::run_gsnp_cpu(config(dir_ / "a.sam"));
+  EXPECT_EQ(from_sam.temp_bytes, report.temp_bytes);
+  EXPECT_EQ(from_sam.records, report.records);
+  EXPECT_EQ(read_bytes(dir_ / "out.snp"), soap_out);
 }
 
 TEST_F(CalP, ParseErrorsAtBlockAndBatchEdgesKeepTheirLine) {
-  const std::size_t block_line = second_block_line();
-  const std::size_t batch_line = second_batch_line();
-  ASSERT_GT(block_line, 0u);
-  ASSERT_GT(batch_line, block_line);
   struct Case {
     const char* what;
     std::function<void(std::string&)> edit;
     const char* field;
     IngestReason reason;
   };
-  const std::vector<Case> cases = {
+  // Position 1, same width: "0...01".
+  const auto first_position = [](int n) {
+    return [n](std::string& line) {
+      const auto [b, e] = field(line, n);
+      line.replace(b, e - b, std::string(e - b - 1, '0') + "1");
+    };
+  };
+  const auto switch_sequence = [](int n) {
+    return [n](std::string& line) { line[field(line, n).second - 1] = 'X'; };
+  };
+  const std::vector<Case> soap_cases = {
       {"bad strand",
        [](std::string& line) {
          const auto [b, e] = field(line, 6);
          line[b] = '?';
        },
        "strand", IngestReason::kBadField},
-      {"sort violation",
-       [](std::string& line) {  // position 1, same width: "0...01"
-         const auto [b, e] = field(line, 8);
-         line.replace(b, e - b, std::string(e - b - 1, '0') + "1");
-       },
-       "position", IngestReason::kSortOrderViolation},
-      {"chromosome switch",
-       [](std::string& line) {
-         const auto [b, e] = field(line, 7);
-         line[e - 1] = 'X';
-       },
-       "sequence name", IngestReason::kBadField},
+      {"sort violation", first_position(8), "position",
+       IngestReason::kSortOrderViolation},
+      {"chromosome switch", switch_sequence(7), "sequence name",
+       IngestReason::kBadField},
   };
-  for (const std::size_t index : {block_line, batch_line}) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(c.what) + " on line " +
-                   std::to_string(index + 1));
-      const fs::path path = with_line(index, c.edit);
-      const Ingest streamed = read_streaming(path, {}, ref_.size());
-      ASSERT_FALSE(streamed.error.empty());
-      try {
-        core::run_gsnp_cpu(config(path));
-        ADD_FAILURE() << "no ParseError";
-      } catch (const ParseError& e) {
-        EXPECT_EQ(e.file(), path.string());
-        EXPECT_EQ(e.line(), index + 1);
-        EXPECT_EQ(e.field(), c.field);
-        EXPECT_EQ(e.reason(), c.reason);
-        EXPECT_EQ(std::string(e.what()), streamed.error);
+  const std::vector<Case> sam_cases = {
+      {"bad CIGAR",
+       [](std::string& line) { line[field(line, 5).first] = '?'; }, "CIGAR",
+       IngestReason::kBadCigar},
+      {"sort violation", first_position(3), "POS",
+       IngestReason::kSortOrderViolation},
+      {"chromosome switch", switch_sequence(2), "RNAME",
+       IngestReason::kBadField},
+  };
+  for (const auto& [text, cases] :
+       {std::pair{&*soap_, &soap_cases}, std::pair{&*sam_, &sam_cases}}) {
+    const std::size_t block_line = text->second_block_line();
+    const std::size_t batch_line = text->second_batch_line();
+    ASSERT_GT(block_line, 0u);
+    ASSERT_GT(batch_line, block_line);
+    for (const std::size_t index : {block_line, batch_line}) {
+      for (const Case& c : *cases) {
+        SCOPED_TRACE(std::string(c.what) + " on line " +
+                     std::to_string(index + 1) + " of " +
+                     text->path.filename().string());
+        const fs::path path = with_line(*text, index, c.edit);
+        const Ingest streamed = read_streaming(path, {}, ref_.size());
+        ASSERT_FALSE(streamed.error.empty());
+        try {
+          core::run_gsnp_cpu(config(path));
+          ADD_FAILURE() << "no ParseError";
+        } catch (const ParseError& e) {
+          EXPECT_EQ(e.file(), path.string());
+          EXPECT_EQ(e.line(), index + 1);
+          EXPECT_EQ(e.field(), c.field);
+          EXPECT_EQ(e.reason(), c.reason);
+          EXPECT_EQ(std::string(e.what()), streamed.error);
+        }
+        EXPECT_FALSE(fs::exists(dir_ / "t.tmp"));
       }
-      EXPECT_FALSE(fs::exists(dir_ / "t.tmp"));
     }
   }
 }
 
 TEST_F(CalP, LenientQuarantineAndBudgetMatchTheStreamingReader) {
+  for (const Text* text : {&*soap_, &*sam_}) {
+    SCOPED_TRACE(text->path.filename().string());
+    expect_lenient_matches_streaming(text->path);
+  }
+}
+
+void CalP::expect_lenient_matches_streaming(const fs::path& input) {
   reads::FuzzOptions options;
   options.seed = 5;
   options.rate = 0.02;
-  const fs::path fuzzed = dir_ / "fuzzed.soap";
-  ASSERT_GT(reads::fuzz_file(dir_ / "a.soap", fuzzed, options).mutated, 0u);
+  const fs::path fuzzed = dir_ / ("fuzzed" + input.extension().string());
+  ASSERT_GT(reads::fuzz_file(input, fuzzed, options).mutated, 0u);
 
   IngestPolicy policy = IngestPolicy::make_lenient(dir_ / "streamed.q");
   policy.max_bad_records = ~u64{0};
@@ -317,12 +405,14 @@ TEST_F(CalP, LenientQuarantineAndBudgetMatchTheStreamingReader) {
 TEST_F(CalP, LineQuirksMatchTheStreamingReader) {
   // Blank lines, CRLF endings, a line longer than a whole batch, and no
   // newline after the last record.
-  std::string bytes = text_.substr(0, line_starts_[100]);
+  const std::string& text = soap_->bytes;
+  const std::vector<std::size_t>& line_starts = soap_->line_starts;
+  std::string bytes = text.substr(0, line_starts[100]);
   bytes += "\n\r\n";
   bytes += std::string(kAlignmentBatchBytes + 12345, 'x') + "\n";
-  for (std::size_t i = line_starts_[100]; i < text_.size(); ++i) {
-    if (text_[i] == '\n') bytes += '\r';
-    bytes += text_[i];
+  for (std::size_t i = line_starts[100]; i < text.size(); ++i) {
+    if (text[i] == '\n') bytes += '\r';
+    bytes += text[i];
   }
   bytes.pop_back();  // the last record's '\n'
   bytes.pop_back();  // and its '\r'
@@ -332,7 +422,7 @@ TEST_F(CalP, LineQuirksMatchTheStreamingReader) {
   IngestPolicy policy = IngestPolicy::make_lenient(dir_ / "streamed.q");
   const Ingest streamed = read_streaming(path, policy, ref_.size());
   EXPECT_EQ(streamed.stats.records_quarantined, 1u);
-  EXPECT_EQ(streamed.records.size(), line_starts_.size());
+  EXPECT_EQ(streamed.records.size(), line_starts.size());
   policy.quarantine_file = dir_ / "batched.q";
   expect_same_ingest(streamed,
                      read_batches(path, policy, ref_.size(), nullptr));

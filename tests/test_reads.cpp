@@ -62,6 +62,21 @@ TEST(AlignmentFormat, RejectsMalformedLines) {
   EXPECT_THROW(parse_alignment("id\tACGT\tIIII\t1\ta\t4\t+\tchr\t0"), Error);
   // seq/qual length mismatch with declared length:
   EXPECT_THROW(parse_alignment("id\tACG\tIIII\t1\ta\t4\t+\tchr\t42"), Error);
+  // A rejected byte is named in hex: '=' is 0x3d, a space 0x20.
+  const auto error = [](std::string_view line) -> std::string {
+    try {
+      parse_alignment(line);
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "no ParseError";
+  };
+  EXPECT_NE(error("id\tAC=T\tIIII\t1\ta\t4\t+\tchr\t42").find(
+                "non-base character 0x3d"),
+            std::string::npos);
+  EXPECT_NE(error("id\tACGT\tI II\t1\ta\t4\t+\tchr\t42").find(
+                "quality byte 0x20 outside"),
+            std::string::npos);
 }
 
 TEST(AlignmentFormat, FileRoundTripAndStreaming) {

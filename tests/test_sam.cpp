@@ -1,19 +1,23 @@
-// Tests for the SAM-format subset: record conversion (both strands, soft
-// clips, tags), streaming reader, and engine-result equivalence between SAM
-// and native SOAP input.
+// Tests for the SAM-format subset: the line parser (both strands, soft
+// clips, tags), the alignment readers on SAM files, and engine-result
+// equivalence between SAM and SOAP input on every backend.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/core/backend.hpp"
 #include "src/core/consistency.hpp"
 #include "src/core/engine.hpp"
+#include "src/device/device.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/sam.hpp"
 #include "src/reads/simulator.hpp"
+#include "tests/sam_text.hpp"
 #include "tests/temp_path.hpp"
 
 namespace gsnp::reads {
@@ -221,7 +225,7 @@ class SamFiles : public ::testing::Test {
     fs::create_directories(dir_);
     genome::GenomeSpec gspec;
     gspec.name = "chrS";
-    gspec.length = 15'000;
+    gspec.length = 20'000;
     ref_ = genome::generate_reference(gspec);
     genome::SnpPlantSpec pspec;
     const auto snps = genome::plant_snps(ref_, pspec);
@@ -232,14 +236,69 @@ class SamFiles : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  /// The first 1,000 records, the last moved to end one base past the
+  /// reference (still in sort order).  As SAM, record i is on line i + 4.
+  std::vector<AlignmentRecord> thousand_with_last_past_end() const {
+    std::vector<AlignmentRecord> recs(records_.begin(),
+                                      records_.begin() + 1'000);
+    recs.back().pos = ref_.size() - recs.back().length + 1;
+    return recs;
+  }
+
+  core::EngineConfig config(const fs::path& align,
+                            const std::string& out) const {
+    core::EngineConfig c;
+    c.alignment_file = align;
+    c.reference = &ref_;
+    c.output_file = dir_ / out;
+    c.temp_file = dir_ / "t.tmp";
+    return c;
+  }
+
+  /// The output of every backend, serial and overlapped, called from
+  /// `align`, with the run's ingest stats.
+  std::vector<std::pair<std::string, IngestStats>> call_every_backend(
+      const fs::path& align) const {
+    std::vector<std::pair<std::string, IngestStats>> runs;
+    for (const core::BackendInfo& backend : core::backend_registry()) {
+      for (const bool overlapped : {false, true}) {
+        core::EngineConfig c = config(align, "out.snp");
+        c.window_size = 4'096;
+        c.overlapped = overlapped;
+        device::Device dev;
+        const core::RunReport report = core::run_backend(
+            backend, c, backend.needs_device ? &dev : nullptr);
+        std::ifstream in(c.output_file, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        runs.emplace_back(bytes.str(), report.ingest);
+      }
+    }
+    return runs;
+  }
+
   fs::path dir_;
   genome::Reference ref_;
   std::vector<AlignmentRecord> records_;
 };
 
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void expect_same_stats(const IngestStats& a, const IngestStats& b) {
+  EXPECT_EQ(a.records_ok, b.records_ok);
+  EXPECT_EQ(a.records_unsupported, b.records_unsupported);
+  EXPECT_EQ(a.records_quarantined, b.records_quarantined);
+  EXPECT_EQ(a.by_reason, b.by_reason);
+}
+
 TEST_F(SamFiles, FileRoundTripPreservesRecords) {
   write_sam_file(dir_ / "a.sam", records_, ref_.name(), ref_.size());
-  SamReader reader(dir_ / "a.sam");
+  AlignmentReader reader(dir_ / "a.sam");
   std::size_t i = 0;
   while (auto rec = reader.next()) {
     ASSERT_LT(i, records_.size());
@@ -247,45 +306,137 @@ TEST_F(SamFiles, FileRoundTripPreservesRecords) {
     ++i;
   }
   EXPECT_EQ(i, records_.size());
-  EXPECT_EQ(reader.skipped(), 0u);
+  EXPECT_EQ(reader.stats().records_unsupported, 0u);
 }
 
 TEST_F(SamFiles, SamInputGivesIdenticalCalls) {
-  // The integration property: calling from SAM-converted input must produce
-  // exactly the rows the native SOAP path produces.
+  // The integration property: the engines calling from SAM input must
+  // produce exactly the rows the native SOAP path produces.
   write_alignment_file(dir_ / "a.soap", records_);
   write_sam_file(dir_ / "a.sam", records_, ref_.name(), ref_.size());
-  const u64 n = sam_to_soap(dir_ / "a.sam", dir_ / "converted.soap");
-  EXPECT_EQ(n, records_.size());
+  core::run_gsnp_cpu(config(dir_ / "a.soap", "native.snp"));
+  const core::RunReport report =
+      core::run_gsnp_cpu(config(dir_ / "a.sam", "fromsam.snp"));
+  EXPECT_EQ(report.records, records_.size());
 
-  core::EngineConfig config;
-  config.reference = &ref_;
-  config.temp_file = dir_ / "t.tmp";
-
-  config.alignment_file = dir_ / "a.soap";
-  config.output_file = dir_ / "native.snp";
-  core::run_gsnp_cpu(config);
-
-  config.alignment_file = dir_ / "converted.soap";
-  config.output_file = dir_ / "fromsam.snp";
-  core::run_gsnp_cpu(config);
-
-  const auto report =
+  const auto cmp =
       core::compare_output_files(dir_ / "native.snp", dir_ / "fromsam.snp");
-  EXPECT_TRUE(report.identical) << report.detail;
+  EXPECT_TRUE(cmp.identical) << cmp.detail;
 }
 
-TEST_F(SamFiles, UnsortedSamRejectedByConverter) {
+TEST_F(SamFiles, SamAndSoapCallAlikeOnEveryBackend) {
+  // The same records as SOAP and as SAM, with reverse, soft-clipped,
+  // NH:i:2 and `*`-QUAL records among them: every backend, serial and
+  // overlapped, writes the same bytes and ingest stats from either file.
+  std::ofstream sam(dir_ / "a.sam");
+  sam << "@HD\tVN:1.6\tSO:coordinate\n";
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    AlignmentRecord& rec = records_[i];
+    if (i % 5 == 0) rec.hit_count = 2;
+    const bool no_qual = i % 50 == 7;
+    if (no_qual) rec.qual.assign(rec.length, '!');
+    const u32 clip = i % 3 == 0 ? 2 : 0;
+    sam << clipped_sam_line(rec, clip, clip, no_qual) << '\n';
+  }
+  sam.close();
+  write_alignment_file(dir_ / "a.soap", records_);
+  EXPECT_EQ(read_alignment_file(dir_ / "a.sam"), records_);
+
+  const auto from_soap = call_every_backend(dir_ / "a.soap");
+  const auto from_sam = call_every_backend(dir_ / "a.sam");
+  ASSERT_EQ(from_soap.size(), 6u);
+  ASSERT_EQ(from_sam.size(), from_soap.size());
+  for (std::size_t r = 0; r < from_soap.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    EXPECT_EQ(from_sam[r].first, from_soap[r].first);
+    expect_same_stats(from_sam[r].second, from_soap[r].second);
+    EXPECT_EQ(from_sam[r].second.records_ok, records_.size());
+  }
+}
+
+TEST_F(SamFiles, EqualsSignInSeqCallsLikeN) {
+  // SAM's `=` and `.` in SEQ read as no base: forward records holding them
+  // call exactly like the same records with `N` in SOAP.
+  std::vector<AlignmentRecord> with_n = records_;
+  std::vector<AlignmentRecord> with_eq = records_;
+  u64 edited = 0;
+  for (std::size_t i = 0; i < records_.size(); i += 7) {
+    if (records_[i].strand != Strand::kForward) continue;
+    with_n[i].seq[5] = 'N';
+    with_eq[i].seq[5] = edited++ % 2 == 0 ? '=' : '.';
+  }
+  ASSERT_GT(edited, 20u);
+  write_alignment_file(dir_ / "n.soap", with_n);
+  write_sam_file(dir_ / "eq.sam", with_eq, ref_.name(), ref_.size());
+  for (const core::BackendInfo& backend : core::backend_registry()) {
+    SCOPED_TRACE(backend.name);
+    device::Device dev;
+    core::EngineConfig c = config(dir_ / "n.soap", "n.snp");
+    core::run_backend(backend, c, backend.needs_device ? &dev : nullptr);
+    c = config(dir_ / "eq.sam", "eq.snp");
+    const core::RunReport report =
+        core::run_backend(backend, c, backend.needs_device ? &dev : nullptr);
+    EXPECT_EQ(report.ingest.records_ok, records_.size());
+    EXPECT_EQ(read_text(dir_ / "eq.snp"), read_text(dir_ / "n.snp"));
+  }
+}
+
+TEST_F(SamFiles, RecordPastTheReferenceEndNamesTheSamLine) {
+  // The engine checks SAM positions against the reference and names the
+  // SAM file and its line.
+  write_sam_file(dir_ / "end.sam", thousand_with_last_past_end(), ref_.name(),
+                 ref_.size());
+  try {
+    core::run_gsnp_cpu(config(dir_ / "end.sam", "end.snp"));
+    ADD_FAILURE() << "no ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.file(), (dir_ / "end.sam").string());
+    EXPECT_EQ(e.line(), 1'003u);
+    EXPECT_EQ(e.field(), "POS");
+    EXPECT_EQ(e.reason(), IngestReason::kPositionOutOfRange);
+  }
+}
+
+TEST_F(SamFiles, LenientQuarantineHoldsEverySamEntry) {
+  // A bad CIGAR on line 10 and a record past the reference end on the last
+  // line: a lenient call quarantines both, each under the SAM file and its
+  // line, and its ingest stats count all 1,000 records.
+  write_sam_file(dir_ / "bad.sam", thousand_with_last_past_end(), ref_.name(),
+                 ref_.size());
+  std::string text = read_text(dir_ / "bad.sam");
+  std::size_t at = 0;
+  for (int line = 1; line < 10; ++line) at = text.find('\n', at) + 1;
+  for (int tab = 0; tab < 5; ++tab) at = text.find('\t', at) + 1;
+  text.replace(at, text.find('\t', at) - at, "100Q");
+  std::ofstream(dir_ / "bad.sam", std::ios::binary) << text;
+
+  core::EngineConfig c = config(dir_ / "bad.sam", "bad.snp");
+  c.ingest = IngestPolicy::make_lenient(dir_ / "bad.quarantine.txt");
+  const core::RunReport report = core::run_gsnp_cpu(c);
+  EXPECT_EQ(report.ingest.records_ok, 998u);
+  EXPECT_EQ(report.ingest.records_quarantined, 2u);
+  EXPECT_EQ(report.ingest.total(), 1'000u);
+  const std::string quarantine = read_text(dir_ / "bad.quarantine.txt");
+  const std::string sam = (dir_ / "bad.sam").string();
+  EXPECT_NE(quarantine.find(sam + ":10\tbad_cigar\tCIGAR\t"),
+            std::string::npos)
+      << quarantine;
+  EXPECT_NE(quarantine.find(sam + ":1003\tposition_out_of_range\tPOS\t"),
+            std::string::npos)
+      << quarantine;
+}
+
+TEST_F(SamFiles, UnsortedSamRejected) {
   std::vector<AlignmentRecord> unsorted = {records_[10], records_[2]};
   write_sam_file(dir_ / "u.sam", unsorted, ref_.name(), ref_.size());
-  EXPECT_THROW(sam_to_soap(dir_ / "u.sam", dir_ / "u.soap"), Error);
+  EXPECT_THROW(read_alignment_file(dir_ / "u.sam"), Error);
 }
 
 TEST_F(SamFiles, UnsortedSamErrorNamesTheLine) {
   std::vector<AlignmentRecord> unsorted = {records_[10], records_[2]};
   write_sam_file(dir_ / "u.sam", unsorted, ref_.name(), ref_.size());
   try {
-    sam_to_soap(dir_ / "u.sam", dir_ / "u.soap");
+    read_alignment_file(dir_ / "u.sam");
     ADD_FAILURE() << "no ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.reason(), IngestReason::kSortOrderViolation);
@@ -296,61 +447,58 @@ TEST_F(SamFiles, UnsortedSamErrorNamesTheLine) {
   }
 }
 
-TEST_F(SamFiles, MultiChromosomeBlocksAccepted) {
-  // chr order A then B with positions restarting is valid (chr, pos) order.
+TEST_F(SamFiles, SecondSequenceRejectedAtItsLine) {
+  // One sequence per file, as in SOAP: a record of a second sequence fails
+  // at its own line; lenient, it alone is quarantined.
   std::ofstream out(dir_ / "m.sam");
   out << "@HD\tVN:1.6\tSO:coordinate\n"
       << "r1\t0\tchrA\t100\t60\t3M\t*\t0\t0\tACG\tIII\n"
       << "r2\t0\tchrA\t150\t60\t3M\t*\t0\t0\tACG\tIII\n"
-      << "r3\t0\tchrB\t10\t60\t3M\t*\t0\t0\tACG\tIII\n";
+      << "r3\t0\tchrB\t10\t60\t3M\t*\t0\t0\tACG\tIII\n"
+      << "r4\t0\tchrA\t200\t60\t3M\t*\t0\t0\tACG\tIII\n";
   out.close();
-  SamReader reader(dir_ / "m.sam");
-  u64 n = 0;
-  while (reader.next()) ++n;
-  EXPECT_EQ(n, 3u);
-  EXPECT_TRUE(reader.stats().clean());
-}
-
-TEST_F(SamFiles, ChromosomeReappearanceRejected) {
-  std::ofstream out(dir_ / "r.sam");
-  out << "r1\t0\tchrA\t100\t60\t3M\t*\t0\t0\tACG\tIII\n"
-      << "r2\t0\tchrB\t10\t60\t3M\t*\t0\t0\tACG\tIII\n"
-      << "r3\t0\tchrA\t200\t60\t3M\t*\t0\t0\tACG\tIII\n";
-  out.close();
-  SamReader reader(dir_ / "r.sam");
+  AlignmentReader reader(dir_ / "m.sam");
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_TRUE(reader.next().has_value());
   try {
     reader.next();
     ADD_FAILURE() << "no ParseError";
   } catch (const ParseError& e) {
-    EXPECT_EQ(e.reason(), IngestReason::kSortOrderViolation);
-    EXPECT_EQ(e.line(), 3u);
+    EXPECT_EQ(e.file(), (dir_ / "m.sam").string());
+    EXPECT_EQ(e.line(), 4u);
+    EXPECT_EQ(e.field(), "RNAME");
+    EXPECT_EQ(e.reason(), IngestReason::kBadField);
   }
+  AlignmentReader lenient(dir_ / "m.sam", IngestPolicy::make_lenient());
+  u64 n = 0;
+  while (lenient.next()) ++n;
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(lenient.stats().records_quarantined, 1u);
 }
 
 TEST_F(SamFiles, ReaderSurfacesSkippedAndStats) {
-  // One supported record, one unmapped, one secondary: skipped() == 2.
+  // One supported record, one unmapped, one secondary: two unsupported.
   std::ofstream out(dir_ / "s.sam");
   out << "@HD\tVN:1.6\tSO:coordinate\n"
       << "r1\t0\tchrA\t100\t60\t3M\t*\t0\t0\tACG\tIII\n"
       << "r2\t4\tchrA\t150\t60\t3M\t*\t0\t0\tACG\tIII\n"
       << "r3\t256\tchrA\t200\t60\t3M\t*\t0\t0\tACG\tIII\n";
   out.close();
-  SamReader reader(dir_ / "s.sam");
+  AlignmentReader reader(dir_ / "s.sam");
   u64 n = 0;
   while (reader.next()) ++n;
   EXPECT_EQ(n, 1u);
-  EXPECT_EQ(reader.skipped(), 2u);
   EXPECT_EQ(reader.stats().records_ok, 1u);
   EXPECT_EQ(reader.stats().records_unsupported, 2u);
   EXPECT_EQ(reader.stats().records_quarantined, 0u);
   EXPECT_EQ(reader.stats().total(), 3u);
 
-  IngestStats stats;
-  sam_to_soap(dir_ / "s.sam", dir_ / "s.soap", {}, &stats);
-  EXPECT_EQ(stats.records_unsupported, 2u);
-  EXPECT_EQ(stats.records_ok, 1u);
+  // The engines' block-parallel reader counts the same.
+  AlignmentBatchReader batches(dir_ / "s.sam", {}, 0, 1);
+  while (!batches.next().empty()) {
+  }
+  EXPECT_EQ(batches.stats().records_unsupported, 2u);
+  EXPECT_EQ(batches.stats().records_ok, 1u);
 }
 
 }  // namespace

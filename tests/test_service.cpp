@@ -23,6 +23,7 @@
 #include "src/core/run_manifest.hpp"
 #include "src/genome/dbsnp.hpp"
 #include "src/genome/synthetic.hpp"
+#include "src/reads/sam.hpp"
 #include "src/reads/simulator.hpp"
 #include "src/service/daemon.hpp"
 #include "src/service/dispatch.hpp"
@@ -537,6 +538,31 @@ TEST_F(ServiceFixture, CompletedJobMatchesSerialRunByteForByte) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.chromosomes_done, 3u);
   EXPECT_EQ(daemon.metrics().counter("jobs_completed"), 1u);
+}
+
+TEST_F(ServiceFixture, SamJobMatchesTheSoapJob) {
+  // The engines read SAM themselves, so gsnpd takes it: a job over the
+  // same records as SAM has the SOAP job's manifest digest.
+  const JobSpec soap_spec = make_spec({0, 1});
+  JobSpec sam_spec = soap_spec;
+  for (ChromosomeSpec& cs : sam_spec.chromosomes) {
+    const fs::path sam = dir_ / (cs.name + ".sam");
+    reads::write_sam_file(sam, reads::read_alignment_file(cs.alignment_file),
+                          cs.name,
+                          genome::read_fasta_file(fasta(cs.name)).at(0).size());
+    cs.alignment_file = sam.string();
+  }
+  Daemon daemon(daemon_config("spool"));
+  const std::string soap_id = daemon.submit(soap_spec);
+  const std::string sam_id = daemon.submit(sam_spec);
+  for (const std::string& id : {soap_id, sam_id}) {
+    ASSERT_TRUE(daemon.wait_job(id, 120.0));
+    ASSERT_EQ(daemon.status(id).state, JobState::kDone)
+        << daemon.status(id).error;
+  }
+  EXPECT_FALSE(daemon.status(sam_id).manifest_digest.empty());
+  EXPECT_EQ(daemon.status(sam_id).manifest_digest,
+            daemon.status(soap_id).manifest_digest);
 }
 
 TEST_F(ServiceFixture, DoneJobLeavesACleanSpool) {
