@@ -99,6 +99,7 @@ struct Daemon::Job {
   Clock::time_point started{};
   Clock::time_point finished{};
   bool started_any = false;
+  bool gauging = false;  ///< settled; finalize still walks the spool
   double wait_seconds = 0.0;
   double run_seconds = 0.0;
 };
@@ -620,17 +621,11 @@ void Daemon::flush_manifest_locked(Job& job) {
 
 void Daemon::chromosome_finished(const std::shared_ptr<Job>& job) {
   if (crashed_.load()) return;
-  bool last = false;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    last = (--job->remaining == 0);
-  }
-  if (last) finalize(job);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (--job->remaining == 0) finalize(*job, lock);
 }
 
-void Daemon::finalize(const std::shared_ptr<Job>& job) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Job& j = *job;
+void Daemon::finalize(Job& j, std::unique_lock<std::mutex>& lock) {
   if (settled(j.state)) return;
 
   JobState final_state;
@@ -716,9 +711,13 @@ void Daemon::finalize(const std::shared_ptr<Job>& job) {
     log_event(std::move(terminal));
   }
   metrics_.set_gauge("jobs_active", static_cast<double>(active_jobs_));
-  // The spool holds the job's terminal writes now; a waiter that wakes
-  // below and reads stats sees them.
+  // The spool holds the job's terminal writes now.  Its walk grows with the
+  // spool, so it runs unlocked; wait_job holds waiters until it is done.
+  j.gauging = true;
+  lock.unlock();
   update_spool_gauge();
+  lock.lock();
+  j.gauging = false;
   cv_.notify_all();
 }
 
@@ -942,7 +941,9 @@ bool Daemon::wait_job(const std::string& job_id, double timeout_seconds) {
   if (it == jobs_.end())
     throw ServiceError(ErrorCode::kNotFound, "unknown job '" + job_id + "'");
   const std::shared_ptr<Job> job = it->second;
-  const auto done = [&] { return settled(job->state) || crashed_.load(); };
+  const auto done = [&] {
+    return (settled(job->state) && !job->gauging) || crashed_.load();
+  };
   if (timeout_seconds < 0.0) {
     cv_.wait(lock, done);
     return settled(job->state);

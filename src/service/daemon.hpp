@@ -216,7 +216,8 @@ class Daemon {
   /// The scrub report from the last recover() (empty before the first).
   const FsckReport& last_fsck() const { return last_fsck_; }
 
-  /// Block until a job reaches a terminal state.  Returns false on timeout
+  /// Block until a job reaches a terminal state and finalize has refreshed
+  /// the spool gauge after its terminal writes.  Returns false on timeout
   /// (timeout < 0 = wait forever).  Throws kNotFound for unknown ids.
   bool wait_job(const std::string& job_id, double timeout_seconds = -1.0);
   /// Block until no unfinished jobs remain.
@@ -244,7 +245,7 @@ class Daemon {
   void record_entry(const std::shared_ptr<Job>& job, std::size_t index,
                     core::ManifestEntry entry);
   void chromosome_finished(const std::shared_ptr<Job>& job);
-  void finalize(const std::shared_ptr<Job>& job);
+  void finalize(Job& job, std::unique_lock<std::mutex>& lock);
   void flush_manifest_locked(Job& job);
   void write_job_journal(const Job& job);
   core::GenomeRunConfig job_run_config(const Job& job);
@@ -254,8 +255,7 @@ class Daemon {
   /// Append to the event log; silent (counted) on storage failure, no-op
   /// after simulate_crash() or when the log is disabled.
   void log_event(obs::JobEvent event);
-  /// Recompute the spool_bytes gauge (filesystem walk; call unlocked, but
-  /// for finalize, which settles a job only with its gauge current).
+  /// Recompute the spool_bytes gauge (filesystem walk; call unlocked).
   void update_spool_gauge();
 
   DaemonConfig config_;
