@@ -610,7 +610,6 @@ int cmd_serve(const Args& args) {
   config.retry.max_attempts = std::stoi(args.get("--retries", "2"));
   config.retry.backoff_seconds = std::stod(args.get("--backoff", "0.05"));
   config.retry.jitter_fraction = std::stod(args.get("--jitter", "0.5"));
-  config.fsck_on_recover = !args.has("--no-fsck");
   config.fsck_deep_verify = args.has("--deep-fsck");
   if (args.has("--fs-fault-plan")) {
     // Chaos drills: arm the storage fault injector from a §13 plan JSON,
@@ -975,7 +974,7 @@ const std::vector<Verb>& verbs() {
         "--max-payload-mb", "--batch-bytes", "--max-device-mb", "--retries",
         "--backoff", "--jitter", "--fs-fault-plan", "--max-frame-mb",
         "--idle-timeout"},
-       {"--no-fsck", "--deep-fsck"}},
+       {"--deep-fsck"}},
       {"submit", cmd_submit,
        client_flags({"--ref", "--align", "--name", "--dbsnp", "--engine",
                      "--tenant", "--out", "--window", "--batch-bytes",
@@ -1044,7 +1043,7 @@ int main(int argc, char** argv) {
               "           [--quota N --max-payload-mb M]\n"
               "           [--retries N --backoff S --jitter F]\n"
               "           [--batch-bytes B --max-device-mb M]   (admission budget)\n"
-              "           [--no-fsck --deep-fsck --fs-fault-plan JSON]\n"
+              "           [--deep-fsck --fs-fault-plan JSON]\n"
               "           [--max-frame-mb M --idle-timeout S]\n"
               "           (client verbs below also take --timeout S"
               " --attempts N)\n"

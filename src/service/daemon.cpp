@@ -99,7 +99,6 @@ struct Daemon::Job {
   Clock::time_point started{};
   Clock::time_point finished{};
   bool started_any = false;
-  bool gauging = false;  ///< settled; finalize still walks the spool
   double wait_seconds = 0.0;
   double run_seconds = 0.0;
 };
@@ -121,7 +120,6 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
     // the loss is counted.
     metrics_.add("eventlog_write_failures");
   }
-  update_spool_gauge();
   devices_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)
     devices_.push_back(std::make_unique<device::Device>());
@@ -158,8 +156,7 @@ void Daemon::log_event(obs::JobEvent event) {
   }
 }
 
-void Daemon::update_spool_gauge() {
-  if (crashed_.load()) return;
+u64 Daemon::walk_spool_bytes() const {
   u64 total = 0;
   std::error_code walk_ec;
   for (auto it = std::filesystem::recursive_directory_iterator(
@@ -167,13 +164,13 @@ void Daemon::update_spool_gauge() {
        !walk_ec && it != std::filesystem::recursive_directory_iterator();
        it.increment(walk_ec)) {
     // Workers publish and unlink concurrently; races surface as per-entry
-    // errors here and the entry is simply not counted this round.
+    // errors here and the entry is simply not counted.
     std::error_code ec;
     if (!it->is_regular_file(ec) || ec) continue;
     const std::uintmax_t size = it->file_size(ec);
     if (!ec) total += static_cast<u64>(size);
   }
-  metrics_.set_gauge("spool_bytes", static_cast<double>(total));
+  return total;
 }
 
 device::Device& Daemon::worker_device() {
@@ -210,8 +207,7 @@ void Daemon::write_job_journal(const Job& job) {
   }
 }
 
-std::string Daemon::admit_locked(JobSpec&& spec, bool resume,
-                                 std::unique_lock<std::mutex>& lock) {
+std::string Daemon::admit_locked(JobSpec&& spec, bool resume) {
   metrics_.add("jobs_submitted");
   if (shutting_down_ || crashed_.load())
     throw ServiceError(ErrorCode::kShuttingDown, "daemon is draining");
@@ -387,7 +383,6 @@ std::string Daemon::admit_locked(JobSpec&& spec, bool resume,
   ++active_jobs_;
   ++tenant_active_[job->spec.tenant];
   metrics_.add("jobs_admitted");
-  metrics_.set_gauge("jobs_active", static_cast<double>(active_jobs_));
   {
     obs::JobEvent admitted;
     admitted.event = resume ? "recovered" : "admitted";
@@ -397,27 +392,19 @@ std::string Daemon::admit_locked(JobSpec&& spec, bool resume,
     log_event(std::move(admitted));
   }
 
-  lock.unlock();
-  update_spool_gauge();
-  enqueue_job(job);
-  return job->id;
-}
-
-std::string Daemon::submit(JobSpec spec) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return admit_locked(std::move(spec), /*resume=*/false, lock);
-}
-
-void Daemon::enqueue_job(const std::shared_ptr<Job>& job) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    pending_tasks_ += job->spec.chromosomes.size();
-    metrics_.set_gauge("queue_depth", static_cast<double>(pending_tasks_));
-  }
+  // ThreadPool::submit takes only the pool's own mutex, so the tasks are
+  // handed over under mu_; a worker that starts one waits for mu_ first.
+  pending_tasks_ += job->spec.chromosomes.size();
   for (std::size_t i = 0; i < job->spec.chromosomes.size(); ++i)
     // Futures dropped on purpose: run_chromosome never lets an exception
     // escape, and the pool destructor drains everything submitted.
     (void)pool_->submit([this, job, i] { run_chromosome(job, i); });
+  return job->id;
+}
+
+std::string Daemon::submit(JobSpec spec) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return admit_locked(std::move(spec), /*resume=*/false);
 }
 
 core::GenomeRunConfig Daemon::job_run_config(const Job& job) {
@@ -452,16 +439,10 @@ void Daemon::run_chromosome(const std::shared_ptr<Job>& job, std::size_t index) 
       const std::lock_guard<std::mutex> lock(d.mu_);
       if (d.pending_tasks_ > 0) --d.pending_tasks_;
       ++d.busy_workers_;
-      d.metrics_.set_gauge("queue_depth",
-                           static_cast<double>(d.pending_tasks_));
-      d.metrics_.set_gauge("workers_busy",
-                           static_cast<double>(d.busy_workers_));
     }
     ~BusyScope() {
       const std::lock_guard<std::mutex> lock(d.mu_);
       if (d.busy_workers_ > 0) --d.busy_workers_;
-      d.metrics_.set_gauge("workers_busy",
-                           static_cast<double>(d.busy_workers_));
     }
   };
 
@@ -478,7 +459,7 @@ void Daemon::run_chromosome_task(const std::shared_ptr<Job>& job,
   const ChromosomeSpec& cs = j.spec.chromosomes[index];
 
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    const std::lock_guard<std::mutex> lock(mu_);
     if (!j.started_any) {
       j.started_any = true;
       j.started = Clock::now();
@@ -504,13 +485,14 @@ void Daemon::run_chromosome_task(const std::shared_ptr<Job>& job,
       // A sibling chromosome already failed the job; don't start new work.
       return;
     }
+    // One load of the token: a cancel seen here is recorded before the
+    // task returns, so finalize always finds its reason.
+    const CancelReason reason = j.token.reason();
+    if (reason != CancelReason::kNone) {
+      if (j.observed == CancelReason::kNone) j.observed = reason;
+      return;
+    }
   }
-  if (j.token.cancelled()) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (j.observed == CancelReason::kNone) j.observed = j.token.reason();
-    // fall through to finished in the caller, outside this lock
-  }
-  if (j.token.cancelled()) return;
 
   try {
     // Inputs load on the worker, per chromosome: jobs reference files, the
@@ -621,11 +603,13 @@ void Daemon::flush_manifest_locked(Job& job) {
 
 void Daemon::chromosome_finished(const std::shared_ptr<Job>& job) {
   if (crashed_.load()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (--job->remaining == 0) finalize(*job, lock);
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (--job->remaining == 0) finalize(*job);
 }
 
-void Daemon::finalize(Job& j, std::unique_lock<std::mutex>& lock) {
+/// Runs under mu_ from start to end, so a waiter sees the job settled only
+/// once its terminal writes are on disk.
+void Daemon::finalize(Job& j) {
   if (settled(j.state)) return;
 
   JobState final_state;
@@ -710,14 +694,6 @@ void Daemon::finalize(Job& j, std::unique_lock<std::mutex>& lock) {
     if (!j.error.empty()) terminal.error = j.error;
     log_event(std::move(terminal));
   }
-  metrics_.set_gauge("jobs_active", static_cast<double>(active_jobs_));
-  // The spool holds the job's terminal writes now.  Its walk grows with the
-  // spool, so it runs unlocked; wait_job holds waiters until it is done.
-  j.gauging = true;
-  lock.unlock();
-  update_spool_gauge();
-  lock.lock();
-  j.gauging = false;
   cv_.notify_all();
 }
 
@@ -792,7 +768,7 @@ DaemonStats Daemon::stats() const {
   s.chromosomes_done = metrics_.counter("chromosomes_done");
   s.chromosomes_degraded = metrics_.counter("chromosomes_degraded");
   s.eventlog_write_failures = metrics_.counter("eventlog_write_failures");
-  s.spool_bytes = static_cast<u64>(metrics_.gauge("spool_bytes"));
+  s.spool_bytes = walk_spool_bytes();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     s.active = active_jobs_;
@@ -830,6 +806,11 @@ DaemonHealth Daemon::health() const {
 }
 
 std::string Daemon::prometheus_text() const {
+  const DaemonStats s = stats();
+  metrics_.set_gauge("jobs_active", static_cast<double>(s.active));
+  metrics_.set_gauge("queue_depth", static_cast<double>(s.queue_depth));
+  metrics_.set_gauge("workers_busy", static_cast<double>(s.workers_busy));
+  metrics_.set_gauge("spool_bytes", static_cast<double>(s.spool_bytes));
   return obs::render_prometheus(metrics_, "gsnpd_");
 }
 
@@ -837,23 +818,21 @@ std::size_t Daemon::recover() {
   const std::filesystem::path jobs_root = config_.spool_dir / "jobs";
   if (!std::filesystem::exists(jobs_root)) return 0;
 
-  if (config_.fsck_on_recover) {
-    // Scrub before trusting: corrupt journals quarantine, orphans move to
-    // lost+found, torn staging disappears, and unverifiable "done" jobs
-    // demote to interrupted — so the resume scan below only ever sees
-    // journals whose claims have been checked.
-    FsckOptions fsck_options;
-    fsck_options.repair = true;
-    fsck_options.deep_verify = config_.fsck_deep_verify;
-    last_fsck_ = fsck_spool(config_.spool_dir, fsck_options);
-    for (int i = 0; i <= static_cast<int>(FsckVerdict::kCorruptQuarantined);
-         ++i) {
-      const auto verdict = static_cast<FsckVerdict>(i);
-      metrics_.add(std::string("fsck_") + fsck_verdict_name(verdict),
-                   last_fsck_.count(verdict));
-    }
-    metrics_.add("fsck_repairs", last_fsck_.repairs_applied);
+  // Scrub before trusting: corrupt journals quarantine, orphans move to
+  // lost+found, torn staging disappears, and unverifiable "done" jobs demote
+  // to interrupted — so the resume scan below only ever sees journals whose
+  // claims have been checked.
+  FsckOptions fsck_options;
+  fsck_options.repair = true;
+  fsck_options.deep_verify = config_.fsck_deep_verify;
+  last_fsck_ = fsck_spool(config_.spool_dir, fsck_options);
+  for (int i = 0; i <= static_cast<int>(FsckVerdict::kCorruptQuarantined);
+       ++i) {
+    const auto verdict = static_cast<FsckVerdict>(i);
+    metrics_.add(std::string("fsck_") + fsck_verdict_name(verdict),
+                 last_fsck_.count(verdict));
   }
+  metrics_.add("fsck_repairs", last_fsck_.repairs_applied);
 
   std::vector<std::filesystem::path> dirs;
   for (const auto& entry : std::filesystem::directory_iterator(jobs_root))
@@ -922,8 +901,8 @@ std::size_t Daemon::recover() {
 
     // Incomplete (queued/running/interrupted): exactly-once resume.
     try {
-      std::unique_lock<std::mutex> lock(mu_);
-      admit_locked(std::move(spec), /*resume=*/true, lock);
+      const std::lock_guard<std::mutex> lock(mu_);
+      admit_locked(std::move(spec), /*resume=*/true);
       ++resumed;
       metrics_.add("jobs_resumed");
     } catch (const ServiceError&) {
@@ -931,7 +910,6 @@ std::size_t Daemon::recover() {
       // journal stays for the operator.
     }
   }
-  update_spool_gauge();
   return resumed;
 }
 
@@ -942,7 +920,7 @@ bool Daemon::wait_job(const std::string& job_id, double timeout_seconds) {
     throw ServiceError(ErrorCode::kNotFound, "unknown job '" + job_id + "'");
   const std::shared_ptr<Job> job = it->second;
   const auto done = [&] {
-    return (settled(job->state) && !job->gauging) || crashed_.load();
+    return settled(job->state) || crashed_.load();
   };
   if (timeout_seconds < 0.0) {
     cv_.wait(lock, done);

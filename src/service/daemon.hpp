@@ -88,9 +88,6 @@ struct DaemonConfig {
   /// a number admission can check.  0 = gate off.
   u64 max_device_bytes = 0;
   double watchdog_interval_seconds = 0.02;
-  /// Scrub the spool (fsck, repairing) at the start of recover(), so resume
-  /// decisions are made against a verified spool instead of crash litter.
-  bool fsck_on_recover = true;
   bool fsck_deep_verify = false;  ///< per-frame container CRCs during fsck
 
   /// Chaos hooks (null in production).  `fault_arm` runs on the worker
@@ -126,7 +123,8 @@ struct JobStatus {
   double run_seconds = 0.0;   ///< admission -> terminal state
 };
 
-/// Aggregate counters (mirrored in the obs metrics registry, metrics()).
+/// Aggregate counters (mirrored in the obs metrics registry, metrics()) and
+/// the four gauges, which stats() derives when it runs.
 struct DaemonStats {
   u64 submitted = 0;   ///< admission attempts, shed included
   u64 admitted = 0;
@@ -150,7 +148,7 @@ struct DaemonStats {
   std::size_t active = 0;      ///< unfinished jobs right now
   std::size_t queue_depth = 0;    ///< chromosome tasks enqueued, not started
   std::size_t workers_busy = 0;   ///< workers inside a chromosome task
-  u64 spool_bytes = 0;  ///< spool footprint at the last admission/completion
+  u64 spool_bytes = 0;  ///< spool footprint when stats() ran (one walk)
 
   u64 shed_total() const { return shed_queue_full + shed_quota + shed_payload; }
 };
@@ -192,6 +190,10 @@ class Daemon {
   /// A no-op on already-terminal jobs; throws kNotFound on unknown ids.
   void cancel(const std::string& job_id);
 
+  /// Counters, plus the gauges derived now: jobs_active, queue_depth and
+  /// workers_busy under the mutex, spool_bytes from one walk of the spool
+  /// made without it.  Jobs are frequent and reads are rare, so no job
+  /// pays for a gauge.
   DaemonStats stats() const;
 
   /// Readiness probe: spool writability (a real probe write through the
@@ -200,7 +202,8 @@ class Daemon {
 
   /// The full registry — counters, gauges, latency histograms — rendered in
   /// Prometheus text exposition format under the `gsnpd_` prefix (served by
-  /// the `metrics` protocol op; see obs/prometheus.hpp).
+  /// the `metrics` protocol op; see obs/prometheus.hpp).  The gauges are
+  /// derived first, as stats() derives them.
   std::string prometheus_text() const;
 
   /// Scan the spool for jobs journaled by a previous daemon: terminal jobs
@@ -208,17 +211,19 @@ class Daemon {
   /// are re-admitted with resume semantics — their manifests are read back,
   /// completed chromosomes re-verify by CRC-32 and are skipped, the rest
   /// run.  Recovery bypasses admission limits (the work was already
-  /// admitted once).  With config.fsck_on_recover the spool is scrubbed
-  /// first (repairing; see fsck.hpp) and the report kept in last_fsck().
-  /// Returns the number of jobs resumed.
+  /// admitted once).  The spool is scrubbed first (fsck, repairing; see
+  /// fsck.hpp), so resume decisions are made against a verified spool
+  /// instead of crash litter; the report is kept in last_fsck().  Returns
+  /// the number of jobs resumed.
   std::size_t recover();
 
   /// The scrub report from the last recover() (empty before the first).
   const FsckReport& last_fsck() const { return last_fsck_; }
 
-  /// Block until a job reaches a terminal state and finalize has refreshed
-  /// the spool gauge after its terminal writes.  Returns false on timeout
-  /// (timeout < 0 = wait forever).  Throws kNotFound for unknown ids.
+  /// Block until a job reaches a terminal state.  finalize settles a job
+  /// and makes its terminal writes under one hold of the mutex, so a
+  /// stats() after this sees them.  Returns false on timeout (timeout < 0 =
+  /// wait forever).  Throws kNotFound for unknown ids.
   bool wait_job(const std::string& job_id, double timeout_seconds = -1.0);
   /// Block until no unfinished jobs remain.
   void wait_idle();
@@ -229,23 +234,22 @@ class Daemon {
   /// left exactly as a real crash would, for a successor daemon's recover().
   void simulate_crash();
 
-  /// Live metrics registry (job counters, queue gauges); the source the
-  /// status verbs serve from.
+  /// Live metrics registry (job counters, latency histograms); the source
+  /// the status verbs serve from.  Its four gauges are set only when
+  /// prometheus_text() derives them, so read the gauges from stats().
   obs::Metrics& metrics() { return metrics_; }
   const DaemonConfig& config() const { return config_; }
 
  private:
   struct Job;
 
-  std::string admit_locked(JobSpec&& spec, bool resume,
-                           std::unique_lock<std::mutex>& lock);
-  void enqueue_job(const std::shared_ptr<Job>& job);
+  std::string admit_locked(JobSpec&& spec, bool resume);
   void run_chromosome(const std::shared_ptr<Job>& job, std::size_t index);
   void run_chromosome_task(const std::shared_ptr<Job>& job, std::size_t index);
   void record_entry(const std::shared_ptr<Job>& job, std::size_t index,
                     core::ManifestEntry entry);
   void chromosome_finished(const std::shared_ptr<Job>& job);
-  void finalize(Job& job, std::unique_lock<std::mutex>& lock);
+  void finalize(Job& job);
   void flush_manifest_locked(Job& job);
   void write_job_journal(const Job& job);
   core::GenomeRunConfig job_run_config(const Job& job);
@@ -255,11 +259,15 @@ class Daemon {
   /// Append to the event log; silent (counted) on storage failure, no-op
   /// after simulate_crash() or when the log is disabled.
   void log_event(obs::JobEvent event);
-  /// Recompute the spool_bytes gauge (filesystem walk; call unlocked).
-  void update_spool_gauge();
+  /// The spool's size now: one walk summing its regular files, skipping
+  /// any that vanish mid-walk.  Its cost grows with the jobs the spool
+  /// keeps, so only the stats() and prometheus_text() readers pay it, and
+  /// they walk without mu_.
+  u64 walk_spool_bytes() const;
 
   DaemonConfig config_;
-  obs::Metrics metrics_;
+  /// Mutable: prometheus_text() refreshes the gauges before it renders.
+  mutable obs::Metrics metrics_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -16,15 +16,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include "src/common/bitio.hpp"
 #include "src/common/error.hpp"
 #include "src/common/fs_fault.hpp"
 #include "src/core/genome_pipeline.hpp"
+#include "src/core/output_codec.hpp"
 #include "src/core/run_manifest.hpp"
 #include "src/genome/synthetic.hpp"
 #include "src/reads/simulator.hpp"
@@ -301,6 +304,56 @@ TEST_F(StorageChaosTest, UnverifiableDoneJobDemotesAndRerunsOnRecover) {
       << daemon.last_fsck().summary();
   ASSERT_TRUE(daemon.wait_job("limping", 120.0));
   const JobStatus status = daemon.status("limping");
+  EXPECT_TRUE(status.resumed);
+  expect_matches_baseline(status, dir_ / "spool");
+}
+
+TEST_F(StorageChaosTest, FrameBoundaryCutIsCaughtByManifestNotFrames) {
+  // A container cut exactly between two frames reads as complete: the
+  // frames alone cannot tell (FORMATS.md, "Frame container").  The run
+  // manifest's recorded size and CRC-32 catch it instead (DESIGN.md,
+  // "Failure model & recovery"): fsck demotes the done job, and recover()
+  // reruns the cut chromosome to the baseline bytes.
+  fs::path output;
+  {
+    Daemon daemon(daemon_config("spool"));
+    const std::string id = daemon.submit(make_spec("clipped"));
+    ASSERT_TRUE(daemon.wait_job(id, 120.0));
+    const JobStatus status = daemon.status(id);
+    ASSERT_EQ(status.state, JobState::kDone) << status.error;
+    output = status.output_dir / baseline_outputs_.at(0).filename();
+  }
+
+  // chr1 holds 2,000 sites, two frames at the 1,024-site window.  Cut the
+  // file where its first frame ends: past the magic, the name, and the
+  // frame's size varint, payload and CRC.
+  const std::vector<u8> bytes = read_bytes(output);
+  std::size_t cut = 8;
+  const u64 name_bytes = varint_read(bytes, cut);
+  cut += name_bytes;
+  const u64 frame_bytes = varint_read(bytes, cut);
+  cut += frame_bytes + 4;
+  ASSERT_LT(cut, bytes.size());
+  fs::resize_file(output, cut);
+
+  std::string seq_name;
+  EXPECT_EQ(core::read_snp_compressed_file(output, seq_name).size(), 1'024u);
+
+  const FsckReport report = fsck_spool(dir_ / "spool");
+  ASSERT_EQ(report.jobs.size(), 1u);
+  EXPECT_EQ(report.jobs[0].verdict, FsckVerdict::kResumable)
+      << report.summary();
+  EXPECT_TRUE(std::ranges::any_of(
+      report.jobs[0].issues, [&](const std::string& issue) {
+        return issue.find(output.string()) != std::string::npos &&
+               issue.find("manifest says") != std::string::npos;
+      }))
+      << report.summary();
+
+  Daemon daemon(daemon_config("spool"));
+  EXPECT_EQ(daemon.recover(), 1u);
+  ASSERT_TRUE(daemon.wait_job("clipped", 120.0));
+  const JobStatus status = daemon.status("clipped");
   EXPECT_TRUE(status.resumed);
   expect_matches_baseline(status, dir_ / "spool");
 }

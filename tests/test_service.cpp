@@ -292,6 +292,48 @@ class ServiceFixture : public ::testing::Test {
   std::vector<std::string> names_;
 };
 
+/// The spool's size as an independent walk counts it: its regular files.
+u64 spool_file_bytes(const fs::path& spool) {
+  u64 total = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(spool))
+    if (entry.is_regular_file()) total += entry.file_size();
+  return total;
+}
+
+/// The exposition the `metrics` op serves.
+std::string served_metrics(Daemon& daemon) {
+  Request request;
+  request.op = "metrics";
+  const Response response = handle_request(daemon, request);
+  EXPECT_TRUE(response.ok);
+  return response.fields.at("text");
+}
+
+/// The value of one unlabeled series in an exposition ("" if absent).
+std::string series_value(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size();
+  return text.substr(begin, text.find('\n', begin) - begin);
+}
+
+/// stats() and the `metrics` op both report these three counting gauges.
+void expect_counting_gauges(Daemon& daemon, std::size_t active,
+                            std::size_t workers_busy,
+                            std::size_t queue_depth) {
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.active, active);
+  EXPECT_EQ(stats.workers_busy, workers_busy);
+  EXPECT_EQ(stats.queue_depth, queue_depth);
+  const std::string text = served_metrics(daemon);
+  EXPECT_EQ(series_value(text, "gsnpd_jobs_active"), std::to_string(active));
+  EXPECT_EQ(series_value(text, "gsnpd_workers_busy"),
+            std::to_string(workers_busy));
+  EXPECT_EQ(series_value(text, "gsnpd_queue_depth"),
+            std::to_string(queue_depth));
+}
+
 ErrorCode submit_error(Daemon& daemon, JobSpec spec) {
   try {
     daemon.submit(std::move(spec));
@@ -415,8 +457,10 @@ TEST_F(ServiceFixture, QueueFullAndQuotaShedTyped) {
   // Hold every admitted chromosome at the attempt gate so admitted jobs stay
   // "unfinished" deterministically while we probe the admission limits.
   std::atomic<bool> release{false};
-  config.fault_arm = [&release](device::Device&, const std::string&,
-                                const std::string&) {
+  std::atomic<bool> held{false};
+  config.fault_arm = [&release, &held](device::Device&, const std::string&,
+                                       const std::string&) {
+    held.store(true);
     while (!release.load()) std::this_thread::sleep_for(1ms);
   };
   Daemon daemon(config);
@@ -444,11 +488,16 @@ TEST_F(ServiceFixture, QueueFullAndQuotaShedTyped) {
   EXPECT_EQ(mid.admitted, 2u);
   EXPECT_EQ(mid.active, 2u);
 
+  // The one worker holds a's chromosome inside fault_arm; b's waits.
+  while (!held.load()) std::this_thread::sleep_for(1ms);
+  expect_counting_gauges(daemon, /*active=*/2, /*workers_busy=*/1,
+                         /*queue_depth=*/1);
+
   release.store(true);
   daemon.wait_idle();
   EXPECT_EQ(daemon.status(a).state, JobState::kDone);
   EXPECT_EQ(daemon.status(b).state, JobState::kDone);
-  EXPECT_EQ(daemon.stats().active, 0u);
+  expect_counting_gauges(daemon, 0, 0, 0);
   EXPECT_EQ(daemon.stats().completed, 2u);
 
   // With capacity freed, the once-shed tenant admits fine now.
@@ -787,23 +836,38 @@ TEST_F(ServiceFixture, ShedAndRejectedJobsLogTypedReasonEvents) {
 // ---- telemetry ops ----------------------------------------------------------------
 
 TEST_F(ServiceFixture, StatsSurfaceQueueAndSpoolGauges) {
-  Daemon daemon(daemon_config("spool"));
+  const DaemonConfig config = daemon_config("spool");
+  Daemon daemon(config);
+  // Every read walks the spool as it is, so once a wait returns, the gauge
+  // holds the terminal writes of the jobs waited on.
+  const auto expect_spool_gauge = [&] {
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.queue_depth, 0u);
+    EXPECT_EQ(stats.workers_busy, 0u);
+    EXPECT_EQ(stats.spool_bytes, spool_file_bytes(config.spool_dir));
+    EXPECT_EQ(stats.eventlog_write_failures, 0u);
+
+    Request request;
+    request.op = "stats";
+    const Response response = handle_request(daemon, request);
+    EXPECT_TRUE(response.ok);
+    EXPECT_EQ(response.fields.at("queue_depth"), "0");
+    EXPECT_EQ(response.fields.at("workers_busy"), "0");
+    EXPECT_EQ(response.fields.at("spool_bytes"),
+              std::to_string(stats.spool_bytes));
+    EXPECT_EQ(series_value(served_metrics(daemon), "gsnpd_spool_bytes"),
+              std::to_string(stats.spool_bytes));
+    return stats.spool_bytes;
+  };
+
   const std::string id = daemon.submit(make_spec({1}));
   ASSERT_TRUE(daemon.wait_job(id, 60.0));
-  const DaemonStats stats = daemon.stats();
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.workers_busy, 0u);
-  EXPECT_GT(stats.spool_bytes, 0u);  // journal + manifest + outputs + events
-  EXPECT_EQ(stats.eventlog_write_failures, 0u);
+  const u64 first = expect_spool_gauge();
+  EXPECT_GT(first, 0u);  // journal + manifest + outputs + events
 
-  Request request;
-  request.op = "stats";
-  const Response response = handle_request(daemon, request);
-  ASSERT_TRUE(response.ok);
-  EXPECT_EQ(response.fields.at("queue_depth"), "0");
-  EXPECT_EQ(response.fields.at("workers_busy"), "0");
-  EXPECT_EQ(response.fields.at("spool_bytes"),
-            std::to_string(stats.spool_bytes));
+  daemon.submit(make_spec({2}));
+  daemon.wait_idle();
+  EXPECT_GT(expect_spool_gauge(), first);
 }
 
 TEST_F(ServiceFixture, MetricsOpServesPrometheusText) {
