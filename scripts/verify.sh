@@ -98,6 +98,12 @@ ctest --test-dir build-tsan --output-on-failure \
 ./build-tsan/tests/test_service \
     --gtest_filter='ServiceFixture.StatsSurfaceQueueAndSpoolGauges:ServiceFixture.QueueFullAndQuotaShedTyped' \
     --gtest_repeat=20 --gtest_brief=1
+# LineServer joins each ended connection's thread at the next accept and
+# hands the rest to stop(); 300 one-request connections per run exercise
+# that hand-off against the connection threads' own exits.
+./build-tsan/tests/test_chaos \
+    --gtest_filter='NetChaosTest.EndedConnectionsAreJoined' \
+    --gtest_repeat=20 --gtest_brief=1
 
 echo "== storage/network chaos under TSan: injector + spool + socket thread-safety =="
 ctest --test-dir build-tsan --output-on-failure -R 'fsfault|fsck|chaos'

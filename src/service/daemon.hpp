@@ -124,7 +124,7 @@ struct JobStatus {
 };
 
 /// Aggregate counters (mirrored in the obs metrics registry, metrics()) and
-/// the four gauges, which stats() derives when it runs.
+/// the gauges, which stats() derives when it runs.
 struct DaemonStats {
   u64 submitted = 0;   ///< admission attempts, shed included
   u64 admitted = 0;
@@ -149,6 +149,9 @@ struct DaemonStats {
   std::size_t queue_depth = 0;    ///< chromosome tasks enqueued, not started
   std::size_t workers_busy = 0;   ///< workers inside a chromosome task
   u64 spool_bytes = 0;  ///< spool footprint when stats() ran (one walk)
+  u64 minor_faults = 0;    ///< the process's minor page faults so far
+  u64 rss_bytes = 0;       ///< resident set now (VmRSS)
+  u64 peak_rss_bytes = 0;  ///< resident-set high-water mark (VmHWM)
 
   u64 shed_total() const { return shed_queue_full + shed_quota + shed_payload; }
 };
@@ -167,6 +170,11 @@ struct DaemonHealth {
 
 class Daemon {
  public:
+  /// Constructing a Daemon sets the process's glibc allocator policy, once
+  /// per process: freed memory stays in the workers' heaps while jobs run
+  /// (overlapping calls reuse it instead of faulting it in again), and the
+  /// daemon returns it with malloc_trim whenever its last job settles.  The
+  /// policy outlives the Daemon.
   explicit Daemon(DaemonConfig config);
   /// Graceful shutdown: stops admission, cancels unfinished jobs with reason
   /// kShutdown (journaled as "interrupted" — the next recover() resumes
@@ -192,8 +200,9 @@ class Daemon {
 
   /// Counters, plus the gauges derived now: jobs_active, queue_depth and
   /// workers_busy under the mutex, spool_bytes from one walk of the spool
-  /// made without it.  Jobs are frequent and reads are rare, so no job
-  /// pays for a gauge.
+  /// made without it, minor_faults from getrusage and the two RSS figures
+  /// from /proc/self/status.  Jobs are frequent and reads are rare, so no
+  /// job pays for a gauge.
   DaemonStats stats() const;
 
   /// Readiness probe: spool writability (a real probe write through the
@@ -235,7 +244,7 @@ class Daemon {
   void simulate_crash();
 
   /// Live metrics registry (job counters, latency histograms); the source
-  /// the status verbs serve from.  Its four gauges are set only when
+  /// the status verbs serve from.  Its gauges are set only when
   /// prometheus_text() derives them, so read the gauges from stats().
   obs::Metrics& metrics() { return metrics_; }
   const DaemonConfig& config() const { return config_; }

@@ -79,6 +79,9 @@ Response handle_request(Daemon& daemon, const Request& request) {
       response.fields["queue_depth"] = std::to_string(s.queue_depth);
       response.fields["workers_busy"] = std::to_string(s.workers_busy);
       response.fields["spool_bytes"] = std::to_string(s.spool_bytes);
+      response.fields["minor_faults"] = std::to_string(s.minor_faults);
+      response.fields["rss_bytes"] = std::to_string(s.rss_bytes);
+      response.fields["peak_rss_bytes"] = std::to_string(s.peak_rss_bytes);
       response.fields["eventlog_write_failures"] =
           std::to_string(s.eventlog_write_failures);
     } else if (request.op == "metrics") {

@@ -182,16 +182,20 @@ void LineServer::stop() {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& [fd, thread] : connections_) ::shutdown(fd, SHUT_RDWR);
   }
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
+  // No connection starts now.  A connection still running finds itself gone
+  // from the map when it ends, and is joined here with the ended ones.
+  std::map<int, std::thread> running;
+  std::vector<std::thread> finished;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(connection_threads_);
+    running.swap(connections_);
+    finished.swap(finished_);
   }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
+  for (auto& [fd, thread] : running) thread.join();
+  for (std::thread& thread : finished) thread.join();
   std::error_code ec;
   std::filesystem::remove(path_, ec);
 }
@@ -205,13 +209,19 @@ void LineServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen fd closed by stop(), or fatal — either way, done
     }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> finished;
+    {
+      // stop() sets stopping_ before it takes mu_ to shut the open fds
+      // down, so a connection added here is either shut down or refused.
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        return;
+      }
+      finished.swap(finished_);
+      connections_.emplace(fd, std::thread([this, fd] { serve_connection(fd); }));
     }
-    const std::lock_guard<std::mutex> lock(mu_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -245,6 +255,14 @@ void LineServer::serve_connection(int fd) {
       break;
     }
     if (!write_line(fd, reply, 0.0, chaos.byte_sliced)) break;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = connections_.find(fd);
+    if (it != connections_.end()) {  // else stop() holds the thread
+      finished_.push_back(std::move(it->second));
+      connections_.erase(it);
+    }
   }
   ::close(fd);
 }

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -104,8 +105,12 @@ class LineServer {
   std::atomic<i64> replies_{0};
   std::thread acceptor_;
   std::mutex mu_;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  /// Open connections by fd: stop() shuts these fds down.  A connection
+  /// leaves the map before its fd closes, so stop() never shuts down a
+  /// number that another socket has since taken.
+  std::map<int, std::thread> connections_;
+  /// Threads of ended connections, joined at the next accept or by stop().
+  std::vector<std::thread> finished_;
 };
 
 struct ClientOptions {

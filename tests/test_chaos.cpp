@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -526,6 +527,34 @@ TEST_F(NetChaosTest, StalledReplyHitsDeadlineThenRecovers) {
           .count();
   EXPECT_EQ(client.connects(), 2u);
   EXPECT_LT(elapsed, 1.0);  // never waited out the full stall
+}
+
+/// A number from a `/proc/self/status` field (`Threads`, or `VmSize` in kB).
+long status_number(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind(field + ":", 0) == 0)
+      return std::stol(line.substr(field.size() + 1));
+  ADD_FAILURE() << "no " << field << " in /proc/self/status";
+  return 0;
+}
+
+TEST_F(NetChaosTest, EndedConnectionsAreJoined) {
+  start_server(ServerOptions{});
+  if (server_ == nullptr) return;  // skipped
+
+  const long threads_before = status_number("Threads");
+  const long vm_kib_before = status_number("VmSize");
+  for (int i = 0; i < 300; ++i) {
+    LineClient client(socket(), single_attempt());
+    ASSERT_EQ(client.request("ping"), "echo:ping");
+  }
+  EXPECT_LE(std::labs(status_number("Threads") - threads_before), 2);
+  // An ended thread that nobody joins keeps its stack mapped, 8 MiB by
+  // default, so 300 of them would add about 2.4 GiB.
+  EXPECT_LT(status_number("VmSize") - vm_kib_before, 256 * 1024);
+  server_->stop();
 }
 
 TEST_F(NetChaosTest, IdleConnectionsAreDroppedAndReconnectHeals) {

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -855,8 +857,18 @@ TEST_F(ServiceFixture, StatsSurfaceQueueAndSpoolGauges) {
     EXPECT_EQ(response.fields.at("workers_busy"), "0");
     EXPECT_EQ(response.fields.at("spool_bytes"),
               std::to_string(stats.spool_bytes));
-    EXPECT_EQ(series_value(served_metrics(daemon), "gsnpd_spool_bytes"),
+    const std::string text = served_metrics(daemon);
+    EXPECT_EQ(series_value(text, "gsnpd_spool_bytes"),
               std::to_string(stats.spool_bytes));
+    // The process's memory: read when the op runs, like the spool gauge.
+    EXPECT_GT(stats.minor_faults, 0u);
+    EXPECT_GT(stats.rss_bytes, 0u);
+    EXPECT_GE(stats.peak_rss_bytes, stats.rss_bytes);
+    for (const char* field : {"minor_faults", "rss_bytes", "peak_rss_bytes"}) {
+      EXPECT_GT(std::stoull(response.fields.at(field)), 0u) << field;
+      EXPECT_NE(series_value(text, std::string("gsnpd_") + field), "")
+          << field;
+    }
     return stats.spool_bytes;
   };
 
@@ -922,6 +934,77 @@ TEST_F(ServiceFixture, StageSecondsRecordsEveryComputedChromosome) {
   EXPECT_GT(after.at(obs::labeled_series("stage_seconds", "stage", "cal_p"))
                 .sum,
             0.0);
+}
+
+/// Twelve two-chromosome gsnp-cpu jobs at once on a four-worker daemon, each
+/// chromosome 60K sites at 10x (a gsnpd-closed job), so calls overlap on
+/// every worker; exits 0 if jobs 5-12 took under 10 % of the minor page
+/// faults per job that jobs 1-4 took, else 1.  Jobs 1-4 map the workers'
+/// heaps; later calls reuse the pages earlier calls freed.
+[[noreturn]] void exit_with_overlapping_call_faults() {
+  const fs::path dir = test_temp_path("gsnp_overlap_fault_test");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  JobSpec spec;
+  spec.engine = "gsnp-cpu";
+  for (const u64 seed : {1, 2}) {
+    genome::GenomeSpec gspec;
+    gspec.name = "chr" + std::to_string(seed);
+    gspec.length = 60'000;
+    gspec.seed = seed;
+    const genome::Reference ref = genome::generate_reference(gspec);
+    ChromosomeSpec cs;
+    cs.name = gspec.name;
+    cs.reference_file = (dir / (cs.name + ".fa")).string();
+    cs.alignment_file = (dir / (cs.name + ".soap")).string();
+    cs.dbsnp_file = (dir / (cs.name + ".dbsnp")).string();
+    genome::write_fasta_file(cs.reference_file, {ref});
+    reads::ReadSimSpec rspec;
+    rspec.depth = 10.0;
+    rspec.seed = seed;
+    reads::write_alignment_file(
+        cs.alignment_file,
+        reads::simulate_reads(genome::Diploid(ref, {}), rspec));
+    genome::write_dbsnp_file(cs.dbsnp_file,
+                             genome::make_dbsnp(ref, {}, 0.01, seed));
+    spec.chromosomes.push_back(cs);
+  }
+
+  DaemonConfig config;
+  config.spool_dir = dir / "spool";
+  config.workers = 4;
+  config.queue_capacity = 12;
+  config.tenant_quota = 12;
+  u64 first = 0, rest = 0;
+  {
+    Daemon daemon(config);
+    const u64 start = daemon.stats().minor_faults;
+    std::vector<std::string> ids;
+    for (int i = 0; i < 12; ++i) ids.push_back(daemon.submit(spec));
+    // wait_job, not wait_idle: the idle trim runs when the last job settles.
+    for (int i = 0; i < 4; ++i) GSNP_CHECK(daemon.wait_job(ids[i]));
+    const u64 after_four = daemon.stats().minor_faults;
+    for (int i = 4; i < 12; ++i) GSNP_CHECK(daemon.wait_job(ids[i]));
+    rest = daemon.stats().minor_faults - after_four;
+    first = after_four - start;
+    for (const std::string& id : ids)
+      GSNP_CHECK(daemon.status(id).state == JobState::kDone);
+  }
+  fs::remove_all(dir);
+  std::fprintf(stderr, "minor faults per job: jobs 1-4 %llu, jobs 5-12 %llu\n",
+               static_cast<unsigned long long>(first / 4),
+               static_cast<unsigned long long>(rest / 8));
+  std::exit(rest * 4 * 10 < first * 8 ? 0 : 1);
+}
+
+TEST(DaemonAllocatorPolicy, OverlappingCallsReuseFreedPages) {
+  // A new process, so jobs 1-4 start from unmapped worker heaps.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer allocators replace glibc's";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(exit_with_overlapping_call_faults(),
+              ::testing::ExitedWithCode(0), "minor faults per job");
 }
 
 TEST_F(ServiceFixture, HealthOpReportsReadiness) {
