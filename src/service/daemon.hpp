@@ -172,9 +172,10 @@ class Daemon {
  public:
   /// Constructing a Daemon sets the process's glibc allocator policy, once
   /// per process: freed memory stays in the workers' heaps while jobs run
-  /// (overlapping calls reuse it instead of faulting it in again), and the
-  /// daemon returns it with malloc_trim whenever its last job settles.  The
-  /// policy outlives the Daemon.
+  /// (overlapping calls reuse it instead of faulting it in again).  When
+  /// its last job settles the daemon calls malloc_trim, which returns the
+  /// free chunks inside each heap; a worker heap's free top stays mapped.
+  /// The policy outlives the Daemon.
   explicit Daemon(DaemonConfig config);
   /// Graceful shutdown: stops admission, cancels unfinished jobs with reason
   /// kShutdown (journaled as "interrupted" — the next recover() resumes
