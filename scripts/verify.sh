@@ -81,11 +81,12 @@ echo "== overlap: serial vs streamed runs are bit-identical, wall strictly lower
 cmake --build build -j --target bench_overlap >/dev/null
 ./build/bench/bench_overlap --workdir build/bench_overlap_work
 
-echo "== TSan: executor + cal_p + SAM/SOAP readers + temp decode + kept window set + determinism battery + obs/profiler/device under ThreadSanitizer =="
+echo "== TSan: executor + cal_p + SAM/SOAP readers + temp decode + overlapping and back-to-back engine calls + determinism battery + obs/profiler/device under ThreadSanitizer =="
 # Device blocks, cal_p's batches (SOAP and SAM lines alike), the window
 # loader's frame decodes and the host window stages fan out on the compute
 # executor here, so this stage sees them run in parallel; test_engine
-# passes kept window sets between calls on different threads.
+# makes engine calls while another call runs on another thread, and
+# back-to-back calls that alternate between threads.
 cmake -B build-tsan -S . -DGSNP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null

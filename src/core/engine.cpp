@@ -1,5 +1,7 @@
 #include "src/core/engine.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <future>
 #include <limits>
@@ -703,94 +705,36 @@ class DeviceStages : public HostSparseStages {
   };
 };
 
-// ---- the kept window set ----------------------------------------------------
+// ---- the allocator policy ---------------------------------------------------
 
-/// One call's window slots, of its bundle's Slot type and window size.
-struct SlotSet {
-  SlotSet() = default;
-  SlotSet(const SlotSet&) = delete;
-  SlotSet& operator=(const SlotSet&) = delete;
-  virtual ~SlotSet() = default;
-  u32 window_size = 0;
-  bool kept = false;  ///< an earlier call left it
-};
+/// glibc's ceiling for M_MMAP_THRESHOLD on 64-bit targets (half its 64 MiB
+/// per-thread heap).  Below it every window, cal_p and output buffer comes
+/// from the calling thread's arena instead of a fresh mapping.
+constexpr int kMmapThreshold = 32 << 20;
+/// The free memory at a heap's top that makes a free() give it back: far
+/// above a whole call's peak (a 1M-site call at 10x peaks near 130 MB of
+/// RSS), so no free() during or between calls returns pages.
+constexpr int kTrimThreshold = 1 << 30;
+/// The pad glibc keeps when it shrinks a heap.  glibc unmaps a thread
+/// arena's emptied 64 MiB heap whatever the trim threshold says, unless the
+/// free and unreserved room of the heap below it is less than this pad; at
+/// a whole heap's size, no heap is unmapped.
+constexpr int kTopPad = 64 << 20;
 
-template <typename Slot>
-struct SlotsOf final : SlotSet {
-  std::vector<Slot> slots;
-};
-
-/// One engine call, counted from entry to exit (cal_p included).  Between
-/// calls the process keeps at most one window set, so that a call following
-/// another finds its window buffers allocated and their pages mapped.  A
-/// call that ran alone from entry to return leaves its set for the next
-/// call.  A call that enters while another runs frees the kept set, and one
-/// that overlapped another, or unwinds, frees its own: while calls overlap,
-/// no set exists beside theirs.
-class EngineCall {
- public:
-  EngineCall() {
-    std::unique_ptr<SlotSet> stale;  // freed outside the lock
-    const std::lock_guard lock(state().mutex);
-    entry_ = ++state().entered;
-    overlapped_ = state().running++ > 0;
-    if (overlapped_) stale = std::move(state().kept);
-  }
-  ~EngineCall() {
-    const std::lock_guard lock(state().mutex);
-    --state().running;
-  }
-  EngineCall(const EngineCall&) = delete;
-  EngineCall& operator=(const EngineCall&) = delete;
-
-  /// `count` slots for windows of `window_size` sites: the kept set's when
-  /// it has the same Slot type and window size (slots added or dropped to
-  /// make `count`), else new ones, the kept set freed first.
-  template <typename Slot>
-  std::unique_ptr<SlotsOf<Slot>> take(u32 window_size, std::size_t count) {
-    std::unique_ptr<SlotSet> kept;
-    {
-      const std::lock_guard lock(state().mutex);
-      kept = std::move(state().kept);
-    }
-    std::unique_ptr<SlotsOf<Slot>> set;
-    if (kept && kept->window_size == window_size &&
-        dynamic_cast<SlotsOf<Slot>*>(kept.get()))
-      set.reset(static_cast<SlotsOf<Slot>*>(kept.release()));
-    kept.reset();
-    if (!set) {
-      set = std::make_unique<SlotsOf<Slot>>();
-      set->window_size = window_size;
-    }
-    set->slots.resize(count);
-    return set;
-  }
-
-  /// At the call's return: keep `set` for the next call if no other call
-  /// ran during this one, else free it.
-  void keep(std::unique_ptr<SlotSet> set) {
-    const std::lock_guard lock(state().mutex);
-    if (overlapped_ || state().entered != entry_) return;
-    set->kept = true;
-    state().kept = std::move(set);
-  }
-
- private:
-  struct State {
-    std::mutex mutex;
-    std::size_t running = 0;     ///< calls between entry and exit
-    u64 entered = 0;             ///< calls ever entered
-    std::unique_ptr<SlotSet> kept;
-  };
-  /// Never destroyed: a call may still run on another thread at exit.
-  static State& state() {
-    static State* const s = new State;
-    return *s;
-  }
-
-  u64 entry_ = 0;            ///< state().entered after this call entered
-  bool overlapped_ = false;  ///< another call was running at entry
-};
+/// A call frees its buffers into its thread's glibc arena.  With glibc's
+/// defaults large frees shrink or unmap that arena's heaps, or unmap the
+/// chunk itself (the dynamic mmap threshold), and the next call faults the
+/// same pages in again.  This fixed policy keeps them mapped for the next
+/// call; setting any of the three turns the dynamic thresholds off.  Once
+/// per process: the policy outlives the call.
+void apply_allocator_policy() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    (void)mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+    (void)mallopt(M_TRIM_THRESHOLD, kTrimThreshold);
+    (void)mallopt(M_TOP_PAD, kTopPad);
+  });
+}
 
 // ---- the window loop --------------------------------------------------------
 
@@ -805,8 +749,8 @@ template <typename Stages, typename... Args>
 RunReport run_windows(const EngineConfig& config, const char* engine,
                       Args&&... args) {
   GSNP_CHECK(config.reference != nullptr);
+  apply_allocator_policy();
   const Timer wall;
-  EngineCall call;
   RunReport report;
   report.sites = config.reference->size();
   Ledger ledger{report, config.tracer, engine};
@@ -817,10 +761,7 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   }
 
   using Slot = typename Stages::Slot;
-  std::unique_ptr<SlotsOf<Slot>> set =
-      call.take<Slot>(stages.window_size(), config.overlapped ? 2 : 1);
-  std::vector<Slot>& slots = set->slots;
-  report.kept_window_set = set->kept;
+  std::vector<Slot> slots(config.overlapped ? 2 : 1);
   WindowLoader loader = stages.loader(report.sites);
   // One load in flight at a time; false at the end of input.
   const auto load = [&](Slot& slot) {
@@ -891,7 +832,6 @@ RunReport run_windows(const EngineConfig& config, const char* engine,
   stages.finish(slots.size());
   report.wall_seconds = wall.seconds();
   ledger.record_metrics();
-  call.keep(std::move(set));
   return report;
 }
 

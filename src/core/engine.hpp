@@ -153,9 +153,6 @@ struct RunReport {
   /// engine — the actual per-batch allocation watermark of every batch
   /// whose drain ran no other window's output.
   BatchStats batch;
-  /// The call ran its windows in the window set an earlier call kept
-  /// (DESIGN.md, "Window buffers"): its buffers were allocated and mapped.
-  bool kept_window_set = false;
 
   /// Combined (host + modeled device) seconds for one component.
   double component(const std::string& name) const {
@@ -165,6 +162,9 @@ struct RunReport {
   double total() const;
 };
 
+/// The first call in a process sets the process's glibc allocator policy,
+/// which outlives it: what a call frees keeps its pages for later calls
+/// (DESIGN.md, "Window buffers").
 RunReport run_soapsnp(const EngineConfig& config);
 RunReport run_gsnp_cpu(const EngineConfig& config);
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,

@@ -58,30 +58,6 @@ constexpr const char* kDaemonHistograms[] = {
     "job_queue_wait_seconds", "chromosome_compute_seconds",
     "job_completion_seconds"};
 
-/// glibc's ceiling for M_MMAP_THRESHOLD on 64-bit targets (half its 64 MiB
-/// per-thread heap).  Below it every window, cal_p and output buffer comes
-/// from the calling worker's heap instead of a fresh mapping.
-constexpr int kMmapThreshold = 32 << 20;
-/// The free memory at a heap's top that makes a free() give it back.  A
-/// worker's arena grows in heaps of at most 64 MiB, so above that no worker
-/// heap shrinks; 1 GiB also stays far above a whole call's peak (a 1M-site
-/// call at 10x peaks near 130 MB of RSS), so no free() during work returns
-/// pages to the kernel.
-constexpr int kTrimThreshold = 1 << 30;
-
-/// Overlapping calls on different workers free their buffers into different
-/// glibc arenas.  With glibc's defaults a large free shrinks its arena's
-/// heap or unmaps the chunk, and that worker's next call faults the same
-/// pages in again.  Setting both thresholds keeps the freed pages for the
-/// next call; setting either one also turns off glibc's dynamic thresholds.
-void apply_allocator_policy() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    (void)mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
-    (void)mallopt(M_TRIM_THRESHOLD, kTrimThreshold);
-  });
-}
-
 /// A `/proc/self/status` field in bytes (its `kB` value x 1024); 0 if absent.
 u64 status_bytes(const std::string& field) {
   const std::string key = field + ":";
@@ -162,7 +138,6 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   devices_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)
     devices_.push_back(std::make_unique<device::Device>());
-  apply_allocator_policy();
   pool_ = std::make_unique<ThreadPool>(config_.workers);
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -649,9 +624,9 @@ void Daemon::chromosome_finished(const std::shared_ptr<Job>& job) {
     finalize(*job);
     if (active_jobs_ != 0) return;
   }
-  // Idle: give back the free pages the allocator policy kept while calls
-  // ran.  malloc_trim releases the free chunks inside every arena and the
-  // main heap's top; a worker heap's free top stays mapped.
+  // Idle: give back the free pages the engine's allocator policy kept
+  // while calls ran.  malloc_trim releases the free chunks inside every
+  // arena and the main heap's top; a worker heap's free top stays mapped.
   if (!crashed_.load()) (void)malloc_trim(0);
 }
 

@@ -170,12 +170,11 @@ struct DaemonHealth {
 
 class Daemon {
  public:
-  /// Constructing a Daemon sets the process's glibc allocator policy, once
-  /// per process: freed memory stays in the workers' heaps while jobs run
-  /// (overlapping calls reuse it instead of faulting it in again).  When
-  /// its last job settles the daemon calls malloc_trim, which returns the
-  /// free chunks inside each heap; a worker heap's free top stays mapped.
-  /// The policy outlives the Daemon.
+  /// Under the engine's allocator policy, freed memory stays in the
+  /// workers' heaps while jobs run (a worker's next call reuses it instead
+  /// of faulting it in again).  When its last job settles the daemon calls
+  /// malloc_trim, which returns the free chunks inside each heap; a worker
+  /// heap's free top stays mapped.
   explicit Daemon(DaemonConfig config);
   /// Graceful shutdown: stops admission, cancels unfinished jobs with reason
   /// kShutdown (journaled as "interrupted" — the next recover() resumes

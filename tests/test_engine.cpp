@@ -385,11 +385,11 @@ TEST(StageSum, SerialHostComponentsSumToTheCallsWall) {
   fs::remove_all(dir);
 }
 
-// ---- the kept window set ----------------------------------------------------------
+// ---- back-to-back calls ------------------------------------------------------------
 
 /// A gsnp-cpu call held inside cal_p: its alignment file is a FIFO that
-/// stays open and empty until release(), so the engine counts the call as
-/// running and every call made meanwhile overlaps it.
+/// stays open and empty until release(), so every call made meanwhile
+/// overlaps it, as the calls of gsnpd's workers overlap.
 class CallInFlight {
  public:
   CallInFlight(const fs::path& dir, const genome::Reference& ref) {
@@ -464,7 +464,7 @@ Chromosome make_chromosome(const fs::path& dir, const std::string& name,
 }
 
 /// One engine call of the sequence below.
-struct KeptSetCall {
+struct BackToBackCall {
   const char* what;
   EngineKind kind;
   const Chromosome* chr;
@@ -473,7 +473,7 @@ struct KeptSetCall {
   u64 batch_bytes = 0;
 };
 
-RunReport run_call(const KeptSetCall& call, const fs::path& out) {
+RunReport run_call(const BackToBackCall& call, const fs::path& out) {
   EngineConfig config;
   config.alignment_file = call.chr->align;
   config.reference = &call.chr->ref;
@@ -494,13 +494,12 @@ RunReport run_call(const KeptSetCall& call, const fs::path& out) {
   }
 }
 
-TEST(KeptWindowSet, CallsInAKeptSetWriteTheSameBytes) {
-  // A call that follows another runs its windows in the set that call left
-  // when the Slot type and window size match (a gsnp call's sparse slots
-  // serve gsnp-cpu), and frees a mismatched set first.  Each call below
-  // writes the same bytes as the same call made while another call is in
-  // flight, which takes no kept set; the last call repeats the first.
-  const fs::path dir = test_temp_path("gsnp_kept_window_set_test");
+TEST(BackToBackCalls, WriteTheSameBytes) {
+  // A call that follows another reuses the memory that call freed, of
+  // other engines and window sizes too (a gsnp call's buffers serve
+  // gsnp-cpu).  Each call below writes the same bytes as the same call made
+  // while another call is in flight; the last call repeats the first.
+  const fs::path dir = test_temp_path("gsnp_back_to_back_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const Chromosome a = make_chromosome(dir, "chrA", 50'000, 21, 8.0);
@@ -513,7 +512,7 @@ TEST(KeptWindowSet, CallsInAKeptSetWriteTheSameBytes) {
 
   // A's windows end on a partial one, so a batched gsnp call's last plan
   // covers fewer sites than the next call's first window.
-  const std::vector<KeptSetCall> calls = {
+  const std::vector<BackToBackCall> calls = {
       {"gsnp-cpu A", EngineKind::kGsnpCpu, &a, 16'384},
       {"gsnp-cpu B overlapped", EngineKind::kGsnpCpu, &b, 10'000, true},
       {"gsnp-cpu B", EngineKind::kGsnpCpu, &b, 10'000},
@@ -523,51 +522,42 @@ TEST(KeptWindowSet, CallsInAKeptSetWriteTheSameBytes) {
       {"gsnp A batched", EngineKind::kGsnp, &a, 16'384, false, 256 * 1024},
       {"gsnp-cpu A again", EngineKind::kGsnpCpu, &a, 16'384},
   };
-  // Whether call i takes its predecessor's set; the first follows other
-  // tests.
-  const std::vector<int> kept = {-1, 0, 1, 0, 0, 1, 0, 1};
-
   std::vector<std::string> expected;
   for (std::size_t i = 0; i < calls.size(); ++i) {
     SCOPED_TRACE(calls[i].what);
     CallInFlight other(dir, idle);
     ASSERT_TRUE(other.waiting());
-    const RunReport report =
-        run_call(calls[i], dir / ("alone_" + std::to_string(i)));
-    EXPECT_FALSE(report.kept_window_set);
+    run_call(calls[i], dir / ("alone_" + std::to_string(i)));
     EXPECT_TRUE(other.release());
     expected.push_back(file_bytes(dir / ("alone_" + std::to_string(i))));
     ASSERT_FALSE(expected.back().empty());
   }
 
-  // The odd calls run on a thread of their own, so each kept set passes
-  // between threads, as it does between gsnpd workers.
+  // The odd calls run on a thread of their own, so memory one call frees
+  // serves the next from another thread's arena, as between gsnpd workers.
   std::vector<RunReport> reports;
   for (std::size_t i = 0; i < calls.size(); ++i) {
     SCOPED_TRACE(calls[i].what);
-    const fs::path out = dir / ("kept_" + std::to_string(i));
+    const fs::path out = dir / ("next_" + std::to_string(i));
     const auto run = [&] { return run_call(calls[i], out); };
     reports.push_back(i % 2 == 1 ? std::async(std::launch::async, run).get()
                                  : run());
-    if (kept[i] >= 0) {
-      EXPECT_EQ(reports.back().kept_window_set, kept[i] == 1);
-    }
     EXPECT_TRUE(file_bytes(out) == expected[i]);
   }
-  EXPECT_EQ(sha256_file_hex(dir / "kept_0"), sha256_file_hex(dir / "kept_7"));
-  EXPECT_TRUE(file_bytes(dir / "kept_0") == file_bytes(dir / "kept_7"));
+  EXPECT_EQ(sha256_file_hex(dir / "next_0"), sha256_file_hex(dir / "next_7"));
+  EXPECT_TRUE(file_bytes(dir / "next_0") == file_bytes(dir / "next_7"));
   EXPECT_EQ(reports[0].output_bytes, reports[7].output_bytes);
   EXPECT_EQ(reports[0].temp_bytes, reports[7].temp_bytes);
   fs::remove_all(dir);
 }
 
 /// Two back-to-back gsnp-cpu calls on a 1M-site chromosome at 10x (the
-/// benchmark's call); exits 0 if the second took under 5 % of the first
-/// call's minor page faults, else 1.  Scratch outside the window set (cal_p's
-/// batch buffer and tables, the output columns) is allocated per call, and
-/// a warm call may map some of it afresh: ~1,000 pages, which a 200K-site
-/// call's window set, ~23,000 pages, does not dwarf.
-[[noreturn]] void exit_with_warm_call_faults() {
+/// benchmark's call), made on the calling thread or on one std::thread of
+/// their own; exits 0 if the second took under 5 % of the first call's
+/// minor page faults, else 1.  A call this size spans more than one of a
+/// thread arena's 64 MiB heaps, which glibc unmaps when they empty unless
+/// the allocator policy's top pad keeps them.
+[[noreturn]] void exit_with_warm_call_faults(bool on_thread) {
   const fs::path dir = test_temp_path("gsnp_warm_call_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -591,28 +581,40 @@ TEST(KeptWindowSet, CallsInAKeptSetWriteTheSameBytes) {
     getrusage(RUSAGE_SELF, &usage);
     return usage.ru_minflt;
   };
-  const long before = minor_faults();
-  const bool first_kept = run_gsnp_cpu(config).kept_window_set;
-  const long between = minor_faults();
-  const bool second_kept = run_gsnp_cpu(config).kept_window_set;
-  const long first = between - before;
-  const long second = minor_faults() - between;
+  long first = 0;
+  long second = 0;
+  const auto pair = [&] {
+    const long before = minor_faults();
+    run_gsnp_cpu(config);
+    const long between = minor_faults();
+    run_gsnp_cpu(config);
+    first = between - before;
+    second = minor_faults() - between;
+  };
+  if (on_thread)
+    std::thread(pair).join();
+  else
+    pair();
   fs::remove_all(dir);
   std::fprintf(stderr, "minor faults: first call %ld, second call %ld\n",
                first, second);
-  std::exit(!first_kept && second_kept && second * 20 < first ? 0 : 1);
+  std::exit(second * 20 < first ? 0 : 1);
 }
 
-TEST(KeptWindowSet, AWarmCallMapsNoFreshPages) {
-  // The second of two back-to-back calls finds its window buffers allocated
-  // and their pages mapped.  The calls run in a new process, whose first
-  // call allocates and maps its buffers.
+TEST(BackToBackCalls, AWarmCallMapsNoFreshPages) {
+  // The second of two back-to-back calls finds its buffers' pages mapped,
+  // on the main thread (glibc's main arena) and on a std::thread (an arena
+  // of its own, like a one-worker gsnpd's).  The calls run in a new
+  // process, whose first call maps its buffers.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer allocators quarantine freed memory";
 #endif
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(exit_with_warm_call_faults(), ::testing::ExitedWithCode(0),
-              "minor faults");
+  for (const bool on_thread : {false, true}) {
+    SCOPED_TRACE(on_thread ? "on a std::thread" : "on the main thread");
+    EXPECT_EXIT(exit_with_warm_call_faults(on_thread),
+                ::testing::ExitedWithCode(0), "minor faults");
+  }
 }
 
 // ---- consistency module itself --------------------------------------------------
